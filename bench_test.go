@@ -102,6 +102,29 @@ func BenchmarkFleetCampaignCold(b *testing.B) {
 	}
 }
 
+// BenchmarkColdCell is one contigd cold-campaign cell: a 32-server
+// fleet of 32 MiB Contiguitas machines living 40-120 ticks, 4 shards on
+// 2 workers, no cache. Every server ticks the full buddy/THP kernel, so
+// this is the per-tick path (khugepaged passes, PFN-ordered free lists)
+// the service spends its campaigns in.
+func BenchmarkColdCell(b *testing.B) {
+	cfg := fleet.DefaultConfig()
+	cfg.Servers = 32
+	cfg.MemBytes = 32 << 20
+	cfg.Design = core.DesignContiguitas
+	cfg.TicksMin, cfg.TicksMax = 40, 120
+	cfg.JitterFrac = 0.5
+	cfg.Seed = 1
+	cfg.Shards = 4
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := fleet.RunSupervised(context.Background(), fleet.SupervisedConfig{Fleet: cfg, Workers: 2})
+		if err != nil || !res.Report.Complete {
+			b.Fatalf("cell: %v %v", err, res.Report)
+		}
+	}
+}
+
 func BenchmarkFleetCampaignWarm(b *testing.B) {
 	cfg := benchCampaignCfg()
 	cache := resultcache.NewLRU(16, fleet.CacheSchemaVersion)
@@ -258,6 +281,43 @@ func BenchmarkBuddyAllocFree4K(b *testing.B) {
 			b.Fatal("oom")
 		}
 		bd.Free(pfn)
+	}
+}
+
+// BenchmarkBuddyAllocFree4KLowestPFN and ...HighestPFN time the
+// PFN-ordered free lists the Contiguitas regions use, at a cold-cell
+// machine size and at 8 GiB, the largest machine any CLI builds.
+func BenchmarkBuddyAllocFree4KLowestPFN(b *testing.B) {
+	benchOrderedAllocFree(b, mem.PolicyLowestPFN)
+}
+
+func BenchmarkBuddyAllocFree4KHighestPFN(b *testing.B) {
+	benchOrderedAllocFree(b, mem.PolicyHighestPFN)
+}
+
+func benchOrderedAllocFree(b *testing.B, policy mem.AllocPolicy) {
+	for _, size := range []struct {
+		name  string
+		bytes uint64
+	}{{"256MiB", 256 << 20}, {"8GiB", 8 << 30}} {
+		b.Run(size.name, func(b *testing.B) {
+			pm := mem.NewPhysMem(size.bytes)
+			bd := mem.NewBuddy(pm, 0, pm.NPages, policy, false, mem.MigrateMovable)
+			// One untimed round trip first: it builds the free-list
+			// storage of every order the split passes through, so the
+			// timed loop sees the steady state even at -benchtime 3x.
+			if pfn, ok := bd.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser); ok {
+				bd.Free(pfn)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pfn, ok := bd.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
+				if !ok {
+					b.Fatal("oom")
+				}
+				bd.Free(pfn)
+			}
+		})
 	}
 }
 

@@ -1,16 +1,64 @@
 package kernel
 
 import (
+	"fmt"
+
 	"contiguitas/internal/mem"
 	"contiguitas/internal/telemetry"
 )
 
 // Mapping is a user-space memory area backed by a mix of page sizes —
 // the outcome of THP's opportunistic huge-page allocation. The blocks
-// slice holds the kernel handles backing the area.
+// slice holds the kernel handles backing the area. Blocks is read-only
+// outside the kernel: AllocUserTHP, Promote, FreeMapping and
+// RestoreMapping are the only writers, so the counters below stay exact.
 type Mapping struct {
 	Bytes  uint64
 	Blocks []*Page
+
+	// n4K counts the 4 KB blocks in Blocks. interleaved is set when some
+	// larger block follows a 4 KB one; when clear, Blocks is already in
+	// the order a khugepaged pass leaves it (larger blocks first), so a
+	// pass that cannot collapse (n4K < 512) would rewrite it unchanged.
+	n4K         int
+	interleaved bool
+}
+
+// appendBlock adds p to the end of the block list, keeping the 4 KB
+// count and the partition bit current.
+func (m *Mapping) appendBlock(p *Page) {
+	if p.Order == mem.Order4K {
+		m.n4K++
+	} else if m.n4K > 0 {
+		m.interleaved = true
+	}
+	m.Blocks = append(m.Blocks, p)
+}
+
+// CheckCounters recomputes the 4 KB count and the partition bit from
+// Blocks and reports any disagreement with the maintained values. It is
+// O(len(Blocks)) and intended for tests.
+func (m *Mapping) CheckCounters() error {
+	var want Mapping
+	for _, p := range m.Blocks {
+		want.appendBlock(p)
+	}
+	if want.n4K != m.n4K || want.interleaved != m.interleaved {
+		return fmt.Errorf("kernel: mapping counters n4K=%d interleaved=%v, blocks give n4K=%d interleaved=%v",
+			m.n4K, m.interleaved, want.n4K, want.interleaved)
+	}
+	return nil
+}
+
+// RestoreMapping rebuilds a mapping of the given size over live handles
+// in their serialized order (workload snapshot restore). The mapping
+// takes ownership of blocks.
+func RestoreMapping(bytes uint64, blocks []*Page) *Mapping {
+	m := &Mapping{Bytes: bytes, Blocks: blocks[:0]}
+	for _, p := range blocks {
+		m.appendBlock(p)
+	}
+	return m
 }
 
 // Coverage returns the fraction of the mapping's frames backed by blocks
@@ -55,19 +103,29 @@ func (k *Kernel) AllocUser(bytes uint64, thp bool) (*Mapping, error) {
 // the natural next step once Contiguitas makes gigabyte contiguity
 // reliable. The fallback ladder is 1 GB → 2 MB → 4 KB.
 func (k *Kernel) AllocUserTHP(bytes uint64, thp, thp1G bool) (*Mapping, error) {
-	m := &Mapping{Bytes: bytes}
 	remaining := mem.BytesToPages(bytes)
+	// Size the block list for the outcome where every huge attempt
+	// succeeds; base-page fallbacks grow it.
+	blocks := remaining
+	if thp && remaining >= mem.PageblockPages {
+		blocks = remaining/mem.PageblockPages + remaining%mem.PageblockPages
+		if thp1G {
+			per1G := mem.OrderPages(mem.Order1G)
+			blocks = remaining/per1G + remaining%per1G/mem.PageblockPages + remaining%mem.PageblockPages
+		}
+	}
+	m := &Mapping{Bytes: bytes, Blocks: make([]*Page, 0, blocks)}
 	for remaining > 0 {
 		if thp1G && remaining >= mem.OrderPages(mem.Order1G) {
 			if p, err := k.Alloc(mem.Order1G, mem.MigrateMovable, mem.SrcUser); err == nil {
-				m.Blocks = append(m.Blocks, p)
+				m.appendBlock(p)
 				remaining -= mem.OrderPages(mem.Order1G)
 				continue
 			}
 		}
 		if thp && remaining >= mem.PageblockPages {
 			if p, err := k.Alloc(mem.Order2M, mem.MigrateMovable, mem.SrcUser); err == nil {
-				m.Blocks = append(m.Blocks, p)
+				m.appendBlock(p)
 				remaining -= mem.PageblockPages
 				continue
 			}
@@ -85,7 +143,7 @@ func (k *Kernel) AllocUserTHP(bytes uint64, thp, thp1G bool) (*Mapping, error) {
 					k.FreeMapping(m)
 					return nil, err
 				}
-				m.Blocks = append(m.Blocks, p)
+				m.appendBlock(p)
 				remaining--
 			}
 			continue
@@ -95,7 +153,7 @@ func (k *Kernel) AllocUserTHP(bytes uint64, thp, thp1G bool) (*Mapping, error) {
 			k.FreeMapping(m)
 			return nil, err
 		}
-		m.Blocks = append(m.Blocks, p)
+		m.appendBlock(p)
 		remaining--
 	}
 	return m, nil
@@ -109,13 +167,22 @@ func (k *Kernel) FreeMapping(m *Mapping) {
 		}
 	}
 	m.Blocks = nil
+	m.n4K = 0
+	m.interleaved = false
 }
 
 // Promote runs a khugepaged pass over the mapping: groups of 512 base
 // pages are collapsed into freshly allocated 2 MB blocks, paying one
 // software migration per page moved. maxCollapses bounds the work per
 // pass (0 = unlimited). Returns the number of collapses performed.
+// The pass leaves the larger blocks first and the remaining base pages
+// after them, both in their previous relative order.
 func (k *Kernel) Promote(m *Mapping, maxCollapses int) int {
+	if !m.interleaved && m.n4K < mem.PageblockPages {
+		// Already partitioned with no group to collapse: the pass would
+		// rewrite Blocks unchanged.
+		return 0
+	}
 	collapses := 0
 	// Partition into kernel-owned scratch buffers: Promote runs for every
 	// mapping every tick in the workload driver, and per-call slice growth
@@ -155,6 +222,8 @@ func (k *Kernel) Promote(m *Mapping, maxCollapses int) int {
 	}
 	m.Blocks = append(m.Blocks[:0], rest...)
 	m.Blocks = append(m.Blocks, small[next:]...)
+	m.n4K = len(small) - next
+	m.interleaved = false
 	k.promoteSmall = small[:0]
 	k.promoteRest = rest[:0]
 	return collapses

@@ -30,7 +30,8 @@ func floatBits(f float64) uint64 { return math.Float64bits(f) }
 // Serialized versus re-derived:
 //
 //   - Serialized: the frame table (meta words, pageblock migratetypes),
-//     buddy free lists in backing order, live-allocation records, the
+//     buddy free lists (LIFO stacks in backing order, PFN-ordered sets
+//     ascending), live-allocation records, the
 //     reclaimable FIFO (including consumed-slot sentinels and the head
 //     cursor — FIFO order is behavior), compaction cursors/defer/retry,
 //     PSI tracker state, the RNG streams, counters, and the watchdog
@@ -177,7 +178,9 @@ func (k *Kernel) ExportState() *State {
 	}
 	buddies := k.regionBuddies()
 	for _, b := range buddies {
-		st.Regions = append(st.Regions, b.ExportState())
+		bs := b.ExportState()
+		st.Phys.NoteSetPositions(&bs)
+		st.Regions = append(st.Regions, bs)
 	}
 	for pfn := uint64(0); pfn < k.pm.NPages; pfn++ {
 		p := k.live.get(pfn)

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"testing"
 
 	"contiguitas/internal/fault"
@@ -206,5 +207,86 @@ func TestStateHashSensitivity(t *testing.T) {
 	st.Phys.Meta[0] ^= 0x80000000
 	if st.Hash() == h {
 		t.Fatal("hash ignores frame metadata changes")
+	}
+}
+
+// setListForTest returns the serialized PFN-set list of the Contiguitas
+// state with the most heads (the movable region's busiest class).
+func setListForTest(t *testing.T, st *State) (region, order, mt int) {
+	t.Helper()
+	best := -1
+	for r, bs := range st.Regions {
+		if mem.AllocPolicy(bs.Policy) == mem.PolicyLIFO {
+			t.Fatalf("region %d is LIFO; want PFN-ordered regions", r)
+		}
+		for o := range bs.Lists {
+			for m, l := range bs.Lists[o] {
+				if len(l) > best {
+					best, region, order, mt = len(l), r, o, m
+				}
+			}
+		}
+	}
+	if best < 3 {
+		t.Fatalf("busiest PFN set holds %d heads; the test needs at least 3", best)
+	}
+	return region, order, mt
+}
+
+func churnedContiguitasState(t *testing.T) (Config, *State) {
+	t.Helper()
+	cfg := snapTestConfig(ModeContiguitas)
+	k := New(cfg)
+	d := &snapDriver{k: k, rng: stats.NewRNG(13)}
+	for i := 0; i < 40; i++ {
+		d.step(t)
+	}
+	return cfg, k.ExportState()
+}
+
+// TestRestoreAcceptsAnySetOrder: PFN-ordered lists restore as sets. A
+// list serialized in another order (snapshots from before the sets held
+// binary heaps, whose heads were listed in heap order, with the heap
+// index as flIdx witness) restores to the same machine.
+func TestRestoreAcceptsAnySetOrder(t *testing.T) {
+	cfg, st := churnedContiguitasState(t)
+	want := st.Hash()
+	r, o, mt := setListForTest(t, st)
+	l := st.Regions[r].Lists[o][mt]
+	for i, j := 0, len(l)-1; i < j; i, j = i+1, j-1 {
+		l[i], l[j] = l[j], l[i]
+	}
+	for i, pfn := range l {
+		st.Phys.FlIdx[pfn] = int32(i)
+	}
+	k, err := Restore(cfg, st)
+	if err != nil {
+		t.Fatalf("restore of a reordered set: %v", err)
+	}
+	if got := k.StateHash(); got != want {
+		t.Fatalf("reordered set restored to state %016x, want %016x", got, want)
+	}
+}
+
+// TestRestoreRejectsDuplicateSetHead: a head listed twice on one PFN
+// set is a typed error, not a silently merged set.
+func TestRestoreRejectsDuplicateSetHead(t *testing.T) {
+	cfg, st := churnedContiguitasState(t)
+	r, o, mt := setListForTest(t, st)
+	l := st.Regions[r].Lists[o][mt]
+	st.Regions[r].Lists[o][mt] = append(l, l[1])
+	if _, err := Restore(cfg, st); !errors.Is(err, mem.ErrDuplicateHead) {
+		t.Fatalf("restore with a duplicated head: %v, want ErrDuplicateHead", err)
+	}
+}
+
+// TestRestoreChecksSetWitness: the flIdx witness covers PFN-set heads
+// too; a witness that disagrees with a head's list position is refused.
+func TestRestoreChecksSetWitness(t *testing.T) {
+	cfg, st := churnedContiguitasState(t)
+	r, o, mt := setListForTest(t, st)
+	st.Phys.FlIdx[st.Regions[r].Lists[o][mt][2]]++
+	if _, err := Restore(cfg, st); err == nil {
+		t.Fatal("restore accepted a PFN-set head with a wrong flIdx witness")
 	}
 }

@@ -79,21 +79,10 @@ func NewBuddy(pm *PhysMem, start, end uint64, policy AllocPolicy, fallback bool,
 		panic(fmt.Sprintf("mem: invalid buddy range [%d, %d)", start, end))
 	}
 	b := &Buddy{pm: pm, start: start, end: end, fallback: fallback, policy: policy}
-	for o := 0; o <= MaxOrder; o++ {
-		for mt := 0; mt < NumMigrateTypes; mt++ {
-			switch policy {
-			case PolicyLIFO:
-				b.lists[o][mt] = &lifoList{}
-			case PolicyLowestPFN:
-				b.lists[o][mt] = &heapList{}
-			case PolicyHighestPFN:
-				b.lists[o][mt] = &heapList{desc: true}
-			default:
-				// Boot-time configuration validation: AllocPolicy is a
-				// closed enum chosen by Kernel.New, never workload input.
-				panic("mem: unknown alloc policy")
-			}
-		}
+	if !b.initLists() {
+		// Boot-time configuration validation: AllocPolicy is a closed
+		// enum chosen by Kernel.New, never workload input.
+		panic("mem: unknown alloc policy")
 	}
 	for pb := start / PageblockPages; pb < (end+PageblockPages-1)/PageblockPages; pb++ {
 		pm.pbMT[pb] = uint8(initialMT)
@@ -104,6 +93,33 @@ func NewBuddy(pm *PhysMem, start, end uint64, policy AllocPolicy, fallback bool,
 		panic(err)
 	}
 	return b
+}
+
+// initLists creates the empty free lists b.policy calls for, with one
+// backing array per region; it reports false for an unknown policy.
+func (b *Buddy) initLists() bool {
+	switch b.policy {
+	case PolicyLIFO:
+		lifo := new([MaxOrder + 1][NumMigrateTypes]lifoList)
+		for o := range b.lists {
+			for mt := range b.lists[o] {
+				b.lists[o][mt] = &lifo[o][mt]
+			}
+		}
+	case PolicyLowestPFN, PolicyHighestPFN:
+		sets := new([MaxOrder + 1][NumMigrateTypes]pfnSet)
+		for o := range b.lists {
+			for mt := range b.lists[o] {
+				s := &sets[o][mt]
+				s.order = uint(o)
+				s.desc = b.policy == PolicyHighestPFN
+				b.lists[o][mt] = s
+			}
+		}
+	default:
+		return false
+	}
+	return true
 }
 
 // Start returns the inclusive lower PFN bound of the region.
@@ -469,6 +485,7 @@ func (b *Buddy) AdjustBounds(start, end uint64) error {
 func (b *Buddy) CheckInvariants() error {
 	var listed uint64
 	seen := make(map[uint64]bool)
+	var heads []uint64
 	for o := 0; o <= MaxOrder; o++ {
 		for mt := 0; mt < NumMigrateTypes; mt++ {
 			blocksAt := b.lists[o][mt].len()
@@ -480,7 +497,8 @@ func (b *Buddy) CheckInvariants() error {
 			}
 		}
 		for mt := 0; mt < NumMigrateTypes; mt++ {
-			for _, pfn := range b.lists[o][mt].peekAll() {
+			heads = b.lists[o][mt].appendTo(heads[:0])
+			for _, pfn := range heads {
 				if !b.Owns(pfn) {
 					return fmt.Errorf("free head %d outside region", pfn)
 				}

@@ -26,6 +26,10 @@ var (
 	// aligned for the requested order.
 	ErrMisaligned = errors.New("mem: misaligned block")
 
+	// ErrDuplicateHead reports a snapshot that lists the same free
+	// block head twice on one PFN-ordered free list.
+	ErrDuplicateHead = errors.New("mem: free head listed twice")
+
 	// ErrBadBounds reports an AdjustBounds to an empty or out-of-table
 	// range.
 	ErrBadBounds = errors.New("mem: invalid region bounds")

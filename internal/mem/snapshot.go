@@ -8,15 +8,19 @@ import "fmt"
 //
 //   - The packed per-frame meta words and per-pageblock migratetypes are
 //     serialized raw: they are the ground truth every scanner reads.
-//   - Free-list contents are serialized in exact backing-slice order.
-//     LIFO lists pop from the slice end, so the stack order IS the
-//     future allocation order; heap lists always pop the extreme PFN,
-//     but removal paths (coalescing, carving) sift from slice positions,
-//     so the array layout still shapes subsequent rebalancing. Restoring
-//     the slices verbatim reproduces both bit-for-bit.
-//   - flIdx (each free head's position inside its list) is re-derived
-//     while the lists are rebuilt, and the serialized copy is kept as an
-//     equivalence witness: VerifyFlIdxWitness proves the rebuilt index
+//   - LIFO free lists are serialized in exact backing-slice order: they
+//     pop from the slice end, so the stack order IS the future
+//     allocation order, and restoring the slice verbatim reproduces it.
+//   - PFN-ordered lists are sets: they always pop the extreme PFN, so
+//     only membership is state. They are serialized in ascending PFN
+//     order and restored as sets; any order is accepted (snapshots from
+//     before the sets, which held binary heaps, list heads in heap
+//     order), but a head listed twice is rejected with ErrDuplicateHead.
+//   - flIdx records each free head's position inside its serialized
+//     list. LIFO lists keep it live; sets keep no positions, so export
+//     writes them into the witness (NoteSetPositions). Restore re-derives
+//     flIdx from the serialized lists, and the serialized copy is kept as
+//     an equivalence witness: VerifyFlIdxWitness proves the rebuilt index
 //     matches the original over every free head.
 //   - The per-(order,migratetype) block histograms, order masks, and
 //     free-page totals are re-derived from the restored lists; the
@@ -74,6 +78,24 @@ func RestorePhysMem(st PhysMemState) (*PhysMem, error) {
 	}
 	pm.DirtyAll()
 	return pm, nil
+}
+
+// NoteSetPositions writes the flIdx witness for the heads on bs's
+// PFN-ordered lists: each head's position in its serialized list, the
+// index RestoreBuddy re-derives. (LIFO heads already carry their live
+// stack position.) Call it on an exported frame table for every
+// exported region.
+func (st *PhysMemState) NoteSetPositions(bs *BuddyState) {
+	if AllocPolicy(bs.Policy) == PolicyLIFO {
+		return
+	}
+	for o := range bs.Lists {
+		for _, pfns := range bs.Lists[o] {
+			for i, pfn := range pfns {
+				st.FlIdx[pfn] = int32(i)
+			}
+		}
+	}
 }
 
 // VerifyFlIdxWitness proves the re-derived free-list index matches the
@@ -142,9 +164,9 @@ type BuddyState struct {
 	StealsConverting uint64
 	StealsPolluting  uint64
 
-	// Lists[o][mt] is the free list's backing slice in exact order (see
-	// the package comment above for why order matters for both list
-	// kinds). Nil and empty are equivalent.
+	// Lists[o][mt] holds the free list's heads: a LIFO stack in exact
+	// backing order, a PFN set in ascending order (see the package
+	// comment above). Nil and empty are equivalent.
 	Lists [MaxOrder + 1][NumMigrateTypes][]uint64
 }
 
@@ -163,8 +185,8 @@ func (b *Buddy) ExportState() BuddyState {
 	}
 	for o := 0; o <= MaxOrder; o++ {
 		for mt := 0; mt < NumMigrateTypes; mt++ {
-			if all := b.lists[o][mt].peekAll(); len(all) > 0 {
-				st.Lists[o][mt] = append([]uint64(nil), all...)
+			if b.lists[o][mt].len() > 0 {
+				st.Lists[o][mt] = b.lists[o][mt].appendTo(nil)
 			}
 		}
 	}
@@ -172,10 +194,11 @@ func (b *Buddy) ExportState() BuddyState {
 }
 
 // RestoreBuddy rebuilds a buddy region over an already-restored frame
-// table. The free lists are restored in exact serialized order; flIdx,
-// block histograms, order masks, and free totals are re-derived, with
-// the serialized totals cross-checked. Every listed head is validated
-// against the frame table before being accepted.
+// table. LIFO lists are restored in exact serialized order, PFN-ordered
+// lists as sets; flIdx, block histograms, order masks, and free totals
+// are re-derived, with the serialized totals cross-checked. Every
+// listed head is validated against the frame table before being
+// accepted.
 func RestoreBuddy(pm *PhysMem, st BuddyState) (*Buddy, error) {
 	if st.End > pm.NPages || st.Start >= st.End {
 		return nil, fmt.Errorf("%w: restore buddy [%d, %d)", ErrBadBounds, st.Start, st.End)
@@ -187,28 +210,13 @@ func RestoreBuddy(pm *PhysMem, st BuddyState) (*Buddy, error) {
 		StealsConverting: st.StealsConverting,
 		StealsPolluting:  st.StealsPolluting,
 	}
-	for o := 0; o <= MaxOrder; o++ {
-		for mt := 0; mt < NumMigrateTypes; mt++ {
-			switch policy {
-			case PolicyLIFO:
-				b.lists[o][mt] = &lifoList{}
-			case PolicyLowestPFN:
-				b.lists[o][mt] = &heapList{}
-			case PolicyHighestPFN:
-				b.lists[o][mt] = &heapList{desc: true}
-			default:
-				return nil, fmt.Errorf("mem: restore: unknown alloc policy %d", st.Policy)
-			}
-		}
+	if !b.initLists() {
+		return nil, fmt.Errorf("mem: restore: unknown alloc policy %d", st.Policy)
 	}
 	for o := 0; o <= MaxOrder; o++ {
 		for mt := 0; mt < NumMigrateTypes; mt++ {
 			pfns := st.Lists[o][mt]
-			if len(pfns) == 0 {
-				continue
-			}
-			backing := append([]uint64(nil), pfns...)
-			for i, pfn := range backing {
+			for i, pfn := range pfns {
 				if pfn < st.Start || pfn+OrderPages(o) > st.End {
 					return nil, fmt.Errorf("%w: restore: listed head %d (order %d)", ErrOutOfRange, pfn, o)
 				}
@@ -216,19 +224,19 @@ func RestoreBuddy(pm *PhysMem, st BuddyState) (*Buddy, error) {
 				if m&(flagFree|flagHead) != flagFree|flagHead || metaOrder(m) != o || metaMT(m) != MigrateType(mt) {
 					return nil, fmt.Errorf("mem: restore: frame table disagrees with list entry pfn=%d order=%d mt=%d", pfn, o, mt)
 				}
+				switch l := b.lists[o][mt].(type) {
+				case *lifoList:
+					l.pfns = append(l.pfns, pfn)
+				case *pfnSet:
+					if l.has(pfn) {
+						return nil, fmt.Errorf("%w: restore: pfn=%d order=%d mt=%d", ErrDuplicateHead, pfn, o, mt)
+					}
+					l.push(pm, pfn)
+				}
 				pm.flIdx[pfn] = int32(i)
 				b.noteBlockAdd(o, MigrateType(mt))
 				b.freeByList[mt] += OrderPages(o)
 				b.freeTotal += OrderPages(o)
-			}
-			switch l := b.lists[o][mt].(type) {
-			case *lifoList:
-				l.pfns = backing
-			case *heapList:
-				if err := verifyHeap(l, backing); err != nil {
-					return nil, err
-				}
-				l.pfns = backing
 			}
 		}
 	}
@@ -239,18 +247,4 @@ func RestoreBuddy(pm *PhysMem, st BuddyState) (*Buddy, error) {
 		return nil, fmt.Errorf("mem: restore: re-derived freeByList %v, serialized %v", b.freeByList, st.FreeByList)
 	}
 	return b, nil
-}
-
-// verifyHeap proves a serialized heap slice still satisfies the heap
-// property before it is adopted verbatim (a corrupted snapshot would
-// otherwise silently change pop order).
-func verifyHeap(l *heapList, pfns []uint64) error {
-	for i := 1; i < len(pfns); i++ {
-		parent := (i - 1) / 2
-		if l.before(pfns[i], pfns[parent]) {
-			return fmt.Errorf("mem: restore: heap property violated at index %d (pfn %d vs parent %d)",
-				i, pfns[i], pfns[parent])
-		}
-	}
-	return nil
 }

@@ -10,11 +10,11 @@
 // Trust model. Cached bytes are never trusted on faith:
 //
 //   - the on-disk backend wraps every entry in a CTGCACH envelope with
-//     the snapshot package's temp-file-plus-rename write discipline and
-//     verifies magic, format version, key binding, a payload digest, and
-//     an envelope self-digest on every Get — a tampered, torn, or
-//     swapped file is rejected with ErrCorrupt, never decoded into
-//     results;
+//     the snapshot package's temp-file-plus-rename write discipline. On
+//     every Get it verifies a digest over every encoded byte before
+//     decoding anything, then magic, format version and key binding — a
+//     tampered, torn, or swapped file is rejected with ErrCorrupt, never
+//     decoded into results;
 //   - an entry written under an older cache-schema version (the
 //     simulator's generative model changed) is internally intact but
 //     semantically stale and is rejected with ErrStaleSchema;
@@ -31,6 +31,7 @@ package resultcache
 import (
 	"bytes"
 	"container/list"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -49,7 +50,7 @@ import (
 // which versions the *meaning* of payloads, not their framing).
 const (
 	Magic         = "CTGCACH"
-	FormatVersion = 1
+	FormatVersion = 2
 )
 
 // Typed lookup outcomes. ErrMiss is the only benign one; the other two
@@ -86,14 +87,23 @@ type Cache interface {
 	Put(key uint64, payload []byte) error
 }
 
-// payloadDigest is the FNV-1a digest of the payload bytes.
-func payloadDigest(p []byte) uint64 {
+// fileDigest is the FNV-1a digest of an entry's encoded bytes. It
+// covers every byte, not just the decoded fields: some bit flips (in
+// gob's type names, for one) decode to identical fields. A change to
+// any one byte always changes it, since each FNV-1a step (xor a byte,
+// multiply by an odd prime) is a bijection of the running state.
+func fileDigest(p []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(p)
 	return h.Sum64()
 }
 
-// entry is the CTGCACH on-disk envelope.
+// digestLen is the size of the little-endian fileDigest trailer that
+// follows the gob-encoded entry in a CTGCACH file.
+const digestLen = 8
+
+// entry is the CTGCACH on-disk envelope, gob-encoded and followed by
+// the fileDigest of the encoding.
 type entry struct {
 	Magic   string
 	Version uint32
@@ -102,27 +112,8 @@ type entry struct {
 	Schema uint32
 	// Key binds the entry to its content address; a file renamed over
 	// another key's path fails this check.
-	Key uint64
-	// PayloadHash digests Payload; SelfHash digests every header field
-	// plus PayloadHash, so editing any single field is detected.
-	PayloadHash uint64
-	SelfHash    uint64
-	Payload     []byte
-}
-
-// selfDigest computes the envelope self-digest over every field but
-// SelfHash itself.
-func (e *entry) selfDigest() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(e.Magic))
-	var buf [8]byte
-	for _, v := range []uint64{uint64(e.Version), uint64(e.Schema), e.Key, e.PayloadHash} {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64()
+	Key     uint64
+	Payload []byte
 }
 
 // Dir is the durable backend: one CTGCACH file per key inside a
@@ -147,7 +138,7 @@ func (d *Dir) EntryPath(key uint64) string {
 
 // Get implements Cache. The read goes through the active FS, so
 // injected read faults surface as plain errors and injected bit-rot is
-// caught by the envelope digests below.
+// caught by the file digest below.
 func (d *Dir) Get(key uint64) ([]byte, error) {
 	path := d.EntryPath(key)
 	data, err := vfs.Active().ReadFile(path)
@@ -157,8 +148,15 @@ func (d *Dir) Get(key uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(data) < digestLen {
+		return nil, fmt.Errorf("%w: %d-byte file %s", ErrCorrupt, len(data), path)
+	}
+	body := data[:len(data)-digestLen]
+	if got, want := fileDigest(body), binary.LittleEndian.Uint64(data[len(body):]); got != want {
+		return nil, fmt.Errorf("%w: file digest %016x, recorded %016x in %s", ErrCorrupt, got, want, path)
+	}
 	e := &entry{}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(e); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(e); err != nil {
 		return nil, fmt.Errorf("%w: decode %s: %v", ErrCorrupt, path, err)
 	}
 	if e.Magic != Magic {
@@ -168,17 +166,9 @@ func (d *Dir) Get(key uint64) ([]byte, error) {
 		return nil, fmt.Errorf("%w: format version %d (support %d) in %s",
 			ErrCorrupt, e.Version, FormatVersion, path)
 	}
-	if got := e.selfDigest(); got != e.SelfHash {
-		return nil, fmt.Errorf("%w: recomputed self-digest %016x, recorded %016x in %s",
-			ErrCorrupt, got, e.SelfHash, path)
-	}
 	if e.Key != key {
 		return nil, fmt.Errorf("%w: entry for key %016x stored under %016x in %s",
 			ErrCorrupt, e.Key, key, path)
-	}
-	if got := payloadDigest(e.Payload); got != e.PayloadHash {
-		return nil, fmt.Errorf("%w: payload digest %016x, recorded %016x in %s",
-			ErrCorrupt, got, e.PayloadHash, path)
 	}
 	if e.Schema != d.schema {
 		return nil, fmt.Errorf("%w: entry schema %d, want %d in %s",
@@ -194,19 +184,20 @@ func (d *Dir) Get(key uint64) ([]byte, error) {
 // internal/vfs).
 func (d *Dir) Put(key uint64, payload []byte) error {
 	e := &entry{
-		Magic:       Magic,
-		Version:     FormatVersion,
-		Schema:      d.schema,
-		Key:         key,
-		PayloadHash: payloadDigest(payload),
-		Payload:     payload,
+		Magic:   Magic,
+		Version: FormatVersion,
+		Schema:  d.schema,
+		Key:     key,
+		Payload: payload,
 	}
-	e.SelfHash = e.selfDigest()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
+		return fmt.Errorf("resultcache: encode: %w", err)
+	}
+	buf.Write(binary.LittleEndian.AppendUint64(nil, fileDigest(buf.Bytes())))
 	return vfs.WriteDurable(vfs.Active(), d.EntryPath(key), func(w io.Writer) error {
-		if err := gob.NewEncoder(w).Encode(e); err != nil {
-			return fmt.Errorf("resultcache: encode: %w", err)
-		}
-		return nil
+		_, err := w.Write(buf.Bytes())
+		return err
 	})
 }
 

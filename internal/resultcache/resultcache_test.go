@@ -37,8 +37,8 @@ func TestDirRoundTrip(t *testing.T) {
 }
 
 // TestDirRejectsEveryByteFlip corrupts the entry file at several offsets
-// and requires every flip to be refused as ErrCorrupt (a gob break, a
-// broken digest, or a broken self-digest — never trusted bytes).
+// and requires every flip to be refused as ErrCorrupt (a broken file
+// digest — never trusted bytes).
 func TestDirRejectsEveryByteFlip(t *testing.T) {
 	c := NewDir(t.TempDir(), 1)
 	payload := bytes.Repeat([]byte("abcdefgh"), 32)
@@ -77,6 +77,32 @@ func TestDirRejectsEveryByteFlip(t *testing.T) {
 	}
 	if got, err := c.Get(7); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("healed Get = %q, %v", got, err)
+	}
+}
+
+// TestDirRejectsEverySingleBitFlip flips each bit of an entry file in
+// turn. Every flip must be refused as ErrCorrupt: some bytes (gob's
+// type names, for one) decode to identical fields when flipped, so only
+// a digest over the encoded bytes catches them all.
+func TestDirRejectsEverySingleBitFlip(t *testing.T) {
+	c := NewDir(t.TempDir(), 1)
+	if err := c.Put(0xabc, []byte("payload-a")); err != nil {
+		t.Fatal(err)
+	}
+	path := c.EntryPath(0xabc)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bit := 0; bit < 8*len(orig); bit++ {
+		bad := append([]byte(nil), orig...)
+		bad[bit/8] ^= 1 << (bit % 8)
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Get(0xabc); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("flip of bit %d of %d: Get = %v, want ErrCorrupt", bit, 8*len(orig), err)
+		}
 	}
 }
 

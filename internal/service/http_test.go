@@ -214,3 +214,36 @@ func TestHTTPErrorContract(t *testing.T) {
 		t.Fatal("503 without Retry-After")
 	}
 }
+
+// TestHTTPRejectsMachinesTooSmallToBoot: a Contiguitas cell whose
+// default unmovable region (MemBytes/16) is under one 2 MiB pageblock
+// cannot boot, and a size that is not a whole number of pageblocks
+// cannot boot under any design. Both are 400 at admission, not a cell
+// that crashes through its retry budget; 32 MiB is the smallest
+// Contiguitas machine and is admitted.
+func TestHTTPRejectsMachinesTooSmallToBoot(t *testing.T) {
+	s := fastSched(NewMemory()) // not started: admitted campaigns only queue
+	srv := testServer(t, s)
+	for i, tc := range []struct {
+		design string
+		mem    uint64
+		want   int
+	}{
+		{"contiguitas", 16, http.StatusBadRequest},
+		{"contiguitas", 24, http.StatusBadRequest},
+		{"contiguitas", 31, http.StatusBadRequest},
+		{"linux", 31, http.StatusBadRequest},
+		{"contiguitas", 32, http.StatusCreated},
+		{"linux", 16, http.StatusCreated},
+	} {
+		spec := tinySpec()
+		spec.Designs = []string{tc.design}
+		spec.MemsMiB = []uint64{tc.mem}
+		js, _ := json.Marshal(spec)
+		body := fmt.Sprintf(`{"key": "small-%d", "spec": %s}`, i, js)
+		resp, data := postJSON(t, srv.URL+"/api/campaigns", body, nil)
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s %d MiB: status %d (%s), want %d", tc.design, tc.mem, resp.StatusCode, data, tc.want)
+		}
+	}
+}

@@ -83,10 +83,14 @@ func (m *Memory) DropCell(id string, cell int) error {
 	return nil
 }
 
+// PutResult stores the merged result and drops the campaign's cell
+// journal: only the scheduler reads cells, and only before the result
+// exists, so a finished campaign keeps half the bytes.
 func (m *Memory) PutResult(id string, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.results[id] = append([]byte(nil), data...)
+	delete(m.cells, id)
 	return nil
 }
 

@@ -35,6 +35,7 @@ import (
 
 	"contiguitas/internal/core"
 	"contiguitas/internal/fleet"
+	"contiguitas/internal/mem"
 )
 
 // State is a campaign's lifecycle state. String-typed so records and
@@ -179,6 +180,25 @@ func (sp Spec) validate() error {
 	for _, m := range sp.MemsMiB {
 		if m < 16 || m > 1<<20 {
 			return bad("mem %d MiB out of range [16, 1048576]", m)
+		}
+		if m<<20%mem.OrderBytes(mem.PageblockOrder) != 0 {
+			return bad("mem %d MiB is not a whole number of 2 MiB pageblocks", m)
+		}
+	}
+	for _, d := range sp.Designs {
+		design, _ := ParseDesign(d)
+		if design == core.DesignLinux {
+			continue
+		}
+		for _, m := range sp.MemsMiB {
+			// A Contiguitas machine boots its unmovable region at the
+			// default share core gives it; that must hold at least one
+			// pageblock, or kernel.New refuses the machine.
+			kc := core.MachineConfig{Design: design, MemBytes: m << 20}.KernelConfig()
+			if kc.InitialUnmovableBytes < mem.OrderBytes(mem.PageblockOrder) {
+				return bad("design %s needs an unmovable region of at least one 2 MiB pageblock; mem %d MiB gives %d KiB",
+					d, m, kc.InitialUnmovableBytes>>10)
+			}
 		}
 	}
 	for _, j := range sp.Jitters {

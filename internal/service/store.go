@@ -26,7 +26,9 @@ type Store interface {
 	// recomputes them — the heal path for an entry integrity
 	// verification refused. Dropping an absent cell is a no-op.
 	DropCell(id string, cell int) error
-	// PutResult journals the campaign's merged result bytes.
+	// PutResult journals the campaign's merged result bytes. Once it
+	// succeeds the campaign's cells are never read again, so a backend
+	// may drop them (GetCell then reports ok false).
 	PutResult(id string, data []byte) error
 	// GetResult returns the merged result, or ErrNotDone when absent.
 	GetResult(id string) ([]byte, error)

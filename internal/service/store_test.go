@@ -157,6 +157,42 @@ func TestStoreContract(t *testing.T) {
 	}
 }
 
+// TestMemoryStoreDropsCellsWithResult: the memory backend frees a
+// campaign's cell journal once its merged result lands, leaving other
+// campaigns' cells and the result itself untouched.
+func TestMemoryStoreDropsCellsWithResult(t *testing.T) {
+	st := NewMemory()
+	a, b := testCampaign("a"), testCampaign("b")
+	for _, c := range []*Campaign{a, b} {
+		if err := st.Put(c); err != nil {
+			t.Fatal(err)
+		}
+		for cell := 0; cell < 2; cell++ {
+			if err := st.PutCell(c.ID, cell, []byte(fmt.Sprintf("%s-%d", c.Key, cell))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.PutResult(a.ID, []byte("merged-a")); err != nil {
+		t.Fatal(err)
+	}
+	for cell := 0; cell < 2; cell++ {
+		if data, ok, err := st.GetCell(a.ID, cell); ok || err != nil || data != nil {
+			t.Fatalf("cell %d of finished campaign = %q ok=%v err=%v, want dropped", cell, data, ok, err)
+		}
+		want := fmt.Sprintf("b-%d", cell)
+		if data, ok, err := st.GetCell(b.ID, cell); !ok || err != nil || string(data) != want {
+			t.Fatalf("cell %d of running campaign = %q ok=%v err=%v, want %q", cell, data, ok, err, want)
+		}
+	}
+	if len(st.cells) != 1 {
+		t.Fatalf("memory store holds cell journals for %d campaigns, want 1", len(st.cells))
+	}
+	if data, err := st.GetResult(a.ID); err != nil || string(data) != "merged-a" {
+		t.Fatalf("GetResult = %q, %v", data, err)
+	}
+}
+
 // TestDiskStoreSurvivesReopen: the disk backend's whole point — a fresh
 // open over the same root sees every acknowledged write.
 func TestDiskStoreSurvivesReopen(t *testing.T) {

@@ -139,15 +139,15 @@ func RestoreRunner(k *kernel.Kernel, p Profile, seed uint64, st *RunnerState) (*
 		return h, nil
 	}
 	for _, ms := range st.Mappings {
-		m := &kernel.Mapping{Bytes: ms.Bytes}
+		blocks := make([]*kernel.Page, 0, len(ms.Blocks))
 		for _, pfn := range ms.Blocks {
 			b, err := page(pfn, "mapping block")
 			if err != nil {
 				return nil, err
 			}
-			m.Blocks = append(m.Blocks, b)
+			blocks = append(blocks, b)
 		}
-		r.mappings = append(r.mappings, m)
+		r.mappings = append(r.mappings, kernel.RestoreMapping(ms.Bytes, blocks))
 	}
 	for _, pfn := range st.Unmov {
 		h, err := page(pfn, "unmovable pool")

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Hot-path benchmark smoke: runs the simulator's key benchmarks —
 # warm/cold physical-memory scans, the Figure 4 fleet study, the
-# cold/warm result-cache campaign pair, buddy alloc/free, a workload
-# tick, and the covering-head lookup — and writes the parsed results
+# cold/warm result-cache campaign pair, one cold contigd cell, buddy
+# alloc/free (LIFO, and both PFN orders at 256 MiB and 8 GiB), a
+# workload tick, and the covering-head lookup — and writes the parsed results
 # (ns/op, B/op, allocs/op) as JSON. With COUNT > 1 each benchmark's
 # fields are the medians across the repetitions.
 #
@@ -57,17 +58,19 @@ fi
 out="${1:-BENCH.json}"
 benchtime="${BENCHTIME:-3x}"
 count="${COUNT:-1}"
-pattern='^(BenchmarkFullScan|BenchmarkFullScanCold|BenchmarkFig4ContiguityCDF|BenchmarkFleetCampaignCold|BenchmarkFleetCampaignWarm|BenchmarkBuddyAllocFree4K|BenchmarkWorkloadTick|BenchmarkAllocHead|BenchmarkTickTelemetryOff|BenchmarkTickTelemetryOn|BenchmarkMetricsExposition|BenchmarkTickScrapeUnderLoad)$'
+pattern='^(BenchmarkFullScan|BenchmarkFullScanCold|BenchmarkFig4ContiguityCDF|BenchmarkFleetCampaignCold|BenchmarkFleetCampaignWarm|BenchmarkBuddyAllocFree4K|BenchmarkBuddyAllocFree4KLowestPFN|BenchmarkBuddyAllocFree4KHighestPFN|BenchmarkColdCell|BenchmarkWorkloadTick|BenchmarkAllocHead|BenchmarkTickTelemetryOff|BenchmarkTickTelemetryOn|BenchmarkMetricsExposition|BenchmarkTickScrapeUnderLoad)$'
 
 raw="$(go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -count "$count" .)"
 printf '%s\n' "$raw"
 
 # A renamed or deleted benchmark makes go test exit 0 with nothing to
 # run; an empty JSON would sail through CI looking green. Require every
-# name in the pattern to have produced at least one result line.
+# name in the pattern to have produced at least one result line. grep
+# reads a here-string, not a pipe: under pipefail, grep -q exiting at
+# its first match can SIGPIPE the writer and read as a miss.
 missing=0
 for name in $(printf '%s' "$pattern" | tr -d '^()$' | tr '|' ' '); do
-    if ! printf '%s\n' "$raw" | grep -q "^${name}\b"; then
+    if ! grep -q "^${name}\b" <<<"$raw"; then
         echo "bench.sh: benchmark $name matched nothing — renamed or deleted?" >&2
         missing=1
     fi
