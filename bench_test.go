@@ -260,6 +260,18 @@ func BenchmarkSec53MigrationImpact(b *testing.B) {
 	b.ReportMetric(loss, "veryhigh-loss-%")
 }
 
+// BenchmarkServeExec is the work of one `migbench -bench serve` exec at
+// 4,001,000 cycles: the twelve §5.3 serving runs on fresh machines plus
+// the memcached huge-page gain.
+func BenchmarkServeExec(b *testing.B) {
+	var gain float64
+	for i := 0; i < b.N; i++ {
+		core.Sec53(4_001_000)
+		gain = core.MemcachedHugePageGain()
+	}
+	b.ReportMetric(gain, "hugepage-gain")
+}
+
 func BenchmarkTableSizing(b *testing.B) {
 	var area float64
 	for i := 0; i < b.N; i++ {

@@ -46,135 +46,96 @@ type Redirector interface {
 	Noncacheable(line uint64) bool
 }
 
-// privEntry is one private (L2) line.
-type privEntry struct {
-	line  uint64
+// privLine is the payload of one private (L2) way; its line address is
+// the way's tag.
+type privLine struct {
 	state State
 	data  uint64
-	lru   uint64
-	valid bool
-}
-
-// tagEntry is one L1 tag (data lives at L2).
-type tagEntry struct {
-	line  uint64
-	lru   uint64
-	valid bool
 }
 
 // private is one core's L1+L2 cache pair. L1 is a tag-only subset used
-// for hit-latency modelling; coherence state and data live in L2.
+// for hit-latency modelling; coherence state and data live in L2. Both
+// levels draw LRU stamps from one counter.
 type private struct {
-	l1Sets  [][]tagEntry
-	l2Sets  [][]privEntry
+	l1      hw.SetAssoc
+	l2      hw.SetAssoc
+	l2Lines []privLine // parallel to l2.Tags
 	l1Mask  uint64
 	l2Mask  uint64
 	lruTick uint64
 }
 
 func newPrivate(p hw.Params) *private {
-	l1Lines := uint64(p.L1SizeKB) * 1024 / hw.LineBytes
-	l2Lines := uint64(p.L2SizeKB) * 1024 / hw.LineBytes
-	l1Sets := l1Lines / uint64(p.L1Ways)
-	l2Sets := l2Lines / uint64(p.L2Ways)
-	pr := &private{
-		l1Sets: make([][]tagEntry, l1Sets),
-		l2Sets: make([][]privEntry, l2Sets),
-		l1Mask: l1Sets - 1,
-		l2Mask: l2Sets - 1,
+	l1Lines := p.L1SizeKB * 1024 / hw.LineBytes
+	l2Lines := p.L2SizeKB * 1024 / hw.LineBytes
+	l1Sets := l1Lines / p.L1Ways
+	l2Sets := l2Lines / p.L2Ways
+	return &private{
+		l1:      hw.NewSetAssoc(l1Sets, p.L1Ways),
+		l2:      hw.NewSetAssoc(l2Sets, p.L2Ways),
+		l2Lines: make([]privLine, l2Lines),
+		l1Mask:  uint64(l1Sets - 1),
+		l2Mask:  uint64(l2Sets - 1),
 	}
-	for i := range pr.l1Sets {
-		pr.l1Sets[i] = make([]tagEntry, p.L1Ways)
-	}
-	for i := range pr.l2Sets {
-		pr.l2Sets[i] = make([]privEntry, p.L2Ways)
-	}
-	return pr
 }
 
 func (pr *private) tick() uint64 { pr.lruTick++; return pr.lruTick }
 
-func (pr *private) l1Lookup(line uint64) *tagEntry {
-	set := pr.l1Sets[line&pr.l1Mask]
-	for i := range set {
-		if set[i].valid && set[i].line == line {
-			return &set[i]
-		}
-	}
-	return nil
-}
+func (pr *private) l1Lookup(line uint64) int { return pr.l1.Find(int(line&pr.l1Mask), line) }
 
-func (pr *private) l2Lookup(line uint64) *privEntry {
-	set := pr.l2Sets[line&pr.l2Mask]
-	for i := range set {
-		if set[i].valid && set[i].line == line {
-			return &set[i]
-		}
-	}
-	return nil
-}
+// l2Lookup returns the line's L2 way index, or -1.
+func (pr *private) l2Lookup(line uint64) int { return pr.l2.Find(int(line&pr.l2Mask), line) }
 
 // l1Fill inserts the line into L1 tags (LRU victim drops silently).
 func (pr *private) l1Fill(line uint64) {
-	set := pr.l1Sets[line&pr.l1Mask]
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	set[victim] = tagEntry{line: line, lru: pr.tick(), valid: true}
+	pr.l1.Fill(pr.l1.Victim(int(line&pr.l1Mask)), line, pr.tick())
 }
 
 func (pr *private) l1Drop(line uint64) {
-	if e := pr.l1Lookup(line); e != nil {
-		e.valid = false
+	if i := pr.l1Lookup(line); i >= 0 {
+		pr.l1.Drop(i)
 	}
 }
 
-// llcEntry is one LLC line with directory state.
-type llcEntry struct {
-	line    uint64
+// l2Drop invalidates L2 way i and its line's L1 tag.
+func (pr *private) l2Drop(i int) {
+	pr.l1Drop(pr.l2.Key(i))
+	pr.l2.Drop(i)
+}
+
+// llcLine is the payload of one LLC way, with directory state; its line
+// address is the way's tag.
+type llcLine struct {
 	data    uint64
-	dirty   bool
 	sharers uint64 // bitmask of cores holding the line
 	ownerM  int8   // core holding it Modified, or -1
-	lru     uint64
-	valid   bool
+	dirty   bool
 }
 
 // slice is one LLC slice.
 type slice struct {
-	sets      [][]llcEntry
+	hw.SetAssoc
+	lines     []llcLine // parallel to Tags
 	mask      uint64
 	lruTick   uint64
 	busyUntil uint64
 }
 
 func newSlice(p hw.Params) *slice {
-	lines := uint64(p.L3SliceKB) * 1024 / hw.LineBytes
-	sets := lines / uint64(p.L3Ways)
-	s := &slice{sets: make([][]llcEntry, sets), mask: sets - 1}
-	for i := range s.sets {
-		s.sets[i] = make([]llcEntry, p.L3Ways)
+	lines := p.L3SliceKB * 1024 / hw.LineBytes
+	sets := lines / p.L3Ways
+	return &slice{
+		SetAssoc: hw.NewSetAssoc(sets, p.L3Ways),
+		lines:    make([]llcLine, lines),
+		mask:     uint64(sets - 1),
 	}
-	return s
 }
 
 func (s *slice) tick() uint64 { s.lruTick++; return s.lruTick }
 
-func (s *slice) lookup(line uint64) *llcEntry {
-	set := s.sets[(line/8)&s.mask] // slice-local set index
-	for i := range set {
-		if set[i].valid && set[i].line == line {
-			return &set[i]
-		}
-	}
-	return nil
+// lookup returns the line's way index in the slice, or -1.
+func (s *slice) lookup(line uint64) int {
+	return s.Find(int((line/8)&s.mask), line) // slice-local set index
 }
 
 // Stats aggregates hierarchy behaviour.
@@ -254,17 +215,18 @@ func (h *Hierarchy) Access(core int, pa uint64, isWrite bool, val uint64, now ui
 	}
 
 	pr := h.priv[core]
-	if e := pr.l2Lookup(line); e != nil {
+	if i := pr.l2Lookup(line); i >= 0 {
+		e := &pr.l2Lines[i]
 		lat := h.P.L2Latency
-		if l1e := pr.l1Lookup(line); l1e != nil {
+		if j := pr.l1Lookup(line); j >= 0 {
 			lat = h.P.L1Latency
-			l1e.lru = pr.tick()
+			pr.l1.LRU[j] = pr.tick()
 			h.L1Hits++
 		} else {
 			pr.l1Fill(line)
 			h.L2Hits++
 		}
-		e.lru = pr.tick()
+		pr.l2.LRU[i] = pr.tick()
 		if !isWrite {
 			return e.data, now + lat
 		}
@@ -283,49 +245,45 @@ func (h *Hierarchy) Access(core int, pa uint64, isWrite bool, val uint64, now ui
 	}
 
 	// Private miss: fetch through the LLC.
-	value, done := h.llcFetch(core, line, isWrite, val, now+h.P.L2Latency)
+	value, done, dir := h.llcFetch(core, line, isWrite, val, now+h.P.L2Latency)
 	st := Shared
 	if isWrite {
 		st = Modified
 		value = val
 	}
-	h.privFill(core, line, st, value)
+	h.privFill(core, line, st, value, dir)
 	return value, done
 }
 
 // privFill inserts a line into a core's L2 (and L1 tags), handling the
-// eviction writeback and directory update.
-func (h *Hierarchy) privFill(core int, line uint64, st State, data uint64) {
+// eviction writeback and directory update. dir is the line's LLC entry
+// when the caller already holds it, or nil to look it up (allocating).
+func (h *Hierarchy) privFill(core int, line uint64, st State, data uint64, dir *llcLine) {
 	pr := h.priv[core]
-	set := pr.l2Sets[line&pr.l2Mask]
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	if v := &set[victim]; v.valid {
+	v := pr.l2.Victim(int(line & pr.l2Mask))
+	if pr.l2.Valid(v) {
 		h.evictPrivate(core, v)
 	}
-	set[victim] = privEntry{line: line, state: st, data: data, lru: pr.tick(), valid: true}
+	pr.l2.Fill(v, line, pr.tick())
+	pr.l2Lines[v] = privLine{state: st, data: data}
 	pr.l1Fill(line)
 	// Directory update.
-	e := h.llcLineEntry(line, true)
-	e.sharers |= 1 << uint(core)
+	if dir == nil {
+		dir = h.llcLineEntry(line, true)
+	}
+	dir.sharers |= 1 << uint(core)
 	if st == Modified {
-		e.ownerM = int8(core)
+		dir.ownerM = int8(core)
 	}
 }
 
-// evictPrivate removes a private line, writing Modified data back to the
-// LLC and updating the directory.
-func (h *Hierarchy) evictPrivate(core int, v *privEntry) {
-	line := v.line
-	h.priv[core].l1Drop(line)
+// evictPrivate removes L2 way i of a core, writing Modified data back to
+// the LLC and updating the directory.
+func (h *Hierarchy) evictPrivate(core int, i int) {
+	pr := h.priv[core]
+	line := pr.l2.Key(i)
+	v := &pr.l2Lines[i]
+	pr.l1Drop(line)
 	e := h.llcLineEntry(line, false)
 	if e != nil {
 		e.sharers &^= 1 << uint(core)
@@ -342,66 +300,68 @@ func (h *Hierarchy) evictPrivate(core int, v *privEntry) {
 		h.mem[line] = v.data
 		h.Writebacks++
 	}
-	v.valid = false
+	pr.l2.Drop(i)
+}
+
+// dropPrivate invalidates core c's copy of line, if it holds one.
+func (h *Hierarchy) dropPrivate(c int, line uint64) {
+	pr := h.priv[c]
+	if i := pr.l2Lookup(line); i >= 0 {
+		pr.l2Drop(i)
+		h.Invalidations++
+	}
 }
 
 // llcLineEntry finds (or allocates) the LLC entry for a line.
-func (h *Hierarchy) llcLineEntry(line uint64, alloc bool) *llcEntry {
+func (h *Hierarchy) llcLineEntry(line uint64, alloc bool) *llcLine {
 	sl := h.slices[h.SliceOf(line)]
-	if e := sl.lookup(line); e != nil {
-		return e
+	if i := sl.lookup(line); i >= 0 {
+		return &sl.lines[i]
 	}
 	if !alloc {
 		return nil
 	}
-	return h.llcAlloc(sl, line, h.mem[line])
+	return &sl.lines[h.llcAlloc(sl, line, h.mem[line])]
 }
 
 // llcAlloc inserts a line into a slice, evicting the LRU way (with
-// back-invalidation of private copies to preserve inclusion).
-func (h *Hierarchy) llcAlloc(sl *slice, line uint64, data uint64) *llcEntry {
-	set := sl.sets[(line/8)&sl.mask]
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
+// back-invalidation of private copies to preserve inclusion), and
+// returns its way index.
+func (h *Hierarchy) llcAlloc(sl *slice, line uint64, data uint64) int {
+	v := sl.Victim(int((line / 8) & sl.mask))
+	if sl.Valid(v) {
+		h.llcEvict(sl, v)
 	}
-	if v := &set[victim]; v.valid {
-		h.llcEvict(v)
-	}
-	set[victim] = llcEntry{line: line, data: data, ownerM: -1, lru: sl.tick(), valid: true}
-	return &set[victim]
+	sl.Fill(v, line, sl.tick())
+	sl.lines[v] = llcLine{data: data, ownerM: -1}
+	return v
 }
 
-// llcEvict removes an LLC entry: private copies are collected (modified
-// data wins) and the line written to memory if dirty.
-func (h *Hierarchy) llcEvict(v *llcEntry) {
+// llcEvict removes way i of a slice: private copies are collected
+// (modified data wins) and the line written to memory if dirty.
+func (h *Hierarchy) llcEvict(sl *slice, i int) {
+	line := sl.Key(i)
+	v := &sl.lines[i]
 	data, dirty := v.data, v.dirty
 	for core := 0; core < h.P.Cores; core++ {
 		if v.sharers&(1<<uint(core)) == 0 {
 			continue
 		}
 		pr := h.priv[core]
-		if e := pr.l2Lookup(v.line); e != nil {
-			if e.state == Modified {
-				data = e.data
+		if j := pr.l2Lookup(line); j >= 0 {
+			if pe := &pr.l2Lines[j]; pe.state == Modified {
+				data = pe.data
 				dirty = true
 			}
-			e.valid = false
-			pr.l1Drop(v.line)
+			pr.l2Drop(j)
 			h.Invalidations++
 		}
 	}
 	if dirty {
-		h.mem[v.line] = data
+		h.mem[line] = data
 		h.Writebacks++
 	}
-	v.valid = false
+	sl.Drop(i)
 }
 
 // translate applies the redirector, if any.
@@ -413,8 +373,10 @@ func (h *Hierarchy) translate(line uint64) (uint64, uint64) {
 }
 
 // llcFetch services a private miss: the LLC (or DRAM) supplies the data;
-// coherence actions run against other cores. Returns value and done.
-func (h *Hierarchy) llcFetch(core int, line uint64, forWrite bool, wval uint64, now uint64) (uint64, uint64) {
+// coherence actions run against other cores. Returns value and done,
+// and, when no redirection applies, the line's LLC entry, so the private
+// fill can update the directory without a second lookup.
+func (h *Hierarchy) llcFetch(core int, line uint64, forWrite bool, wval uint64, now uint64) (uint64, uint64, *llcLine) {
 	canonical, extra := h.translate(line)
 	if canonical != line {
 		// The private fill will be tagged under the requested address;
@@ -422,55 +384,58 @@ func (h *Hierarchy) llcFetch(core int, line uint64, forWrite bool, wval uint64, 
 		// the slice arrays (allocation may evict).
 		h.llcLineEntry(line, true)
 	}
-	sl := h.slices[h.SliceOf(canonical)]
-	start := now + extra + h.ringHops(core, h.SliceOf(canonical))*h.P.RingHopCycles
+	slIdx := h.SliceOf(canonical)
+	sl := h.slices[slIdx]
+	start := now + extra + h.ringHops(core, slIdx)*h.P.RingHopCycles
 	if sl.busyUntil > start {
 		start = sl.busyUntil
 	}
 	done := start + h.P.L3Latency
 	sl.busyUntil = start + 4 // slice occupancy per request
 
-	e := sl.lookup(canonical)
-	if e == nil {
+	i := sl.lookup(canonical)
+	if i < 0 {
 		h.LLCMiss++
-		e = h.llcAlloc(sl, canonical, 0)
-		e.data = h.mem[canonical]
+		i = h.llcAlloc(sl, canonical, 0)
+		sl.lines[i].data = h.mem[canonical]
 		done = h.dram.Access(canonical<<hw.LineShift, done)
 	} else {
 		h.LLCHits++
 	}
+	e := &sl.lines[i]
 
 	// Coherence runs against the canonical entry AND, under active
 	// redirection, the requested line's own entry: private copies made
 	// through this same mapping are tagged (and directory-listed) under
 	// the requested address, not the canonical one.
 	val := e.data
-	sweep := []struct {
+	type sweepEntry struct {
 		addr  uint64
-		entry *llcEntry
-	}{{canonical, e}}
+		entry *llcLine
+	}
+	sweep := [2]sweepEntry{{canonical, e}}
+	n := 1
 	if canonical != line {
 		// Non-allocating: if the entry was evicted while the canonical
 		// entry was allocated, its private copies were back-invalidated
 		// and there is nothing to sweep.
 		if le := h.llcLineEntry(line, false); le != nil {
-			sweep = append(sweep, struct {
-				addr  uint64
-				entry *llcEntry
-			}{line, le})
+			sweep[1] = sweepEntry{line, le}
+			n = 2
 		}
 	}
-	for _, s := range sweep {
+	for _, s := range sweep[:n] {
 		se := s.entry
 		if se.ownerM >= 0 && int(se.ownerM) != core {
 			owner := int(se.ownerM)
-			if oe := h.priv[owner].l2Lookup(s.addr); oe != nil && oe.state == Modified {
+			opr := h.priv[owner]
+			if j := opr.l2Lookup(s.addr); j >= 0 && opr.l2Lines[j].state == Modified {
+				oe := &opr.l2Lines[j]
 				val = oe.data
 				e.data = oe.data
 				e.dirty = true
 				if forWrite {
-					oe.valid = false
-					h.priv[owner].l1Drop(s.addr)
+					opr.l2Drop(j)
 					se.sharers &^= 1 << uint(owner)
 					h.Invalidations++
 				} else {
@@ -485,11 +450,7 @@ func (h *Hierarchy) llcFetch(core int, line uint64, forWrite bool, wval uint64, 
 				if c == core || se.sharers&(1<<uint(c)) == 0 {
 					continue
 				}
-				if oe := h.priv[c].l2Lookup(s.addr); oe != nil {
-					oe.valid = false
-					h.priv[c].l1Drop(s.addr)
-					h.Invalidations++
-				}
+				h.dropPrivate(c, s.addr)
 				se.sharers &^= 1 << uint(c)
 				done += h.P.RingHopCycles
 			}
@@ -500,8 +461,11 @@ func (h *Hierarchy) llcFetch(core int, line uint64, forWrite bool, wval uint64, 
 		e.dirty = true
 		val = wval
 	}
-	e.lru = sl.tick()
-	return val, done
+	sl.LRU[i] = sl.tick()
+	if canonical != line {
+		return val, done, nil
+	}
+	return val, done, e
 }
 
 // llcUpgrade handles a Shared→Modified upgrade: other sharers of the
@@ -516,16 +480,13 @@ func (h *Hierarchy) llcUpgrade(core int, line uint64, now uint64) uint64 {
 	}
 	done := start + h.P.L3Latency
 	sl.busyUntil = start + 4
-	if e := sl.lookup(canonical); e != nil {
+	if i := sl.lookup(canonical); i >= 0 {
+		e := &sl.lines[i]
 		for c := 0; c < h.P.Cores; c++ {
 			if c == core || e.sharers&(1<<uint(c)) == 0 {
 				continue
 			}
-			if oe := h.priv[c].l2Lookup(canonical); oe != nil {
-				oe.valid = false
-				h.priv[c].l1Drop(canonical)
-				h.Invalidations++
-			}
+			h.dropPrivate(c, canonical)
 			e.sharers &^= 1 << uint(c)
 			done += h.P.RingHopCycles
 		}
@@ -539,11 +500,7 @@ func (h *Hierarchy) llcUpgrade(core int, line uint64, now uint64) uint64 {
 				if c == core || e.sharers&(1<<uint(c)) == 0 {
 					continue
 				}
-				if oe := h.priv[c].l2Lookup(line); oe != nil {
-					oe.valid = false
-					h.priv[c].l1Drop(line)
-					h.Invalidations++
-				}
+				h.dropPrivate(c, line)
 				e.sharers &^= 1 << uint(c)
 			}
 		}
@@ -578,15 +535,16 @@ func (h *Hierarchy) noncacheableAccess(core int, line uint64, isWrite bool, val 
 	done := start + h.P.L3Latency
 	sl.busyUntil = start + 4
 
-	e := sl.lookup(canonical)
-	if e == nil {
+	i := sl.lookup(canonical)
+	if i < 0 {
 		h.LLCMiss++
-		e = h.llcAlloc(sl, canonical, h.mem[canonical])
+		i = h.llcAlloc(sl, canonical, h.mem[canonical])
 		done = h.dram.Access(canonical<<hw.LineShift, done)
 	} else {
 		h.LLCHits++
 	}
-	e.lru = sl.tick()
+	sl.LRU[i] = sl.tick()
+	e := &sl.lines[i]
 	if isWrite {
 		e.data = val
 		e.dirty = true
@@ -614,13 +572,12 @@ func (h *Hierarchy) CollectAndInvalidate(line uint64) (val uint64, wasModified b
 				continue
 			}
 			pr := h.priv[c]
-			if pe := pr.l2Lookup(line); pe != nil {
-				if pe.state == Modified {
+			if j := pr.l2Lookup(line); j >= 0 {
+				if pe := &pr.l2Lines[j]; pe.state == Modified {
 					val = pe.data
 					wasModified = true
 				}
-				pe.valid = false
-				pr.l1Drop(line)
+				pr.l2Drop(j)
 				h.Invalidations++
 				cycles += h.P.RingHopCycles
 			}
@@ -637,8 +594,8 @@ func (h *Hierarchy) CollectAndInvalidate(line uint64) (val uint64, wasModified b
 
 // HasModifiedPrivate reports whether some core holds the line Modified.
 func (h *Hierarchy) HasModifiedPrivate(line uint64) bool {
-	for c := 0; c < h.P.Cores; c++ {
-		if e := h.priv[c].l2Lookup(line); e != nil && e.state == Modified {
+	for _, pr := range h.priv {
+		if i := pr.l2Lookup(line); i >= 0 && pr.l2Lines[i].state == Modified {
 			return true
 		}
 	}
@@ -647,8 +604,8 @@ func (h *Hierarchy) HasModifiedPrivate(line uint64) bool {
 
 // HasPrivate reports whether any core caches the line.
 func (h *Hierarchy) HasPrivate(line uint64) bool {
-	for c := 0; c < h.P.Cores; c++ {
-		if h.priv[c].l2Lookup(line) != nil {
+	for _, pr := range h.priv {
+		if pr.l2Lookup(line) >= 0 {
 			return true
 		}
 	}
@@ -668,13 +625,14 @@ func (h *Hierarchy) ReadLLC(line uint64) (uint64, uint64) {
 // marking it dirty. Used by the migration copy engine.
 func (h *Hierarchy) WriteLLC(line uint64, val uint64) uint64 {
 	sl := h.slices[h.SliceOf(line)]
-	e := sl.lookup(line)
-	if e == nil {
-		e = h.llcAlloc(sl, line, val)
+	i := sl.lookup(line)
+	if i < 0 {
+		i = h.llcAlloc(sl, line, val)
 	}
+	e := &sl.lines[i]
 	e.data = val
 	e.dirty = true
-	e.lru = sl.tick()
+	sl.LRU[i] = sl.tick()
 	return h.P.L3Latency
 }
 
@@ -682,8 +640,9 @@ func (h *Hierarchy) WriteLLC(line uint64, val uint64) uint64 {
 // first) without writing it back — used to retire source-page lines once
 // a migration completes.
 func (h *Hierarchy) DropLLC(line uint64) {
-	if e := h.llcLineEntry(line, false); e != nil {
-		h.llcEvict(e)
+	sl := h.slices[h.SliceOf(line)]
+	if i := sl.lookup(line); i >= 0 {
+		h.llcEvict(sl, i)
 		// llcEvict wrote dirty data to memory; that is correct for
 		// retirement (the frame may be reused).
 	}
@@ -706,18 +665,17 @@ func (h *Hierarchy) NumSlices() int { return len(h.slices) }
 // directory entry listing the core — the invariant coherence relies on.
 func (h *Hierarchy) CheckInclusion() error {
 	for c, pr := range h.priv {
-		for _, set := range pr.l2Sets {
-			for i := range set {
-				if !set[i].valid {
-					continue
-				}
-				e := h.llcLineEntry(set[i].line, false)
-				if e == nil {
-					return fmt.Errorf("core %d caches line %d absent from LLC", c, set[i].line)
-				}
-				if e.sharers&(1<<uint(c)) == 0 {
-					return fmt.Errorf("core %d caches line %d without directory bit", c, set[i].line)
-				}
+		for i := range pr.l2.Tags {
+			if !pr.l2.Valid(i) {
+				continue
+			}
+			line := pr.l2.Key(i)
+			e := h.llcLineEntry(line, false)
+			if e == nil {
+				return fmt.Errorf("core %d caches line %d absent from LLC", c, line)
+			}
+			if e.sharers&(1<<uint(c)) == 0 {
+				return fmt.Errorf("core %d caches line %d without directory bit", c, line)
 			}
 		}
 	}

@@ -7,16 +7,11 @@ package tlb
 
 import "contiguitas/internal/hw"
 
-type entry struct {
-	vpn   uint64
-	ppn   uint64
-	lru   uint64
-	valid bool
-}
-
-// TLB is one set-associative translation buffer.
+// TLB is one set-associative translation buffer. The way tags hold the
+// VPNs; ppns holds each way's translation.
 type TLB struct {
-	sets    [][]entry
+	ways    hw.SetAssoc
+	ppns    []uint64 // parallel to ways.Tags
 	mask    uint64
 	lruTick uint64
 
@@ -29,24 +24,24 @@ func NewTLB(entries, ways int) *TLB {
 		panic("tlb: entries must be a positive multiple of ways")
 	}
 	nsets := entries / ways
-	t := &TLB{sets: make([][]entry, nsets), mask: uint64(nsets - 1)}
-	for i := range t.sets {
-		t.sets[i] = make([]entry, ways)
+	return &TLB{
+		ways: hw.NewSetAssoc(nsets, ways),
+		ppns: make([]uint64, entries),
+		mask: uint64(nsets - 1),
 	}
-	return t
 }
 
 func (t *TLB) tick() uint64 { t.lruTick++; return t.lruTick }
 
+// find returns vpn's way index, or -1.
+func (t *TLB) find(vpn uint64) int { return t.ways.Find(int(vpn&t.mask), vpn) }
+
 // Lookup returns the cached translation for vpn.
 func (t *TLB) Lookup(vpn uint64) (uint64, bool) {
-	set := t.sets[vpn&t.mask]
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
-			set[i].lru = t.tick()
-			t.Hits++
-			return set[i].ppn, true
-		}
+	if i := t.find(vpn); i >= 0 {
+		t.ways.LRU[i] = t.tick()
+		t.Hits++
+		return t.ppns[i], true
 	}
 	t.Misses++
 	return 0, false
@@ -54,40 +49,22 @@ func (t *TLB) Lookup(vpn uint64) (uint64, bool) {
 
 // Insert caches a translation, evicting the set's LRU entry.
 func (t *TLB) Insert(vpn, ppn uint64) {
-	set := t.sets[vpn&t.mask]
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	set[victim] = entry{vpn: vpn, ppn: ppn, lru: t.tick(), valid: true}
+	i := t.ways.Victim(int(vpn & t.mask))
+	t.ways.Fill(i, vpn, t.tick())
+	t.ppns[i] = ppn
 }
 
 // Invalidate drops the translation for vpn, reporting whether it existed.
 func (t *TLB) Invalidate(vpn uint64) bool {
-	set := t.sets[vpn&t.mask]
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
-			set[i].valid = false
-			return true
-		}
+	if i := t.find(vpn); i >= 0 {
+		t.ways.Drop(i)
+		return true
 	}
 	return false
 }
 
 // Flush invalidates everything.
-func (t *TLB) Flush() {
-	for _, set := range t.sets {
-		for i := range set {
-			set[i].valid = false
-		}
-	}
-}
+func (t *TLB) Flush() { t.ways.Clear() }
 
 // Resolver supplies authoritative translations on a page walk: the PPN
 // backing vpn and whether the mapping is a 2 MB huge page (in which
@@ -175,15 +152,6 @@ func (pc *PerCore) Invlpg(vpn uint64) uint64 {
 
 // Cached reports whether any level holds a translation covering vpn.
 func (pc *PerCore) Cached(vpn uint64) bool {
-	probe := func(t *TLB, key uint64) bool {
-		set := t.sets[key&t.mask]
-		for i := range set {
-			if set[i].valid && set[i].vpn == key {
-				return true
-			}
-		}
-		return false
-	}
-	return probe(pc.L1, vpn) || probe(pc.L1Huge, vpn>>9) ||
-		probe(pc.L2, vpn) || probe(pc.L2, hugeTag|vpn>>9)
+	return pc.L1.find(vpn) >= 0 || pc.L1Huge.find(vpn>>9) >= 0 ||
+		pc.L2.find(vpn) >= 0 || pc.L2.find(hugeTag|vpn>>9) >= 0
 }

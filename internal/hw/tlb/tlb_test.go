@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"contiguitas/internal/hw"
+	"contiguitas/internal/stats"
 )
 
 func TestLookupInsertInvalidate(t *testing.T) {
@@ -207,5 +208,110 @@ func TestQuickTLBLookupAfterInsert(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refTLB is a map-plus-LRU reference for TLB: a key lives in set
+// key&(sets-1), a full set evicts its least recently used key, and every
+// hit or insert stamps the key from one counter.
+type refTLB struct {
+	mask, ways   uint64
+	ppn, lru     map[uint64]uint64
+	tick         uint64
+	hits, misses uint64
+}
+
+func newRefTLB(entries, ways int) *refTLB {
+	return &refTLB{
+		mask: uint64(entries/ways - 1), ways: uint64(ways),
+		ppn: map[uint64]uint64{}, lru: map[uint64]uint64{},
+	}
+}
+
+func (r *refTLB) lookup(key uint64) (uint64, bool) {
+	ppn, ok := r.ppn[key]
+	if !ok {
+		r.misses++
+		return 0, false
+	}
+	r.hits++
+	r.tick++
+	r.lru[key] = r.tick
+	return ppn, true
+}
+
+func (r *refTLB) insert(key, ppn uint64) {
+	var n uint64
+	victim, oldest := uint64(0), ^uint64(0)
+	for k, stamp := range r.lru {
+		if k&r.mask != key&r.mask {
+			continue
+		}
+		n++
+		if stamp < oldest {
+			victim, oldest = k, stamp
+		}
+	}
+	if n == r.ways {
+		r.invalidate(victim)
+	}
+	r.tick++
+	r.ppn[key], r.lru[key] = ppn, r.tick
+}
+
+func (r *refTLB) invalidate(key uint64) bool {
+	_, ok := r.ppn[key]
+	delete(r.ppn, key)
+	delete(r.lru, key)
+	return ok
+}
+
+// TestTLBMatchesReference runs a seeded random mix of lookups, inserts,
+// invalidations and flushes, over 4 KB keys and hugeTag-carrying 2 MB
+// keys, against refTLB. Inserts go only to absent keys, as PerCore
+// inserts only after a miss. The 1536-entry geometry has 96 sets, of
+// which vpn&95 reaches 64; the reference indexes the same way.
+func TestTLBMatchesReference(t *testing.T) {
+	for _, geo := range [][2]int{{8, 2}, {32, 4}, {64, 4}, {1536, 16}} {
+		entries, ways := geo[0], geo[1]
+		tb, ref := NewTLB(entries, ways), newRefTLB(entries, ways)
+		rng := stats.NewRNG(uint64(entries))
+		keySpace := 4 * entries
+		for op := 0; op < 200_000; op++ {
+			key := uint64(rng.Intn(keySpace))
+			if rng.Bool(0.25) {
+				key |= hugeTag
+			}
+			switch r := rng.Float64(); {
+			case r < 0.001:
+				tb.Flush()
+				clear(ref.ppn)
+				clear(ref.lru)
+			case r < 0.45:
+				ppn, ok := tb.Lookup(key)
+				wantPPN, wantOK := ref.lookup(key)
+				if ppn != wantPPN || ok != wantOK {
+					t.Fatalf("%d/%d op %d: Lookup(%#x) = %d,%v, want %d,%v", entries, ways, op, key, ppn, ok, wantPPN, wantOK)
+				}
+			case r < 0.8:
+				if _, present := ref.ppn[key]; present {
+					continue
+				}
+				tb.Insert(key, uint64(op))
+				ref.insert(key, uint64(op))
+			default:
+				if got, want := tb.Invalidate(key), ref.invalidate(key); got != want {
+					t.Fatalf("%d/%d op %d: Invalidate(%#x) = %v, want %v", entries, ways, op, key, got, want)
+				}
+			}
+		}
+		if tb.Hits != ref.hits || tb.Misses != ref.misses {
+			t.Fatalf("%d/%d: hits/misses %d/%d, want %d/%d", entries, ways, tb.Hits, tb.Misses, ref.hits, ref.misses)
+		}
+		for key, want := range ref.ppn {
+			if got, ok := tb.Lookup(key); !ok || got != want {
+				t.Fatalf("%d/%d: final Lookup(%#x) = %d,%v, want %d", entries, ways, key, got, ok, want)
+			}
+		}
 	}
 }

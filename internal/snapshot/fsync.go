@@ -1,7 +1,7 @@
 // Durable write discipline, shared by every on-disk format this
 // repository renames into place (CTGSNAP envelopes, CTGMANI manifests,
-// CTGSHRD checkpoints, the service layer's CTGCAMP records, and — via
-// SyncDir — the resultcache's CTGCACH entries).
+// CTGSHRD checkpoints, the service layer's CTGCAMP records and the
+// resultcache's CTGCACH entries).
 //
 // Temp-file-plus-rename alone guarantees the target path never holds a
 // torn file, but it does not guarantee the rename itself survives power
@@ -23,8 +23,9 @@
 // The mechanics live in internal/vfs so the whole discipline sits on
 // the process-wide FS seam (vfs.Active) and every step — write, fsync,
 // rename, parent-directory fsync — is individually injectable by the
-// storage-fault layer. The helpers here keep the historical snapshot
-// API and add gob encoding on top.
+// storage-fault layer. Other packages call vfs.WriteFileDurable and
+// FS.SyncDir directly; the helpers here add gob encoding on top for
+// this package's own formats.
 package snapshot
 
 import (
@@ -35,35 +36,13 @@ import (
 	"contiguitas/internal/vfs"
 )
 
-// SyncDir fsyncs the directory at dir, making previously completed
-// renames inside it durable across power loss. An empty dir means the
-// current directory. Filesystems that do not support fsync on
-// directories (EINVAL/ENOTSUP) are treated as success — see the package
-// comment.
-func SyncDir(dir string) error {
-	return vfs.Active().SyncDir(dir)
-}
-
-// writeDurableWith streams fill into path with the full
-// crash-durability discipline on the active FS.
-func writeDurableWith(path string, fill func(io.Writer) error) error {
-	return vfs.WriteDurable(vfs.Active(), path, fill)
-}
-
-// writeDurable gob-encodes v to path with the durable-write discipline.
+// writeDurable gob-encodes v to path with the durable-write discipline
+// on the active FS.
 func writeDurable(path string, v any) error {
-	return writeDurableWith(path, func(w io.Writer) error {
+	return vfs.WriteDurable(vfs.Active(), path, func(w io.Writer) error {
 		if err := gob.NewEncoder(w).Encode(v); err != nil {
 			return fmt.Errorf("snapshot: encode: %w", err)
 		}
 		return nil
 	})
-}
-
-// WriteFileDurable writes data to path with the durable-write
-// discipline: temp file, file fsync, rename, parent-directory fsync.
-// Other packages use it for non-gob payloads (e.g. the service layer's
-// canonical result files).
-func WriteFileDurable(path string, data []byte) error {
-	return vfs.WriteFileDurable(vfs.Active(), path, data)
 }

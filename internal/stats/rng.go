@@ -153,11 +153,16 @@ func (r *RNG) Poisson(mean float64) int {
 }
 
 // Zipf draws ranks in [0, n) following a Zipf distribution with exponent s.
-// It uses a precomputed cumulative table, so construction is O(n) and each
-// draw is O(log n). Used for access-locality modelling (hot pages).
+// It uses a precomputed cumulative table, so construction is O(n). A
+// guide table over n equal-probability buckets starts each draw's
+// forward scan at the first rank of its bucket, so a draw costs O(1) on
+// average; it returns exactly the rank a binary search of the
+// cumulative table would. Used for access-locality modelling (hot pages).
 type Zipf struct {
 	cum []float64
-	rng *RNG
+	// guide[k] is the first rank i with cum[i] >= k/n.
+	guide []int
+	rng   *RNG
 }
 
 // NewZipf constructs a Zipf sampler over n ranks with exponent s > 0.
@@ -174,12 +179,45 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	for i := range cum {
 		cum[i] /= total
 	}
-	return &Zipf{cum: cum, rng: rng}
+	return &Zipf{cum: cum, guide: zipfGuide(cum), rng: rng}
+}
+
+// zipfGuide builds the guide table of a cumulative table: for each of
+// n buckets k, the first rank i with cum[i] >= k/n.
+func zipfGuide(cum []float64) []int {
+	n := len(cum)
+	guide := make([]int, n)
+	i := 0
+	for k := range guide {
+		for i < n-1 && cum[i] < float64(k)/float64(n) {
+			i++
+		}
+		guide[k] = i
+	}
+	return guide
 }
 
 // Next returns the next rank in [0, n).
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
+func (z *Zipf) Next() int { return z.rank(z.rng.Float64()) }
+
+// rank returns the first rank whose cumulative probability reaches u.
+func (z *Zipf) rank(u float64) int {
+	n := len(z.cum)
+	// u < 1 has at most 53 significant bits, so u*n rounds below n.
+	i := z.guide[int(u*float64(n))]
+	if i > 0 && z.cum[i-1] >= u {
+		// u*n rounded up across a bucket edge: the guide entry is
+		// past the answer.
+		return z.search(u)
+	}
+	for i < n-1 && z.cum[i] < u {
+		i++
+	}
+	return i
+}
+
+// search is the binary search of the cumulative table for u.
+func (z *Zipf) search(u float64) int {
 	lo, hi := 0, len(z.cum)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
