@@ -13,6 +13,8 @@ package contiguitas
 import (
 	"context"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -28,7 +30,9 @@ import (
 	"contiguitas/internal/mem"
 	"contiguitas/internal/obsv"
 	"contiguitas/internal/resultcache"
+	"contiguitas/internal/service"
 	"contiguitas/internal/slab"
+	"contiguitas/internal/snapshot"
 	"contiguitas/internal/telemetry"
 	"contiguitas/internal/workload"
 )
@@ -140,6 +144,89 @@ func BenchmarkFleetCampaignWarm(b *testing.B) {
 		if res.CacheHits != uint64(cfg.Shards) {
 			b.Fatalf("warm run hit %d/%d shards", res.CacheHits, cfg.Shards)
 		}
+	}
+}
+
+// BenchmarkSealedRecords writes and then reads back one record of each
+// on-disk format through its public API: a durable write (temp file,
+// fsync, rename, directory fsync) and a verified read. The CTGSHRD and
+// CTGCACH rows also encode and decode their fleet-sample payload (an
+// 8-server shard), as a checkpoint resume and a cache hit do.
+func BenchmarkSealedRecords(b *testing.B) {
+	dir := b.TempDir()
+	fcfg := fleet.DefaultConfig()
+	fcfg.Servers, fcfg.MemBytes, fcfg.TicksMin, fcfg.TicksMax = 8, 32<<20, 20, 40
+	study := fleet.Run(fcfg)
+	decodeSamples := func(p []byte) {
+		if got, err := fleet.DecodeCanonical(p); err != nil || len(got) != len(study.Samples) {
+			b.Fatalf("samples: %d decoded, %v", len(got), err)
+		}
+	}
+	check := func(err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	disk, err := service.OpenDisk(filepath.Join(dir, "store"))
+	check(err)
+	cache := resultcache.NewDir(filepath.Join(dir, "cache"), fleet.CacheSchemaVersion)
+	check(os.MkdirAll(filepath.Join(dir, "cache"), 0o755))
+	machine := core.NewMachine(core.MachineConfig{Design: core.DesignContiguitas, MemBytes: 32 << 20})
+	man := &snapshot.Manifest{Campaign: 1, Shards: make([]snapshot.ManifestShard, 16)}
+	for i := range man.Shards {
+		man.Shards[i] = snapshot.ManifestShard{Shard: i, Units: 8, Done: 8, Seq: 8, Chain: uint64(i), Attempts: 1}
+	}
+	camp := &service.Campaign{ID: "c0123456789abcdef", Key: "bench", SpecHash: "00000000deadbeef",
+		Spec:  service.Spec{Servers: 32, Designs: []string{"contiguitas"}, MemsMiB: []uint64{32}, Jitters: []float64{0.5}},
+		State: service.StateDone, Attempts: 1, Cells: 1, CellsDone: 1, CellDigests: []string{"0123456789abcdef"}}
+
+	rows := []struct {
+		name string
+		run  func()
+	}{
+		{"CTGSNAP", func() {
+			path := filepath.Join(dir, "snap.ctgsnap")
+			e := &snapshot.Envelope{Machine: snapshot.Machine{Kernel: machine.K.ExportState()}}
+			e.Seal(0)
+			check(snapshot.Write(path, e))
+			_, err := snapshot.Read(path)
+			check(err)
+		}},
+		{"CTGSHRD", func() {
+			path := filepath.Join(dir, "shard-000.ctgshrd")
+			ck := &snapshot.ShardCheckpoint{Campaign: 1, Seq: 1, Done: uint64(len(study.Samples)),
+				Payload: fleet.CanonicalBytes(study)}
+			ck.Seal(0)
+			check(snapshot.WriteShard(path, ck))
+			got, err := snapshot.ReadShard(path)
+			check(err)
+			decodeSamples(got.Payload)
+		}},
+		{"CTGMANI", func() {
+			path := filepath.Join(dir, "campaign.ctgmani")
+			check(snapshot.WriteManifest(path, man))
+			_, err := snapshot.ReadManifest(path)
+			check(err)
+		}},
+		{"CTGCACH", func() {
+			check(cache.Put(42, fleet.CanonicalBytes(study)))
+			got, err := cache.Get(42)
+			check(err)
+			decodeSamples(got)
+		}},
+		{"CTGCAMP", func() {
+			check(disk.Put(camp))
+			_, err := disk.Get(camp.ID)
+			check(err)
+		}},
+	}
+	for _, row := range rows {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				row.run()
+			}
+		})
 	}
 }
 

@@ -106,7 +106,6 @@ func main() {
 	scrubCfg := service.ScrubConfig{Disk: disk, Sched: sched}
 	if *scrubCache != "" {
 		scrubCfg.Cache = resultcache.NewDir(*scrubCache, fleet.CacheSchemaVersion)
-		scrubCfg.CacheDir = *scrubCache
 	}
 	if *scrub || *scrubEvery > 0 {
 		// Scrub before recovery: a rotted record is quarantined (lost, not

@@ -177,7 +177,7 @@ func verifyIdentical(res *fleet.CampaignResult, want []byte) {
 	if !res.Report.Complete {
 		cli.Verifyf("fleetscan: soak incomplete: %s (missing shards %v)", res.Report, res.MissingShards)
 	}
-	got := studyBytes(res.Study)
+	got := fleet.CanonicalBytes(res.Study)
 	if !bytes.Equal(got, want) {
 		cli.Verifyf("fleetscan: soak diverged: supervised study (%d bytes) != unfaulted study (%d bytes) — crashes or retries leaked into results",
 			len(got), len(want))
@@ -197,9 +197,5 @@ func referenceBytes(cfg fleet.Config) []byte {
 	if !res.Report.Complete {
 		cli.Verifyf("fleetscan: reference run incomplete with no faults armed: %s", res.Report)
 	}
-	return studyBytes(res.Study)
+	return fleet.CanonicalBytes(res.Study)
 }
-
-// studyBytes is fleet.CanonicalBytes — the shared canonical identity
-// the service layer's result files use too.
-func studyBytes(s *fleet.Study) []byte { return fleet.CanonicalBytes(s) }

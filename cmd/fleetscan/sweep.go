@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
 
@@ -173,9 +172,7 @@ func runSweep(base fleet.Config, opt sweepOptions) {
 // have), and the Fig. 4 / Fig. 5 CDF values at the frozen probe points.
 func writeCell(buf *bytes.Buffer, design string, mib uint64, jitter float64, s *fleet.Study) {
 	fmt.Fprintf(buf, "cell design=%s mem_mib=%d jitter=%g\n", design, mib, jitter)
-	h := fnv.New64a()
-	h.Write(studyBytes(s))
-	fmt.Fprintf(buf, "study samples=%d digest=%016x\n", len(s.Samples), h.Sum64())
+	fmt.Fprintf(buf, "study samples=%d digest=%016x\n", len(s.Samples), fleet.CanonicalDigest(s))
 	for _, o := range sweepOrders {
 		fmt.Fprintf(buf, "fig4 order=%d", o)
 		for _, x := range sweepContigX {

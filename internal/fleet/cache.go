@@ -17,14 +17,12 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
-	"hash/fnv"
 	"math"
 	"time"
 
 	"contiguitas/internal/resultcache"
+	"contiguitas/internal/seal"
 	"contiguitas/internal/stats"
 )
 
@@ -72,20 +70,8 @@ func resolveShards(cfg Config) int {
 // key, because they cannot change a single sample byte.
 func ShardCacheKey(cfg Config, shard int) uint64 {
 	sp := splitSpans(cfg.Servers, resolveShards(cfg))[shard]
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range []uint64{
-		cfg.MemBytes, uint64(cfg.Design), cfg.TicksMin, cfg.TicksMax,
-		math.Float64bits(cfg.JitterFrac),
-		stats.ShardSeed(cfg.Seed, shard),
-		sp.lo, sp.n,
-	} {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64()
+	return seal.Sum64s(cfg.MemBytes, uint64(cfg.Design), cfg.TicksMin, cfg.TicksMax,
+		math.Float64bits(cfg.JitterFrac), stats.ShardSeed(cfg.Seed, shard), sp.lo, sp.n)
 }
 
 // cacheOutcome is a shard's final cache verdict, reported as an
@@ -134,8 +120,8 @@ func (c *campaign) tryCache(sr *shardRun) bool {
 func (c *campaign) loadCached(sr *shardRun, key uint64, count bool) bool {
 	payload, err := c.cache.Get(key)
 	if err == nil {
-		var got []Sample
-		if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&got); derr != nil || uint64(len(got)) != sr.units {
+		got, derr := DecodeCanonical(payload)
+		if derr != nil || uint64(len(got)) != sr.units {
 			// The envelope verified but the payload is not a shard of the
 			// expected shape — still a lie, still recomputed.
 			if count {
@@ -206,10 +192,7 @@ func (c *campaign) noteCacheReject(shard int, reason uint64) {
 // singleflight followers. A failed Put degrades future runs to
 // recompute, never this one — the result is already merged.
 func (c *campaign) populateCache(sr *shardRun) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(sr.samples[:sr.units]); err == nil {
-		_ = c.cache.Put(sr.cacheKey, buf.Bytes())
-	}
+	_ = c.cache.Put(sr.cacheKey, encodeSamples(sr.samples[:sr.units]))
 	shardFlight.Finish(sr.cacheKey, c)
 }
 

@@ -8,45 +8,65 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/binary"
-	"hash/fnv"
+	"fmt"
 	"math"
 
 	"contiguitas/internal/mem"
+	"contiguitas/internal/seal"
 )
 
 // CanonicalBytes serialises every sample field in canonical order (map
 // keys walked via the fixed scan-order list), independent of how the
 // study was scheduled or resumed.
-func CanonicalBytes(s *Study) []byte {
-	var buf bytes.Buffer
-	u64 := func(v uint64) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	u64(uint64(len(s.Samples)))
-	for i := range s.Samples {
-		smp := &s.Samples[i]
-		buf.WriteString(smp.Profile)
-		buf.WriteByte(0)
-		u64(smp.Uptime)
-		u64(smp.FreePages)
-		u64(smp.Free2MBlocks)
-		f64(smp.UnmovFrameFrac)
+func CanonicalBytes(s *Study) []byte { return encodeSamples(s.Samples) }
+
+// encodeSamples is the canonical sample encoding: the sample count,
+// then per sample the NUL-terminated profile name and every numeric
+// field as a little-endian u64 (floats by their bits). It is also the
+// payload of result-cache entries and shard checkpoints.
+func encodeSamples(samples []Sample) []byte {
+	var w seal.Writer
+	w.U64(uint64(len(samples)))
+	for i := range samples {
+		smp := &samples[i]
+		w.CString(smp.Profile)
+		w.U64(smp.Uptime, smp.FreePages, smp.Free2MBlocks, math.Float64bits(smp.UnmovFrameFrac))
 		for _, o := range mem.ScanOrders {
-			f64(smp.FreeContigFrac[o])
-			f64(smp.UnmovBlockFrac[o])
+			w.U64(math.Float64bits(smp.FreeContigFrac[o]), math.Float64bits(smp.UnmovBlockFrac[o]))
 		}
-		for _, v := range smp.SourceBreakdown {
-			u64(v)
+		w.U64(smp.SourceBreakdown[:]...)
+	}
+	return w.Body()
+}
+
+// minSampleBytes is the encoded size of a sample with an empty profile.
+var minSampleBytes = 1 + 8*(4+2*len(mem.ScanOrders)+mem.NumSources)
+
+// DecodeCanonical is the inverse of CanonicalBytes. It refuses
+// truncation, a profile name without its NUL, and trailing bytes.
+func DecodeCanonical(data []byte) ([]Sample, error) {
+	r := seal.NewReader(data)
+	samples := make([]Sample, r.Count(minSampleBytes))
+	for i := range samples {
+		smp := &samples[i]
+		*smp = Sample{Profile: r.CString(), Uptime: r.U64(), FreePages: r.U64(), Free2MBlocks: r.U64(),
+			UnmovFrameFrac: math.Float64frombits(r.U64()),
+			FreeContigFrac: make(map[int]float64, len(mem.ScanOrders)),
+			UnmovBlockFrac: make(map[int]float64, len(mem.ScanOrders))}
+		for _, o := range mem.ScanOrders {
+			smp.FreeContigFrac[o] = math.Float64frombits(r.U64())
+			smp.UnmovBlockFrac[o] = math.Float64frombits(r.U64())
+		}
+		for j := range smp.SourceBreakdown {
+			smp.SourceBreakdown[j] = r.U64()
 		}
 	}
-	return buf.Bytes()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("fleet: canonical samples: %w", err)
+	}
+	return samples, nil
 }
 
 // CanonicalDigest returns the FNV-1a digest of CanonicalBytes — the
 // compact result identity stored in service campaign records.
-func CanonicalDigest(s *Study) uint64 {
-	h := fnv.New64a()
-	h.Write(CanonicalBytes(s))
-	return h.Sum64()
-}
+func CanonicalDigest(s *Study) uint64 { return seal.Sum64(CanonicalBytes(s)) }

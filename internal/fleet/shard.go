@@ -20,12 +20,9 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io/fs"
 	"math"
 	"path/filepath"
@@ -35,6 +32,7 @@ import (
 	"contiguitas/internal/fault"
 	"contiguitas/internal/mem"
 	"contiguitas/internal/resultcache"
+	"contiguitas/internal/seal"
 	"contiguitas/internal/snapshot"
 	"contiguitas/internal/stats"
 	"contiguitas/internal/supervise"
@@ -229,19 +227,9 @@ func shardPath(dir string, shard int) string {
 // plus the shard count; checkpoints and manifests never resume across a
 // changed fingerprint.
 func campaignFingerprint(cfg Config, shards int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range []uint64{
-		uint64(cfg.Servers), cfg.MemBytes, uint64(cfg.Design),
+	return seal.Sum64s(uint64(cfg.Servers), cfg.MemBytes, uint64(cfg.Design),
 		cfg.TicksMin, cfg.TicksMax, math.Float64bits(cfg.JitterFrac),
-		cfg.Seed, uint64(shards),
-	} {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64()
+		cfg.Seed, uint64(shards))
 }
 
 // span is one shard's slice of the fleet: servers [lo, lo+n).
@@ -532,8 +520,8 @@ func (c *campaign) open(shard, attempt int) (supervise.Shard, error) {
 	if err := c.adoptCheckpoint(ck); err != nil {
 		return nil, err
 	}
-	var done []Sample
-	if err := gob.NewDecoder(bytes.NewReader(ck.Payload)).Decode(&done); err != nil {
+	done, err := DecodeCanonical(ck.Payload)
+	if err != nil {
 		return nil, fmt.Errorf("%w: shard %d payload: %v", snapshot.ErrShardCheckpoint, shard, err)
 	}
 	if uint64(len(done)) != ck.Done || ck.Done > sp.n {
@@ -589,7 +577,6 @@ func (c *campaign) persistLocked() error {
 	if c.cfg.Dir == "" {
 		return nil
 	}
-	c.man.Seal()
 	return snapshot.WriteManifest(ManifestPath(c.cfg.Dir), c.man)
 }
 
@@ -703,16 +690,12 @@ func (sr *shardRun) checkpoint() error {
 		return fmt.Errorf("fleet: injected checkpoint write failure (shard %d, seq %d)",
 			sr.shard, sr.seq+1)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(sr.samples[:sr.done]); err != nil {
-		return fmt.Errorf("fleet: encode shard %d checkpoint: %w", sr.shard, err)
-	}
 	ck := &snapshot.ShardCheckpoint{
 		Campaign: sr.c.fp,
 		Shard:    sr.shard,
 		Seq:      sr.seq + 1,
 		Done:     sr.done,
-		Payload:  buf.Bytes(),
+		Payload:  encodeSamples(sr.samples[:sr.done]),
 	}
 	chain := ck.Seal(sr.chain)
 	if err := sr.c.store.write(ck); err != nil {

@@ -192,16 +192,20 @@ func TestResumeFromDiskCompletesIdentically(t *testing.T) {
 }
 
 // TestManifestTamperRejectedOnResume pins the typed sentinels: editing
-// the manifest after its seal — a flipped chain digest, a rolled-back
+// the manifest's bytes on disk — a flipped chain digest, a rolled-back
 // attempt count — must fail resume with ErrManifestTamper before any
 // shard state is trusted.
 func TestManifestTamperRejectedOnResume(t *testing.T) {
+	// Byte offset of shard 0's field f in a CTGMANI file: the 11-byte
+	// frame header, campaign and record count, then the record's u64s
+	// (Shard, Units, Done, Seq, Chain, Attempts, Status).
+	field := func(f int) int { return 11 + 8 + 8 + 8*f }
 	tamper := []struct {
 		name string
-		edit func(m *snapshot.Manifest)
+		edit func(data []byte)
 	}{
-		{"flipped chain digest", func(m *snapshot.Manifest) { m.Shards[0].Chain ^= 1 }},
-		{"stale attempt count", func(m *snapshot.Manifest) { m.Shards[0].Attempts = 0 }},
+		{"flipped chain digest", func(data []byte) { data[field(4)] ^= 1 }},
+		{"stale attempt count", func(data []byte) { clear(data[field(5) : field(5)+8]) }},
 	}
 	for _, tc := range tamper {
 		t.Run(tc.name, func(t *testing.T) {
@@ -210,12 +214,16 @@ func TestManifestTamperRejectedOnResume(t *testing.T) {
 			if _, err := RunSupervised(context.Background(), SupervisedConfig{Fleet: cfg, Dir: dir}); err != nil {
 				t.Fatal(err)
 			}
-			m, err := snapshot.ReadManifest(ManifestPath(dir))
+			data, err := os.ReadFile(ManifestPath(dir))
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.edit(m) // after Seal: the self-digest no longer covers the edit
-			if err := snapshot.WriteManifest(ManifestPath(dir), m); err != nil {
+			orig := bytes.Clone(data)
+			tc.edit(data)
+			if bytes.Equal(data, orig) {
+				t.Fatal("edit left the manifest unchanged")
+			}
+			if err := os.WriteFile(ManifestPath(dir), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			_, err = RunSupervised(context.Background(), SupervisedConfig{Fleet: cfg, Dir: dir, Resume: true})
@@ -227,10 +235,10 @@ func TestManifestTamperRejectedOnResume(t *testing.T) {
 }
 
 // TestResealedTamperQuarantinesShard covers the adversary who edits the
-// manifest and reseals it: the self-digest passes, but the shard
-// checkpoint no longer matches the manifest record, so the shard's every
-// attempt fails verification and it is quarantined — its data never
-// enters the study.
+// manifest and rewrites it through the real writer: the frame verifies,
+// but the shard checkpoint no longer matches the manifest record, so the
+// shard's every attempt fails verification and it is quarantined — its
+// data never enters the study.
 func TestResealedTamperQuarantinesShard(t *testing.T) {
 	cfg := tinyConfig()
 	dir := t.TempDir()
@@ -242,7 +250,6 @@ func TestResealedTamperQuarantinesShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Shards[1].Chain ^= 0xdead
-	m.Seal()
 	if err := snapshot.WriteManifest(ManifestPath(dir), m); err != nil {
 		t.Fatal(err)
 	}
@@ -326,5 +333,49 @@ func TestCanonicalBytesIdentity(t *testing.T) {
 	c := Run(other)
 	if bytes.Equal(CanonicalBytes(a), CanonicalBytes(c)) {
 		t.Fatal("different-seed studies produced identical canonical bytes")
+	}
+}
+
+// TestCanonicalBytesPinned pins the canonical encoding and the cache key
+// derivation to values recorded before either moved onto internal/seal:
+// every cached entry, journaled cell and CI cmp gate depends on them.
+func TestCanonicalBytesPinned(t *testing.T) {
+	s := Run(tinyConfig())
+	if n, d := len(CanonicalBytes(s)), CanonicalDigest(s); n != 1905 || d != 0x05c331c5074b2f3a {
+		t.Fatalf("canonical bytes: %d bytes, digest %016x; want 1905, 05c331c5074b2f3a", n, d)
+	}
+	if k := ShardCacheKey(tinyConfig(), 0); k != 0x6948880c44769075 {
+		t.Fatalf("ShardCacheKey = %016x, want 6948880c44769075", k)
+	}
+}
+
+// TestDecodeCanonical: DecodeCanonical inverts CanonicalBytes exactly
+// and refuses every truncation, a profile name without its NUL, and
+// trailing bytes.
+func TestDecodeCanonical(t *testing.T) {
+	s := Run(tinyConfig())
+	data := CanonicalBytes(s)
+	got, err := DecodeCanonical(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, s.Samples) {
+		t.Fatal("decoded samples differ from the study's")
+	}
+	if !bytes.Equal(CanonicalBytes(&Study{Samples: got}), data) {
+		t.Fatal("re-encoding the decoded samples changed the bytes")
+	}
+	for n := 0; n < len(data); n++ {
+		if _, err := DecodeCanonical(data[:n]); err == nil {
+			t.Fatalf("truncation to %d of %d bytes accepted", n, len(data))
+		}
+	}
+	if _, err := DecodeCanonical(append(bytes.Clone(data), 0)); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	// One sample whose profile name runs to the end without a NUL.
+	noNUL := append([]byte{1, 0, 0, 0, 0, 0, 0, 0}, bytes.Repeat([]byte{'w'}, minSampleBytes)...)
+	if _, err := DecodeCanonical(noNUL); err == nil {
+		t.Fatal("profile name without NUL accepted")
 	}
 }

@@ -2,13 +2,13 @@ package kernel
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"reflect"
 
 	"contiguitas/internal/mem"
 	"contiguitas/internal/pressure"
 	"contiguitas/internal/psi"
+	"contiguitas/internal/seal"
 	"contiguitas/internal/stats"
 )
 
@@ -391,21 +391,8 @@ func (k *Kernel) PageAt(pfn uint64) *Page { return k.live.get(pfn) }
 // structure; the chain hash in the snapshot envelope links these
 // per-checkpoint digests into a tamper-evident history.
 func (st *State) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(vs ...uint64) {
-		for _, v := range vs {
-			buf[0] = byte(v)
-			buf[1] = byte(v >> 8)
-			buf[2] = byte(v >> 16)
-			buf[3] = byte(v >> 24)
-			buf[4] = byte(v >> 32)
-			buf[5] = byte(v >> 40)
-			buf[6] = byte(v >> 48)
-			buf[7] = byte(v >> 56)
-			h.Write(buf[:])
-		}
-	}
+	h := seal.NewDigest()
+	w := func(vs ...uint64) { h.Uint64s(vs...) }
 	wb := func(v bool) {
 		if v {
 			w(1)
@@ -514,7 +501,7 @@ func (st *State) Hash() uint64 {
 		w(uint64(len(p.OOMHistory)))
 		for _, kl := range p.OOMHistory {
 			w(kl.Tick, uint64(len(kl.Victim)))
-			h.Write([]byte(kl.Victim))
+			h.WriteString(kl.Victim)
 			w(uint64(kl.Badness), kl.PagesFreed)
 		}
 	}

@@ -9,10 +9,10 @@
 //
 // Trust model. Cached bytes are never trusted on faith:
 //
-//   - the on-disk backend wraps every entry in a CTGCACH envelope with
-//     the snapshot package's temp-file-plus-rename write discipline. On
-//     every Get it verifies a digest over every encoded byte before
-//     decoding anything, then magic, format version and key binding — a
+//   - the on-disk backend stores every entry as a CTGCACH sealed
+//     record (internal/seal) written with the durable temp-file-plus-
+//     rename discipline. On every Get the frame digest over every byte
+//     is verified before anything is decoded, then the key binding — a
 //     tampered, torn, or swapped file is rejected with ErrCorrupt, never
 //     decoded into results;
 //   - an entry written under an older cache-schema version (the
@@ -29,28 +29,18 @@
 package resultcache
 
 import (
-	"bytes"
 	"container/list"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"io/fs"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
+	"contiguitas/internal/seal"
 	"contiguitas/internal/vfs"
-)
-
-// Magic identifies an on-disk cache entry; FormatVersion is the envelope
-// format revision (distinct from the caller's cache-schema version,
-// which versions the *meaning* of payloads, not their framing).
-const (
-	Magic         = "CTGCACH"
-	FormatVersion = 2
 )
 
 // Typed lookup outcomes. ErrMiss is the only benign one; the other two
@@ -87,39 +77,16 @@ type Cache interface {
 	Put(key uint64, payload []byte) error
 }
 
-// fileDigest is the FNV-1a digest of an entry's encoded bytes. It
-// covers every byte, not just the decoded fields: some bit flips (in
-// gob's type names, for one) decode to identical fields. A change to
-// any one byte always changes it, since each FNV-1a step (xor a byte,
-// multiply by an odd prime) is a bijection of the running state.
-func fileDigest(p []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(p)
-	return h.Sum64()
-}
-
-// digestLen is the size of the little-endian fileDigest trailer that
-// follows the gob-encoded entry in a CTGCACH file.
-const digestLen = 8
-
-// entry is the CTGCACH on-disk envelope, gob-encoded and followed by
-// the fileDigest of the encoding.
-type entry struct {
-	Magic   string
-	Version uint32
-	// Schema is the caller's cache-schema version (bumped whenever the
-	// generative model behind the payloads changes).
-	Schema uint32
-	// Key binds the entry to its content address; a file renamed over
-	// another key's path fails this check.
-	Key     uint64
-	Payload []byte
-}
+// entryFormat frames every entry. Its version is the entry layout's
+// (3: the sealed-record frame), distinct from the caller's cache-schema
+// version, which versions the *meaning* of payloads.
+var entryFormat = seal.Format{Magic: "CTGCACH", Version: 3, Err: ErrCorrupt}
 
 // Dir is the durable backend: one CTGCACH file per key inside a
-// directory, written atomically and verified on every read. Safe for
-// concurrent use by any number of processes — atomic renames make
-// concurrent Puts last-writer-wins, never torn.
+// directory (body: key, cache schema, payload), written atomically and
+// verified on every read. Safe for concurrent use by any number of
+// processes — atomic renames make concurrent Puts last-writer-wins,
+// never torn.
 type Dir struct {
 	dir    string
 	schema uint32
@@ -136,69 +103,67 @@ func (d *Dir) EntryPath(key uint64) string {
 	return filepath.Join(d.dir, fmt.Sprintf("%016x.ctgcach", key))
 }
 
-// Get implements Cache. The read goes through the active FS, so
-// injected read faults surface as plain errors and injected bit-rot is
-// caught by the file digest below.
-func (d *Dir) Get(key uint64) ([]byte, error) {
-	path := d.EntryPath(key)
-	data, err := vfs.Active().ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, ErrMiss
-	}
+// Keys lists the key of every entry file in the directory, in file-name
+// order; other files are ignored.
+func (d *Dir) Keys() ([]uint64, error) {
+	ents, err := vfs.Active().ReadDir(d.dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < digestLen {
-		return nil, fmt.Errorf("%w: %d-byte file %s", ErrCorrupt, len(data), path)
+	var keys []uint64
+	for _, e := range ents {
+		hex, ok := strings.CutSuffix(e.Name(), ".ctgcach")
+		if key, err := strconv.ParseUint(hex, 16, 64); ok && err == nil && len(hex) == 16 {
+			keys = append(keys, key)
+		}
 	}
-	body := data[:len(data)-digestLen]
-	if got, want := fileDigest(body), binary.LittleEndian.Uint64(data[len(body):]); got != want {
-		return nil, fmt.Errorf("%w: file digest %016x, recorded %016x in %s", ErrCorrupt, got, want, path)
-	}
-	e := &entry{}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(e); err != nil {
-		return nil, fmt.Errorf("%w: decode %s: %v", ErrCorrupt, path, err)
-	}
-	if e.Magic != Magic {
-		return nil, fmt.Errorf("%w: bad magic %q in %s", ErrCorrupt, e.Magic, path)
-	}
-	if e.Version != FormatVersion {
-		return nil, fmt.Errorf("%w: format version %d (support %d) in %s",
-			ErrCorrupt, e.Version, FormatVersion, path)
-	}
-	if e.Key != key {
-		return nil, fmt.Errorf("%w: entry for key %016x stored under %016x in %s",
-			ErrCorrupt, e.Key, key, path)
-	}
-	if e.Schema != d.schema {
-		return nil, fmt.Errorf("%w: entry schema %d, want %d in %s",
-			ErrStaleSchema, e.Schema, d.schema, path)
-	}
-	return e.Payload, nil
+	return keys, nil
 }
 
-// Put implements Cache: seal the envelope and write it with the full
+// Decode verifies sealed entry bytes for key and returns the payload:
+// ErrCorrupt for a broken frame or a key mismatch, ErrStaleSchema for
+// an intact entry of another cache-schema version.
+func (d *Dir) Decode(key uint64, data []byte) ([]byte, error) {
+	r, err := entryFormat.Reader(data)
+	if err != nil {
+		return nil, err
+	}
+	gotKey, schema, payload := r.U64(), r.U64(), r.Bytes()
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	if gotKey != key {
+		return nil, fmt.Errorf("%w: entry for key %016x stored under %016x", ErrCorrupt, gotKey, key)
+	}
+	if schema != uint64(d.schema) {
+		return nil, fmt.Errorf("%w: entry schema %d, want %d", ErrStaleSchema, schema, d.schema)
+	}
+	return payload, nil
+}
+
+// Get implements Cache. The read goes through the active FS, so
+// injected read faults surface as plain errors and injected bit-rot is
+// caught by the frame digest.
+func (d *Dir) Get(key uint64) ([]byte, error) {
+	payload, err := seal.ReadFile(d.EntryPath(key), func(data []byte) ([]byte, error) {
+		return d.Decode(key, data)
+	})
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, ErrMiss
+	}
+	return payload, err
+}
+
+// Put implements Cache: seal the entry and write it with the full
 // durable-write discipline on the active FS — temp file, file fsync,
 // rename into place, directory fsync; without the directory fsync a
 // power loss after the rename could silently drop the entry (see
 // internal/vfs).
 func (d *Dir) Put(key uint64, payload []byte) error {
-	e := &entry{
-		Magic:   Magic,
-		Version: FormatVersion,
-		Schema:  d.schema,
-		Key:     key,
-		Payload: payload,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return fmt.Errorf("resultcache: encode: %w", err)
-	}
-	buf.Write(binary.LittleEndian.AppendUint64(nil, fileDigest(buf.Bytes())))
-	return vfs.WriteDurable(vfs.Active(), d.EntryPath(key), func(w io.Writer) error {
-		_, err := w.Write(buf.Bytes())
-		return err
-	})
+	var w seal.Writer
+	w.U64(key, uint64(d.schema))
+	w.Bytes(payload)
+	return entryFormat.WriteFile(d.EntryPath(key), w.Body())
 }
 
 // LRU is the in-process backend: a bounded map evicting the

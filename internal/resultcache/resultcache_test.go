@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,9 +82,9 @@ func TestDirRejectsEveryByteFlip(t *testing.T) {
 }
 
 // TestDirRejectsEverySingleBitFlip flips each bit of an entry file in
-// turn. Every flip must be refused as ErrCorrupt: some bytes (gob's
-// type names, for one) decode to identical fields when flipped, so only
-// a digest over the encoded bytes catches them all.
+// turn. Every flip must be refused as ErrCorrupt — including flips in
+// the key and schema fields, which the frame digest catches before the
+// key binding or schema check could misread them.
 func TestDirRejectsEverySingleBitFlip(t *testing.T) {
 	c := NewDir(t.TempDir(), 1)
 	if err := c.Put(0xabc, []byte("payload-a")); err != nil {
@@ -150,6 +151,30 @@ func TestDirRejectsSwappedKey(t *testing.T) {
 	}
 	if _, err := c.Get(2); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("swapped Get = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDirKeys: Keys lists exactly the entry files, by key, and ignores
+// anything else in the directory.
+func TestDirKeys(t *testing.T) {
+	dir := t.TempDir()
+	c := NewDir(dir, 1)
+	for _, k := range []uint64{0xfe, 3, 1 << 63} {
+		if err := c.Put(k, []byte("p")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, junk := range []string{"notes.txt", "abc.ctgcach", "zzzzzzzzzzzzzzzz.ctgcach"} {
+		if err := os.WriteFile(filepath.Join(dir, junk), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys, err := c.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(keys) != fmt.Sprint([]uint64{3, 0xfe, 1 << 63}) {
+		t.Fatalf("Keys = %x", keys)
 	}
 }
 

@@ -1,0 +1,146 @@
+package seal
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
+	"math/rand"
+	"testing"
+)
+
+// TestDigestMatchesHashFNV pins Digest to the standard library's
+// FNV-1a 64 on bytes, strings and little-endian integers: every digest
+// this repository stores or compares was computed with hash/fnv.
+func TestDigestMatchesHashFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 200; n++ {
+		p := make([]byte, n)
+		rng.Read(p)
+		vs := []uint64{rng.Uint64(), uint64(n), 0, ^uint64(0)}
+
+		ref := fnv.New64a()
+		ref.Write(p)
+		if got, want := Sum64(p), ref.Sum64(); got != want {
+			t.Fatalf("Sum64 of %d bytes: %016x, want %016x", n, got, want)
+		}
+		for _, v := range vs {
+			ref.Write(binary.LittleEndian.AppendUint64(nil, v))
+		}
+		ref.Write(p)
+		d := NewDigest()
+		d.WriteString(string(p))
+		d.Uint64s(vs...)
+		d.WriteString(string(p))
+		if got, want := d.Sum64(), ref.Sum64(); got != want {
+			t.Fatalf("streamed digest: %016x, want %016x", got, want)
+		}
+
+		ref.Reset()
+		for _, v := range vs {
+			ref.Write(binary.LittleEndian.AppendUint64(nil, v))
+		}
+		if got, want := Sum64s(vs...), ref.Sum64(); got != want {
+			t.Fatalf("Sum64s: %016x, want %016x", got, want)
+		}
+	}
+}
+
+var errTest = errors.New("test: record corrupt")
+
+func TestSealOpenRoundTripAndRefusals(t *testing.T) {
+	f := Format{Magic: "CTGTEST", Version: 2, Err: errTest}
+	body := []byte("body bytes")
+	data := f.Seal(body)
+	if len(data) != headerLen+len(body)+digestLen || string(data[:magicLen]) != f.Magic {
+		t.Fatalf("frame layout: %q", data)
+	}
+	got, err := f.Open(data)
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("Open = %q, %v", got, err)
+	}
+	if got, err := f.Open(f.Seal(nil)); err != nil || len(got) != 0 {
+		t.Fatalf("empty body: %q, %v", got, err)
+	}
+
+	other := f
+	other.Version = 1
+	cases := []struct {
+		name string
+		data []byte
+		kind error
+	}{
+		{"short", data[:headerLen+digestLen-1], ErrShort},
+		{"magic", Format{Magic: "CTGELSE", Version: 2}.Seal(body), ErrMagic},
+		{"version", other.Seal(body), ErrVersion},
+		{"flipped body", func() []byte { b := bytes.Clone(data); b[headerLen] ^= 4; return b }(), ErrDigest},
+		{"flipped digest", func() []byte { b := bytes.Clone(data); b[len(b)-1] ^= 1; return b }(), ErrDigest},
+		{"appended", append(bytes.Clone(data), 0), ErrDigest},
+		{"truncated", data[:len(data)-1], ErrDigest},
+	}
+	for _, tc := range cases {
+		_, err := f.Open(tc.data)
+		if !errors.Is(err, tc.kind) || !errors.Is(err, errTest) {
+			t.Fatalf("%s: Open = %v, want %v wrapped with the format sentinel", tc.name, err, tc.kind)
+		}
+	}
+}
+
+func TestReaderRoundTrip(t *testing.T) {
+	var w Writer
+	w.U64(7, 1<<40)
+	w.Bytes([]byte("payload"))
+	w.Bytes(nil)
+	w.CString("web")
+	r := NewReader(w.Body())
+	if a, b, c, d, e := r.U64(), r.U64(), r.Bytes(), r.Bytes(), r.CString(); a != 7 || b != 1<<40 ||
+		string(c) != "payload" || len(d) != 0 || e != "web" {
+		t.Fatalf("read back %d %d %q %q %q", a, b, c, d, e)
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReaderRefusals: every malformed body is refused with ErrBody, the
+// first failure sticks, and a Format reader also wraps the sentinel.
+func TestReaderRefusals(t *testing.T) {
+	var w Writer
+	w.U64(1 << 62) // a length prefix far past the end
+	w.U64(5)
+	cases := []struct {
+		name string
+		body []byte
+		read func(r *Reader)
+	}{
+		{"truncated u64", []byte{1, 2, 3}, func(r *Reader) { r.U64() }},
+		{"oversized length prefix", w.Body(), func(r *Reader) { r.Bytes() }},
+		{"oversized count", w.Body(), func(r *Reader) { r.Count(8) }},
+		{"unterminated string", []byte("web"), func(r *Reader) { r.CString() }},
+		{"trailing bytes", []byte{1, 0, 0, 0, 0, 0, 0, 0, 9}, func(r *Reader) { r.U64() }},
+	}
+	for _, tc := range cases {
+		r := NewReader(tc.body)
+		tc.read(r)
+		if err := r.Done(); !errors.Is(err, ErrBody) {
+			t.Fatalf("%s: Done = %v, want ErrBody", tc.name, err)
+		}
+	}
+
+	r := NewReader([]byte{1, 2})
+	r.U64()
+	first := r.Done()
+	if v := r.U64(); v != 0 || r.Done() != first {
+		t.Fatalf("error not sticky: read %d, Done %v then %v", v, first, r.Done())
+	}
+
+	f := Format{Magic: "CTGTEST", Version: 1, Err: errTest}
+	fr, err := f.Reader(f.Seal([]byte{1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.U64()
+	if err := fr.Done(); !errors.Is(err, ErrBody) || !errors.Is(err, errTest) {
+		t.Fatalf("format reader: %v, want ErrBody and the format sentinel", err)
+	}
+}

@@ -1,9 +1,9 @@
-// The durable store: one directory per campaign holding a sealed
-// CTGCAMP record, the fleet's own CTGMANI/CTGSHRD checkpoint files, the
+// The durable store: one directory per campaign holding a CTGCAMP
+// sealed record, the fleet's own CTGMANI/CTGSHRD checkpoint files, the
 // per-cell canonical result journal, and the merged result.
 //
 //	<root>/campaigns/<id>/
-//	    record.ctgjob        sealed campaign record (CTGCAMP gob)
+//	    record.ctgjob        CTGCAMP sealed record (campaign JSON)
 //	    cell-000/            fleet state dir for grid cell 0
 //	        campaign.ctgmani
 //	        shard-000.ctgshrd ...
@@ -16,33 +16,32 @@
 // Every write goes through the vfs durable-write discipline (temp file,
 // fsync, rename, parent-dir fsync), so a file's existence is its
 // completion certificate: recovery never has to guess whether
-// cell-000.bin is whole. The record itself carries an FNV self-digest
-// over its gob payload; a torn or edited record decodes to
-// ErrCorruptRecord, never to a silently wrong campaign. All I/O goes
+// cell-000.bin is whole. The record is a sealed record (internal/seal)
+// whose body is the Campaign's JSON encoding; a torn or edited record
+// fails the frame digest and decodes to ErrCorruptRecord, never to a
+// silently wrong campaign. All I/O goes
 // through the active FS, putting every store operation under
 // storage-fault injection.
 package service
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io/fs"
 	"path/filepath"
 	"sort"
 	"sync"
 
+	"contiguitas/internal/seal"
 	"contiguitas/internal/vfs"
 )
 
-// Record format constants.
+// Store layout constants.
 const (
-	RecordMagic   = "CTGCAMP"
-	RecordVersion = 1
-	recordFile    = "record.ctgjob"
-	resultFile    = "result.bin"
+	recordFile = "record.ctgjob"
+	resultFile = "result.bin"
 	// QuarantineDir is the directory (under the store root) corrupt
 	// files are moved into by the scrubber, preserving their relative
 	// paths for post-mortem inspection.
@@ -53,14 +52,9 @@ const (
 	probeFile = "probe.bin"
 )
 
-// diskRecord is the on-disk envelope: the campaign gob-encoded as an
-// opaque payload plus a digest over it, mirroring the CTGSHRD shape.
-type diskRecord struct {
-	Magic       string
-	Version     uint32
-	PayloadHash uint64
-	Payload     []byte
-}
+// recordFormat frames campaign records; version 2 is the sealed-record
+// frame around the campaign's JSON.
+var recordFormat = seal.Format{Magic: "CTGCAMP", Version: 2, Err: ErrCorruptRecord}
 
 // Disk is the durable Store backend rooted at a directory.
 type Disk struct {
@@ -95,52 +89,27 @@ func (d *Disk) cellPath(id string, cell int) string {
 	return filepath.Join(d.dir(id), fmt.Sprintf("cell-%03d.bin", cell))
 }
 
-// EncodeRecord seals a campaign into its CTGCAMP envelope bytes.
+// EncodeRecord seals a campaign into its CTGCAMP record bytes.
 func EncodeRecord(c *Campaign) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(c); err != nil {
+	body, err := json.Marshal(c)
+	if err != nil {
 		return nil, fmt.Errorf("service: encode campaign %s: %w", c.ID, err)
 	}
-	h := fnv.New64a()
-	h.Write(payload.Bytes())
-	rec := diskRecord{
-		Magic:       RecordMagic,
-		Version:     RecordVersion,
-		PayloadHash: h.Sum64(),
-		Payload:     payload.Bytes(),
-	}
-	var out bytes.Buffer
-	if err := gob.NewEncoder(&out).Encode(&rec); err != nil {
-		return nil, fmt.Errorf("service: encode record %s: %w", c.ID, err)
-	}
-	return out.Bytes(), nil
+	return recordFormat.Seal(body), nil
 }
 
-// DecodeRecord verifies and decodes CTGCAMP envelope bytes. Any
-// truncation, bit flip, or edit fails a digest or the decoder and maps
+// DecodeRecord verifies and decodes CTGCAMP record bytes. Any
+// truncation, bit flip, appended byte, or edit fails the frame and maps
 // to ErrCorruptRecord — arbitrary input must never panic or decode into
-// a silently wrong campaign (FuzzCampaignRecordDecode holds it to
-// that).
+// a silently wrong campaign (FuzzSealedRecords holds it to that).
 func DecodeRecord(data []byte) (*Campaign, error) {
-	var rec diskRecord
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
-		return nil, fmt.Errorf("%w: decode: %v", ErrCorruptRecord, err)
-	}
-	if rec.Magic != RecordMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorruptRecord, rec.Magic)
-	}
-	if rec.Version != RecordVersion {
-		return nil, fmt.Errorf("%w: version %d (support %d)", ErrCorruptRecord, rec.Version, RecordVersion)
-	}
-	h := fnv.New64a()
-	h.Write(rec.Payload)
-	if got := h.Sum64(); got != rec.PayloadHash {
-		return nil, fmt.Errorf("%w: payload digest %016x, recorded %016x",
-			ErrCorruptRecord, got, rec.PayloadHash)
+	body, err := recordFormat.Open(data)
+	if err != nil {
+		return nil, err
 	}
 	c := &Campaign{}
-	if err := gob.NewDecoder(bytes.NewReader(rec.Payload)).Decode(c); err != nil {
-		return nil, fmt.Errorf("%w: decode payload: %v", ErrCorruptRecord, err)
+	if err := json.Unmarshal(body, c); err != nil {
+		return nil, fmt.Errorf("%w: decode: %v", ErrCorruptRecord, err)
 	}
 	return c, nil
 }
@@ -160,18 +129,11 @@ func (d *Disk) Get(id string) (*Campaign, error) {
 }
 
 func readRecord(path string) (*Campaign, error) {
-	data, err := vfs.Active().ReadFile(path)
+	c, err := seal.ReadFile(path, DecodeRecord)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, ErrNotFound
 	}
-	if err != nil {
-		return nil, err
-	}
-	c, err := DecodeRecord(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w in %s", err, path)
-	}
-	return c, nil
+	return c, err
 }
 
 // List walks the campaigns directory. A directory without a record file
@@ -264,17 +226,18 @@ func (d *Disk) Probe() error {
 	return nil
 }
 
-// Quarantine moves the file at rel (relative to the store root) into
-// the quarantine directory, preserving its relative path. The move is a
-// rename — the corrupt bytes are preserved for post-mortem, and the
-// original path stops existing so recovery and the scheduler see a
-// plain missing file instead of a corrupt one.
-func (d *Disk) Quarantine(rel string) error {
+// Quarantine moves the file at src into the quarantine directory under
+// rel — its path relative to the store root, or cache/<name> for a
+// result-cache entry. The move is a rename — the corrupt bytes are
+// preserved for post-mortem, and the original path stops existing so
+// recovery and the scheduler see a plain missing file instead of a
+// corrupt one.
+func (d *Disk) Quarantine(src, rel string) error {
 	dst := filepath.Join(d.root, QuarantineDir, rel)
 	if err := vfs.Active().MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return err
 	}
-	return vfs.Active().Rename(filepath.Join(d.root, rel), dst)
+	return vfs.Active().Rename(src, dst)
 }
 
 func (d *Disk) StateDir(id string) string { return d.dir(id) }

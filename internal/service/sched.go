@@ -31,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sync"
@@ -40,6 +39,7 @@ import (
 
 	"contiguitas/internal/fleet"
 	"contiguitas/internal/obsv"
+	"contiguitas/internal/seal"
 	"contiguitas/internal/snapshot"
 	"contiguitas/internal/telemetry"
 )
@@ -562,12 +562,12 @@ func (s *Scheduler) runCampaign(id string) {
 			s.failStorage(c, fmt.Sprintf("read cell %d journal: %v", i, err))
 			return
 		}
-		if done && c.CellDigests[i] != "" && fmt.Sprintf("%016x", fnvSum(data)) != c.CellDigests[i] {
+		if done && c.CellDigests[i] != "" && fmt.Sprintf("%016x", seal.Sum64(data)) != c.CellDigests[i] {
 			// The journaled bytes no longer match the digest recorded
 			// when the cell completed: rot or tamper at rest. Never merge
 			// them — drop the entry and recompute the cell.
 			s.stCellsHealed.Add(1)
-			s.emit(telemetry.EvScrubCorrupt, 1, uint64(i), fnvSum(data))
+			s.emit(telemetry.EvScrubCorrupt, 1, uint64(i), seal.Sum64(data))
 			if err := s.cfg.Store.DropCell(id, i); err != nil {
 				s.failStorage(c, fmt.Sprintf("drop corrupt cell %d: %v", i, err))
 				return
@@ -595,7 +595,7 @@ func (s *Scheduler) runCampaign(id string) {
 				return
 			}
 			c.CellsDone = i + 1
-			c.CellDigests[i] = fmt.Sprintf("%016x", fnvSum(data))
+			c.CellDigests[i] = fmt.Sprintf("%016x", seal.Sum64(data))
 			// Progress is advisory — the cell file is the truth — but the
 			// digest must be durable before the next cell: best effort
 			// with retries, never fatal.
@@ -620,7 +620,7 @@ func (s *Scheduler) runCampaign(id string) {
 	}
 	c.State = StateDone
 	c.CellsDone = len(cells)
-	c.ResultDigest = fmt.Sprintf("%016x", fnvSum(merged.Bytes()))
+	c.ResultDigest = fmt.Sprintf("%016x", seal.Sum64(merged.Bytes()))
 	c.ResultBytes = int64(merged.Len())
 	c.FinishedUnix = s.now().Unix()
 	if err := s.storeWrite(func() error { return s.cfg.Store.Put(c) }); err == nil {
@@ -727,12 +727,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-t.C:
 		return nil
 	}
-}
-
-func fnvSum(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
 }
 
 func (c *Campaign) displayName() string {

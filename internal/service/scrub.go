@@ -1,7 +1,7 @@
 // The integrity scrubber: a background pass over everything the disk
 // store holds at rest — sealed CTGCAMP records, journaled cell results,
 // merged result files, and (optionally) a content-addressed result
-// cache directory — re-verifying every digest the write path recorded.
+// cache — re-verifying every digest the write path recorded.
 //
 // Verification on the read path catches corruption when someone asks;
 // the scrubber catches it while nobody is asking, which is when media
@@ -30,10 +30,9 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"contiguitas/internal/resultcache"
+	"contiguitas/internal/seal"
 	"contiguitas/internal/telemetry"
 	"contiguitas/internal/vfs"
 )
@@ -53,9 +52,6 @@ type ScrubConfig struct {
 	// Cache, when set, is a result-cache directory to scrub alongside
 	// the store.
 	Cache *resultcache.Dir
-	// CacheDir is the directory Cache reads from (the Dir type does not
-	// expose it); required when Cache is set.
-	CacheDir string
 	// Sched, when set, receives heal requeues, counter updates, and
 	// tracepoints.
 	Sched *Scheduler
@@ -132,11 +128,11 @@ func (s *scrubber) emit(kind, cell, digest uint64) {
 	}
 }
 
-// quarantine moves rel (relative to the store root) aside and records
-// the finding.
-func (s *scrubber) quarantine(rel string, kind, cell, digest uint64, cause error) {
+// quarantine moves the file at src aside to rel under the quarantine
+// directory and records the finding.
+func (s *scrubber) quarantine(src, rel string, kind, cell, digest uint64, cause error) {
 	ferr := fmt.Errorf("%w: %s: %v", ErrScrubQuarantine, rel, cause)
-	if err := s.cfg.Disk.Quarantine(rel); err != nil {
+	if err := s.cfg.Disk.Quarantine(src, rel); err != nil {
 		ferr = fmt.Errorf("%w (quarantine move failed: %v)", ferr, err)
 	}
 	s.rep.Quarantined = append(s.rep.Quarantined, Finding{Rel: rel, Err: ferr})
@@ -157,7 +153,7 @@ func (s *scrubber) scrubCampaign(id string) {
 	if err != nil {
 		// The record is the root of trust; without it the campaign
 		// cannot be healed, only preserved and reported.
-		s.quarantine(recRel, scrubKindRecord, 0, 0, err)
+		s.quarantine(filepath.Join(d.root, recRel), recRel, scrubKindRecord, 0, 0, err)
 		s.rep.Lost = append(s.rep.Lost, id)
 		return
 	}
@@ -172,9 +168,9 @@ func (s *scrubber) scrubCampaign(id string) {
 			continue // absent cells are recomputed by the scheduler anyway
 		}
 		s.rep.Scanned++
-		if got := fmt.Sprintf("%016x", fnvSum(data)); got != dig {
+		if got := fmt.Sprintf("%016x", seal.Sum64(data)); got != dig {
 			rel := filepath.Join("campaigns", id, fmt.Sprintf("cell-%03d.bin", i))
-			s.quarantine(rel, scrubKindCell, uint64(i), fnvSum(data),
+			s.quarantine(filepath.Join(d.root, rel), rel, scrubKindCell, uint64(i), seal.Sum64(data),
 				fmt.Errorf("cell digest %s, recorded %s", got, dig))
 			heal = true
 		}
@@ -184,9 +180,9 @@ func (s *scrubber) scrubCampaign(id string) {
 		data, err := d.GetResult(id)
 		if err == nil {
 			s.rep.Scanned++
-			if got := fmt.Sprintf("%016x", fnvSum(data)); got != c.ResultDigest {
+			if got := fmt.Sprintf("%016x", seal.Sum64(data)); got != c.ResultDigest {
 				rel := filepath.Join("campaigns", id, resultFile)
-				s.quarantine(rel, scrubKindResult, 0, fnvSum(data),
+				s.quarantine(filepath.Join(d.root, rel), rel, scrubKindResult, 0, seal.Sum64(data),
 					fmt.Errorf("result digest %s, recorded %s", got, c.ResultDigest))
 				heal = true
 			}
@@ -214,30 +210,15 @@ func (s *scrubber) scrubCampaign(id string) {
 // (under cache/) so all evidence lands in one place. The healed state
 // is simply a miss: the next computation of that key overwrites it.
 func (s *scrubber) scrubCache() {
-	ents, err := vfs.Active().ReadDir(s.cfg.CacheDir)
+	keys, err := s.cfg.Cache.Keys()
 	if err != nil {
 		return
 	}
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".ctgcach") {
-			continue
-		}
-		key, err := strconv.ParseUint(strings.TrimSuffix(name, ".ctgcach"), 16, 64)
-		if err != nil {
-			continue
-		}
+	for _, key := range keys {
 		s.rep.Scanned++
 		if _, err := s.cfg.Cache.Get(key); resultcache.IsReject(err) {
-			ferr := fmt.Errorf("%w: %s: %v", ErrScrubQuarantine, name, err)
-			qdir := filepath.Join(s.cfg.Disk.root, QuarantineDir, "cache")
-			if merr := vfs.Active().MkdirAll(qdir, 0o755); merr == nil {
-				if merr := vfs.Active().Rename(filepath.Join(s.cfg.CacheDir, name), filepath.Join(qdir, name)); merr != nil {
-					ferr = fmt.Errorf("%w (quarantine move failed: %v)", ferr, merr)
-				}
-			}
-			s.rep.Quarantined = append(s.rep.Quarantined, Finding{Rel: filepath.Join("cache", name), Err: ferr})
-			s.emit(scrubKindCache, key, 0)
+			path := s.cfg.Cache.EntryPath(key)
+			s.quarantine(path, filepath.Join("cache", filepath.Base(path)), scrubKindCache, key, 0, err)
 		}
 	}
 }

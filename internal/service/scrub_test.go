@@ -193,7 +193,7 @@ func TestScrubCacheEntry(t *testing.T) {
 	}
 	rotFile(t, cache.EntryPath(0xabc))
 
-	rep, err := Scrub(ScrubConfig{Disk: st, Cache: cache, CacheDir: cacheDir})
+	rep, err := Scrub(ScrubConfig{Disk: st, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

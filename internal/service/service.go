@@ -30,12 +30,12 @@ package service
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"contiguitas/internal/core"
 	"contiguitas/internal/fleet"
 	"contiguitas/internal/mem"
+	"contiguitas/internal/seal"
 )
 
 // State is a campaign's lifecycle state. String-typed so records and
@@ -258,24 +258,14 @@ func (sp Spec) fleetConfig(cell Cell) fleet.Config {
 // Name and DeadlineSec/MaxAttempts are deliberately included — a
 // resubmission that changes *anything* is not the same request.
 func (sp Spec) fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(vs ...uint64) {
-		for _, v := range vs {
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(v >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
-	}
-	h.Write([]byte(sp.Name))
-	h.Write([]byte{0})
+	h := seal.NewDigest()
+	w := func(vs ...uint64) { h.Uint64s(vs...) }
+	h.WriteString(sp.Name + "\x00")
 	w(uint64(sp.Servers), sp.TicksMin, sp.TicksMax, sp.Seed,
 		uint64(sp.Shards), sp.DeadlineSec, uint64(sp.MaxAttempts))
 	w(uint64(len(sp.Designs)))
 	for _, d := range sp.Designs {
-		h.Write([]byte(d))
-		h.Write([]byte{0})
+		h.WriteString(d + "\x00")
 	}
 	w(uint64(len(sp.MemsMiB)))
 	w(sp.MemsMiB...)
@@ -339,9 +329,7 @@ type Campaign struct {
 
 // CampaignID derives the record ID for an idempotency key.
 func CampaignID(key string) string {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return fmt.Sprintf("c%016x", h.Sum64())
+	return fmt.Sprintf("c%016x", seal.Sum64([]byte(key)))
 }
 
 // clone deep-copies a campaign so store backends never alias

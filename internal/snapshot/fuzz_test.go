@@ -1,8 +1,8 @@
 package snapshot
 
 import (
-	"bytes"
-	"encoding/gob"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"contiguitas/internal/kernel"
@@ -13,8 +13,8 @@ import (
 // decoder. Decode must either return a fully verified envelope or an
 // error — never panic, whatever the bytes. The seed corpus includes a
 // genuine sealed envelope and single-bit corruptions of it so the
-// fuzzer starts from deep inside the gob structure rather than failing
-// at the magic check every time.
+// fuzzer starts from inside the frame rather than failing at the magic
+// check every time.
 func FuzzSnapshotDecode(f *testing.F) {
 	cfg, inj := propConfig(false, 33)
 	k := kernel.New(cfg)
@@ -24,11 +24,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 		Kernel: k.ExportState(), Runner: r.ExportState(), Faults: inj.State(),
 	}}
 	e.Seal(0)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		f.Fatalf("encode seed envelope: %v", err)
+	path := filepath.Join(f.TempDir(), "seed.ctgsnap")
+	if err := Write(path, e); err != nil {
+		f.Fatalf("write seed envelope: %v", err)
 	}
-	valid := buf.Bytes()
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatalf("read seed envelope: %v", err)
+	}
 
 	f.Add([]byte{})
 	f.Add([]byte("CTGSNAP"))
@@ -41,7 +44,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := Decode(bytes.NewReader(data))
+		e, err := Decode(data)
 		if err != nil {
 			return
 		}

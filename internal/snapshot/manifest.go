@@ -2,20 +2,19 @@
 // supervised sharded campaign (internal/supervise driving internal/fleet).
 //
 // A campaign directory holds one CTGMANI manifest plus one CTGSHRD
-// checkpoint file per shard. Both reuse the CTGSNAP machinery: atomic
-// temp-file-plus-rename writes, canonical FNV digests over every field,
-// hash-chained shard checkpoints (chain_n = mix(chain_{n-1}, payload
-// digest)), and typed sentinel errors for every way a file can lie.
+// checkpoint file per shard. Both are sealed records (internal/seal,
+// DESIGN.md "Sealed records"): the frame digest covers every byte, so a
+// flipped chain value, a rolled-back attempt count or an edited status
+// byte is refused before any field is trusted. Shard checkpoints are
+// hash-chained (chain_n = shardMix(chain_{n-1}, identity, payload
+// digest)), and every way a file can lie maps to a typed sentinel.
 //
 // Trust model on resume, mirroring the envelope rules:
 //
-//   - a shard checkpoint must carry the campaign fingerprint, an intact
-//     payload digest, and a chain value that recomputes from its fields
-//     (ErrShardCheckpoint otherwise);
-//   - the manifest must recompute to its own self-digest — flipping a
-//     chain value, rolling back an attempt count, or editing a status
-//     byte is detected before any shard state is trusted
-//     (ErrManifestTamper);
+//   - a shard checkpoint must carry an intact frame and a chain value
+//     that recomputes from its fields (ErrShardCheckpoint otherwise);
+//   - the manifest must carry an intact frame with one record per shard
+//     in shard order (ErrManifestTamper);
 //   - manifest and shard checkpoint must agree on (seq, chain, done) —
 //     a stale or swapped checkpoint file is rejected (ErrShardMismatch);
 //   - the campaign fingerprint must match the resuming configuration
@@ -23,29 +22,21 @@
 package snapshot
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io/fs"
 
-	"contiguitas/internal/vfs"
-)
-
-// Magics and versions of the campaign formats.
-const (
-	ShardMagic      = "CTGSHRD"
-	ManifestMagic   = "CTGMANI"
-	ManifestVersion = 1
+	"contiguitas/internal/seal"
 )
 
 // Typed campaign decode/resume failures.
 var (
-	// ErrManifestTamper reports a manifest whose recorded self-digest
-	// disagrees with its fields — corruption or tampering.
+	// ErrManifestTamper reports a manifest that fails verification —
+	// corruption or tampering.
 	ErrManifestTamper = errors.New("snapshot: manifest integrity check failed")
-	// ErrShardCheckpoint reports a shard checkpoint whose payload digest
-	// or chain value does not recompute from its contents.
+	// ErrShardCheckpoint reports a shard checkpoint that fails
+	// verification, or whose chain value does not recompute from its
+	// contents.
 	ErrShardCheckpoint = errors.New("snapshot: shard checkpoint corrupt")
 	// ErrShardMismatch reports a shard checkpoint that is internally
 	// consistent but disagrees with the manifest record for its shard —
@@ -62,12 +53,17 @@ var (
 	ErrNoManifest = errors.New("snapshot: campaign manifest missing or empty")
 )
 
+// The campaign formats; version 2 is the sealed-record frame.
+var (
+	shardFormat    = seal.Format{Magic: "CTGSHRD", Version: 2, Err: ErrShardCheckpoint}
+	manifestFormat = seal.Format{Magic: "CTGMANI", Version: 2, Err: ErrManifestTamper}
+)
+
 // ShardCheckpoint is one shard's durable progress record. Payload is
-// owner-defined (the fleet stores its gob-encoded samples); the
-// checkpoint layer sees only bytes and digests them.
+// owner-defined (the fleet stores its canonical sample bytes); the
+// checkpoint layer sees only bytes and digests them. On disk the body
+// is Campaign, Shard, Seq, Done, PrevChainHash, ChainHash, Payload.
 type ShardCheckpoint struct {
-	Magic   string
-	Version uint32
 	// Campaign fingerprints the campaign configuration (FNV over the
 	// config fields); checkpoints never resume across configurations.
 	Campaign uint64
@@ -76,8 +72,9 @@ type ShardCheckpoint struct {
 	// work units (servers) completed at the quiesce point.
 	Seq  uint64
 	Done uint64
-	// PayloadHash digests Payload; PrevChainHash/ChainHash hash-chain
-	// the shard's checkpoint history exactly like Envelope does.
+	// PayloadHash digests Payload (recomputed on read, not stored);
+	// PrevChainHash/ChainHash hash-chain the shard's checkpoint history
+	// exactly like Envelope does.
 	PayloadHash   uint64
 	PrevChainHash uint64
 	ChainHash     uint64
@@ -88,25 +85,13 @@ type ShardCheckpoint struct {
 // the running chain, binding shard index, sequence, and progress — not
 // just the payload bytes — into every link.
 func (c *ShardCheckpoint) shardMix() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range []uint64{c.PrevChainHash, c.Campaign, uint64(c.Shard), c.Seq, c.Done, c.PayloadHash} {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64()
+	return seal.Sum64s(c.PrevChainHash, c.Campaign, uint64(c.Shard), c.Seq, c.Done, c.PayloadHash)
 }
 
 // Seal fills the digest fields from the payload and the previous chain
 // value, returning the new chain value.
 func (c *ShardCheckpoint) Seal(prevChain uint64) uint64 {
-	c.Magic = ShardMagic
-	c.Version = ManifestVersion
-	h := fnv.New64a()
-	h.Write(c.Payload)
-	c.PayloadHash = h.Sum64()
+	c.PayloadHash = seal.Sum64(c.Payload)
 	c.PrevChainHash = prevChain
 	c.ChainHash = c.shardMix()
 	return c.ChainHash
@@ -115,34 +100,35 @@ func (c *ShardCheckpoint) Seal(prevChain uint64) uint64 {
 // WriteShard encodes the sealed checkpoint to path atomically and
 // durably (temp file, file fsync, rename, parent-directory fsync).
 func WriteShard(path string, c *ShardCheckpoint) error {
-	return writeDurable(path, c)
+	var w seal.Writer
+	w.U64(c.Campaign, uint64(c.Shard), c.Seq, c.Done, c.PrevChainHash, c.ChainHash)
+	w.Bytes(c.Payload)
+	return shardFormat.WriteFile(path, w.Body())
 }
 
-// ReadShard decodes and verifies the shard checkpoint at path: magic,
-// version, payload digest, and chain recomputation are all checked.
-func ReadShard(path string) (*ShardCheckpoint, error) {
-	c := &ShardCheckpoint{}
-	if err := readGob(path, c); err != nil {
+// DecodeShard verifies and decodes sealed shard-checkpoint bytes: the
+// frame, then the chain recomputed through the payload digest.
+func DecodeShard(data []byte) (*ShardCheckpoint, error) {
+	r, err := shardFormat.Reader(data)
+	if err != nil {
 		return nil, err
 	}
-	if c.Magic != ShardMagic {
-		return nil, fmt.Errorf("%w: bad magic %q in %s", ErrShardCheckpoint, c.Magic, path)
+	c := &ShardCheckpoint{Campaign: r.U64(), Shard: int(r.U64()), Seq: r.U64(), Done: r.U64(),
+		PrevChainHash: r.U64(), ChainHash: r.U64(), Payload: r.Bytes()}
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
-	if c.Version != ManifestVersion {
-		return nil, fmt.Errorf("%w: version %d (support %d) in %s", ErrShardCheckpoint, c.Version, ManifestVersion, path)
-	}
-	h := fnv.New64a()
-	h.Write(c.Payload)
-	if got := h.Sum64(); got != c.PayloadHash {
-		return nil, fmt.Errorf("%w: payload digest %016x, recorded %016x in %s",
-			ErrShardCheckpoint, got, c.PayloadHash, path)
-	}
+	c.PayloadHash = seal.Sum64(c.Payload)
 	if got := c.shardMix(); got != c.ChainHash {
-		return nil, fmt.Errorf("%w: recomputed chain %016x, recorded %016x in %s",
-			ErrShardCheckpoint, got, c.ChainHash, path)
+		return nil, fmt.Errorf("%w: recomputed chain %016x, recorded %016x",
+			ErrShardCheckpoint, got, c.ChainHash)
 	}
 	return c, nil
 }
+
+// ReadShard reads and verifies the shard checkpoint at path (see
+// DecodeShard).
+func ReadShard(path string) (*ShardCheckpoint, error) { return seal.ReadFile(path, DecodeShard) }
 
 // ShardStatus is a manifest record's lifecycle state.
 type ShardStatus uint8
@@ -173,83 +159,64 @@ type ManifestShard struct {
 	Status   ShardStatus
 }
 
-// Manifest is the campaign's durable index: one record per shard plus a
-// self-digest over every field.
+// Manifest is the campaign's durable index: one record per shard. On
+// disk the body is Campaign and the shard records, every field a u64.
 type Manifest struct {
-	Magic    string
-	Version  uint32
 	Campaign uint64
 	Shards   []ManifestShard
-	SelfHash uint64
 }
 
-// hash computes the manifest self-digest over every field but SelfHash.
-func (m *Manifest) hash() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(vs ...uint64) {
-		for _, v := range vs {
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(v >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
-	}
-	h.Write([]byte(m.Magic))
-	w(uint64(m.Version), m.Campaign, uint64(len(m.Shards)))
-	for _, s := range m.Shards {
-		w(uint64(s.Shard), s.Units, s.Done, s.Seq, s.Chain, s.Attempts, uint64(s.Status))
-	}
-	return h.Sum64()
-}
-
-// Seal stamps magic, version, and the self-digest.
-func (m *Manifest) Seal() {
-	m.Magic = ManifestMagic
-	m.Version = ManifestVersion
-	m.SelfHash = m.hash()
-}
-
-// WriteManifest encodes the sealed manifest to path atomically and
-// durably (temp file, file fsync, rename, parent-directory fsync).
+// WriteManifest encodes the manifest to path atomically and durably
+// (temp file, file fsync, rename, parent-directory fsync).
 func WriteManifest(path string, m *Manifest) error {
-	return writeDurable(path, m)
+	var w seal.Writer
+	w.U64(m.Campaign, uint64(len(m.Shards)))
+	for _, s := range m.Shards {
+		w.U64(uint64(s.Shard), s.Units, s.Done, s.Seq, s.Chain, s.Attempts, uint64(s.Status))
+	}
+	return manifestFormat.WriteFile(path, w.Body())
 }
 
-// ReadManifest decodes and verifies the manifest at path. Any field
+// DecodeManifest verifies and decodes sealed manifest bytes. Any byte
 // edit — a flipped chain digest, a rolled-back attempt count, a changed
-// status — fails the self-digest and is rejected with ErrManifestTamper.
-func ReadManifest(path string) (*Manifest, error) {
-	switch fi, err := vfs.Active().Stat(path); {
-	case errors.Is(err, fs.ErrNotExist):
-		// Keep the fs sentinel in the chain so callers probing for "any
-		// state at all" via fs.ErrNotExist still work.
-		return nil, fmt.Errorf("%w: %s: %w", ErrNoManifest, path, err)
-	case err != nil:
-		return nil, err
-	case fi.Size() == 0:
-		return nil, fmt.Errorf("%w: %s is empty", ErrNoManifest, path)
-	}
-	m := &Manifest{}
-	if err := readGob(path, m); err != nil {
+// status — fails the frame digest; records must be in shard order.
+func DecodeManifest(data []byte) (*Manifest, error) {
+	r, err := manifestFormat.Reader(data)
+	if err != nil {
 		return nil, err
 	}
-	if m.Magic != ManifestMagic {
-		return nil, fmt.Errorf("%w: bad magic %q in %s", ErrManifestTamper, m.Magic, path)
+	m := &Manifest{Campaign: r.U64()}
+	m.Shards = make([]ManifestShard, r.Count(7*8)) // seven u64s per record
+	for i := range m.Shards {
+		m.Shards[i] = ManifestShard{Shard: int(r.U64()), Units: r.U64(), Done: r.U64(), Seq: r.U64(),
+			Chain: r.U64(), Attempts: r.U64(), Status: ShardStatus(r.U64())}
 	}
-	if m.Version != ManifestVersion {
-		return nil, fmt.Errorf("%w: version %d (support %d) in %s", ErrManifestTamper, m.Version, ManifestVersion, path)
-	}
-	if got := m.hash(); got != m.SelfHash {
-		return nil, fmt.Errorf("%w: recomputed digest %016x, recorded %016x in %s",
-			ErrManifestTamper, got, m.SelfHash, path)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	for i, s := range m.Shards {
 		if s.Shard != i {
-			return nil, fmt.Errorf("%w: record %d claims shard %d in %s", ErrManifestTamper, i, s.Shard, path)
+			return nil, fmt.Errorf("%w: record %d claims shard %d", ErrManifestTamper, i, s.Shard)
 		}
 	}
 	return m, nil
+}
+
+// ReadManifest reads and verifies the manifest at path (see
+// DecodeManifest). A missing or empty file is ErrNoManifest.
+func ReadManifest(path string) (*Manifest, error) {
+	m, err := seal.ReadFile(path, func(data []byte) (*Manifest, error) {
+		if len(data) == 0 {
+			return nil, ErrNoManifest
+		}
+		return DecodeManifest(data)
+	})
+	if errors.Is(err, fs.ErrNotExist) {
+		// Keep the fs sentinel in the chain so callers probing for "any
+		// state at all" via fs.ErrNotExist still work.
+		return nil, fmt.Errorf("%w: %s: %w", ErrNoManifest, path, err)
+	}
+	return m, err
 }
 
 // VerifyShardAgainstManifest cross-checks an intact shard checkpoint
@@ -269,20 +236,6 @@ func VerifyShardAgainstManifest(m *Manifest, c *ShardCheckpoint) error {
 	if rec.Seq != c.Seq || rec.Chain != c.ChainHash || rec.Done != c.Done {
 		return fmt.Errorf("%w: shard %d checkpoint (seq %d chain %016x done %d), manifest (seq %d chain %016x done %d)",
 			ErrShardMismatch, c.Shard, c.Seq, c.ChainHash, c.Done, rec.Seq, rec.Chain, rec.Done)
-	}
-	return nil
-}
-
-// readGob decodes one gob value from path, mapping decode failures to
-// plain errors (never panics; arbitrary bytes are rejected).
-func readGob(path string, v any) error {
-	f, err := vfs.Active().Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := gob.NewDecoder(f).Decode(v); err != nil {
-		return fmt.Errorf("snapshot: decode %s: %w", path, err)
 	}
 	return nil
 }

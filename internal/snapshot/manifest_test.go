@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -65,18 +66,17 @@ func TestShardCheckpointCorruptionDetected(t *testing.T) {
 	}
 }
 
-func sealedManifest(campaign uint64, shards int) *Manifest {
+func testManifest(campaign uint64, shards int) *Manifest {
 	m := &Manifest{Campaign: campaign, Shards: make([]ManifestShard, shards)}
 	for i := range m.Shards {
 		m.Shards[i] = ManifestShard{Shard: i, Units: 10, Done: uint64(i), Seq: uint64(i), Chain: uint64(1000 + i), Attempts: uint64(1 + i)}
 	}
-	m.Seal()
 	return m
 }
 
 func TestManifestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.ctgmani")
-	m := sealedManifest(7, 3)
+	m := testManifest(7, 3)
 	if err := WriteManifest(path, m); err != nil {
 		t.Fatal(err)
 	}
@@ -91,20 +91,33 @@ func TestManifestRoundTrip(t *testing.T) {
 
 func TestManifestTamperDetected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.ctgmani")
+	if err := WriteManifest(path, testManifest(7, 3)); err != nil {
+		t.Fatal(err)
+	}
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// at returns the byte offset of field f of record i: the 11-byte
+	// frame header, campaign and record count, then seven u64s per
+	// record (Shard, Units, Done, Seq, Chain, Attempts, Status).
+	at := func(i, f int) int { return 11 + 16 + 8*(7*i+f) }
 	tamper := []struct {
 		name string
-		edit func(m *Manifest)
+		edit func(b []byte)
 	}{
-		{"flipped chain digest", func(m *Manifest) { m.Shards[1].Chain ^= 1 }},
-		{"rolled-back attempt count", func(m *Manifest) { m.Shards[1].Attempts-- }},
-		{"rolled-back progress", func(m *Manifest) { m.Shards[2].Done = 0; m.Shards[2].Seq = 0 }},
-		{"status edit", func(m *Manifest) { m.Shards[0].Status = ShardDone }},
-		{"campaign swap", func(m *Manifest) { m.Campaign++ }},
+		{"flipped chain digest", func(b []byte) { b[at(1, 4)] ^= 1 }},
+		{"rolled-back attempt count", func(b []byte) { b[at(1, 5)]-- }},
+		{"rolled-back progress", func(b []byte) { b[at(2, 2)], b[at(2, 3)] = 0, 0 }},
+		{"status edit", func(b []byte) { b[at(0, 6)] = byte(ShardDone) }},
+		{"campaign swap", func(b []byte) { b[11]++ }},
+		{"magic", func(b []byte) { copy(b, "NOTMANI") }},
+		{"version", func(b []byte) { b[7]++ }},
 	}
 	for _, tc := range tamper {
-		m := sealedManifest(7, 3)
-		tc.edit(m) // after Seal: SelfHash no longer covers the edit
-		if err := WriteManifest(path, m); err != nil {
+		b := append([]byte(nil), orig...)
+		tc.edit(b)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ReadManifest(path); !errors.Is(err, ErrManifestTamper) {
@@ -112,10 +125,9 @@ func TestManifestTamperDetected(t *testing.T) {
 		}
 	}
 
-	// Shard records must be indexed by position even when resealed.
-	m := sealedManifest(7, 3)
+	// Shard records must be indexed by position even in an intact file.
+	m := testManifest(7, 3)
 	m.Shards[0].Shard = 2
-	m.Seal()
 	if err := WriteManifest(path, m); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +141,6 @@ func TestVerifyShardAgainstManifest(t *testing.T) {
 	ck := shardCkpt(9, 1, 3, 5, []byte("p"), 77)
 	m.Shards[0] = ManifestShard{Shard: 0}
 	m.Shards[1] = ManifestShard{Shard: 1, Units: 8, Done: 5, Seq: 3, Chain: ck.ChainHash}
-	m.Seal()
 
 	if err := VerifyShardAgainstManifest(m, ck); err != nil {
 		t.Fatalf("agreeing checkpoint rejected: %v", err)

@@ -4,15 +4,14 @@
 // (internal/fault), bound together with a canonical state hash and a
 // per-checkpoint chain digest.
 //
-// Crash consistency. Envelopes are written to a same-directory temp
-// file and renamed over the target only after a successful encode and
-// close, so the file at the checkpoint path is always either absent,
-// the previous complete checkpoint, or the new complete checkpoint —
-// never a torn write. Decoding re-verifies the magic, the version, the
-// state hash (recomputed from the decoded machine state), and the chain
-// digest (recomputed from PrevChainHash and the state hash); any
-// mismatch — truncation, corruption, or a hand-edited field — is
-// rejected with a typed error.
+// On disk an envelope is a sealed record (internal/seal, DESIGN.md
+// "Sealed records"): the frame refuses a wrong magic, an old version,
+// truncation and any flipped byte before the body is parsed. Decoding
+// then re-verifies the state hash (recomputed from the decoded machine
+// state) and the chain digest (recomputed from PrevChainHash and the
+// state hash). Writes are durable temp-file-plus-rename, so the file at
+// the checkpoint path is always absent, the previous complete
+// checkpoint, or the new one — never a torn write.
 //
 // Hash-chain semantics. Each checkpoint's StateHash is the canonical
 // digest of the full machine (kernel state hash extended with the
@@ -27,44 +26,40 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"math"
 
 	"contiguitas/internal/fault"
 	"contiguitas/internal/kernel"
-	"contiguitas/internal/vfs"
+	"contiguitas/internal/seal"
 	"contiguitas/internal/workload"
 )
 
-// Magic identifies a contiguitas snapshot file; Version is the format
-// revision — decoding any other version is refused.
-//
-// Version history:
+// envelopeFormat frames snapshot files; decoding any other version is
+// refused. Version history:
 //
 //	1 — initial format.
 //	2 — pressure-ladder state: kernel HasPressure fingerprint +
 //	    PressureState (gate, gate PSI tracker, escalation profile, OOM
 //	    history), runner OOMBackoffUntil/OOMKillsTaken, and the nine
 //	    pressure counters in the kernel counter block.
-const (
-	Magic   = "CTGSNAP"
-	Version = 2
-)
+//	3 — sealed-record frame: flat header fields, gob only for Machine.
+var envelopeFormat = seal.Format{Magic: "CTGSNAP", Version: 3, Err: ErrHashMismatch}
 
-// Typed decode failures.
+// Typed decode failures. ErrBadMagic and ErrBadVersion are the frame's
+// own kinds; every other refusal wraps ErrHashMismatch.
 var (
 	// ErrBadMagic reports a file that is not a contiguitas snapshot.
-	ErrBadMagic = errors.New("snapshot: bad magic")
+	ErrBadMagic = seal.ErrMagic
 	// ErrBadVersion reports an unsupported format revision.
-	ErrBadVersion = errors.New("snapshot: unsupported version")
-	// ErrHashMismatch reports a snapshot whose recorded state hash or
-	// chain digest disagrees with the decoded state — corruption or
-	// tampering.
-	ErrHashMismatch = errors.New("snapshot: state/chain hash mismatch")
+	ErrBadVersion = seal.ErrVersion
+	// ErrHashMismatch reports a snapshot whose frame digest, recorded
+	// state hash or chain digest disagrees with its bytes — truncation,
+	// corruption, or tampering.
+	ErrHashMismatch = errors.New("snapshot: integrity check failed")
 )
 
 // Machine bundles the three state layers of one checkpoint. Runner and
@@ -75,10 +70,9 @@ type Machine struct {
 	Faults *fault.InjectorState
 }
 
-// Envelope is the on-disk snapshot format.
+// Envelope is one checkpoint. On disk its body is Seq, Tick, StateHash,
+// PrevChainHash, ChainHash, then the gob encoding of Machine.
 type Envelope struct {
-	Magic   string
-	Version uint32
 	// Seq numbers checkpoints within a run (0-based); Tick is the
 	// virtual time the machine was quiesced at.
 	Seq  uint64
@@ -92,35 +86,18 @@ type Envelope struct {
 }
 
 // mix folds a state hash into the running chain digest.
-func mix(chain, stateHash uint64) uint64 {
-	h := fnv.New64a()
-	var buf [16]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(chain >> (8 * i))
-		buf[8+i] = byte(stateHash >> (8 * i))
-	}
-	h.Write(buf[:])
-	return h.Sum64()
-}
+func mix(chain, stateHash uint64) uint64 { return seal.Sum64s(chain, stateHash) }
 
 // HashMachine computes the canonical digest of a full machine state:
 // the kernel's own state hash extended with the runner and injector
 // digests. Nil layers contribute a fixed marker, so a faultless
 // checkpoint and a faulted one can never collide by omission.
 func HashMachine(m *Machine) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(vs ...uint64) {
-		for _, v := range vs {
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(v >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
-	}
+	h := seal.NewDigest()
+	w := func(vs ...uint64) { h.Uint64s(vs...) }
 	ws := func(s string) {
 		w(uint64(len(s)))
-		h.Write([]byte(s))
+		h.WriteString(s)
 	}
 
 	w(m.Kernel.Hash())
@@ -192,38 +169,43 @@ func HashMachine(m *Machine) uint64 {
 // Seal fills an envelope's hash fields from its machine state and the
 // previous chain value, returning the new chain value.
 func (e *Envelope) Seal(prevChain uint64) uint64 {
-	e.Magic = Magic
-	e.Version = Version
 	e.StateHash = HashMachine(&e.Machine)
 	e.PrevChainHash = prevChain
 	e.ChainHash = mix(prevChain, e.StateHash)
 	return e.ChainHash
 }
 
-// Write encodes the envelope to path atomically and durably (temp file,
-// file fsync, rename, parent-directory fsync — see fsync.go).
+// Write seals the envelope to path atomically and durably (temp file,
+// file fsync, rename, parent-directory fsync).
 func Write(path string, e *Envelope) error {
-	return writeDurable(path, e)
+	var machine bytes.Buffer
+	if err := gob.NewEncoder(&machine).Encode(&e.Machine); err != nil {
+		return fmt.Errorf("snapshot: encode: %w", err)
+	}
+	var w seal.Writer
+	w.U64(e.Seq, e.Tick, e.StateHash, e.PrevChainHash, e.ChainHash)
+	w.Bytes(machine.Bytes())
+	return envelopeFormat.WriteFile(path, w.Body())
 }
 
-// Decode decodes and verifies an envelope from an arbitrary reader:
-// magic, version, and both hash fields are checked against the decoded
-// state before the envelope is handed back. Arbitrary byte streams are
-// rejected with an error, never a panic — the fuzz target for the
-// decode path leans on this contract.
-func Decode(rd io.Reader) (*Envelope, error) {
-	e := &Envelope{}
-	if err := gob.NewDecoder(rd).Decode(e); err != nil {
-		return nil, fmt.Errorf("snapshot: decode: %w", err)
+// Decode verifies and decodes sealed envelope bytes: the frame, then
+// both hash fields against the decoded state. Arbitrary bytes are
+// rejected with an error, never a panic (FuzzSealedRecords).
+func Decode(data []byte) (*Envelope, error) {
+	r, err := envelopeFormat.Reader(data)
+	if err != nil {
+		return nil, err
 	}
-	if e.Magic != Magic {
-		return nil, fmt.Errorf("%w: %q", ErrBadMagic, e.Magic)
+	e := &Envelope{Seq: r.U64(), Tick: r.U64(), StateHash: r.U64(), PrevChainHash: r.U64(), ChainHash: r.U64()}
+	machine := r.Bytes()
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
-	if e.Version != Version {
-		return nil, fmt.Errorf("%w: %d (support %d)", ErrBadVersion, e.Version, Version)
+	if err := gob.NewDecoder(bytes.NewReader(machine)).Decode(&e.Machine); err != nil {
+		return nil, fmt.Errorf("%w: decode machine: %v", ErrHashMismatch, err)
 	}
 	if e.Machine.Kernel == nil {
-		return nil, errors.New("snapshot: envelope carries no kernel state")
+		return nil, fmt.Errorf("%w: envelope carries no kernel state", ErrHashMismatch)
 	}
 	if got := HashMachine(&e.Machine); got != e.StateHash {
 		return nil, fmt.Errorf("%w: recomputed state hash %016x, recorded %016x",
@@ -236,18 +218,7 @@ func Decode(rd io.Reader) (*Envelope, error) {
 	return e, nil
 }
 
-// Read decodes and verifies the envelope at path (see Decode). The
-// open goes through the active FS so injected read faults and bit-rot
-// land on the verification path that exists to catch them.
-func Read(path string) (*Envelope, error) {
-	f, err := vfs.Active().Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	e, err := Decode(f)
-	if err != nil {
-		return nil, fmt.Errorf("%w in %s", err, path)
-	}
-	return e, nil
-}
+// Read decodes and verifies the envelope at path (see Decode). The read
+// goes through the active FS so injected read faults and bit-rot land
+// on the verification path that exists to catch them.
+func Read(path string) (*Envelope, error) { return seal.ReadFile(path, Decode) }

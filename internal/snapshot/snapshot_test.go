@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -194,29 +195,33 @@ func TestReadRejectsTampering(t *testing.T) {
 		t.Fatalf("clean snapshot rejected: %v", err)
 	}
 
+	// Header edits on disk: the frame refuses them with the typed kinds.
+	orig, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(b []byte)
+		want error
+	}{
+		{"bad magic", func(b []byte) { copy(b, "NOTSNAP") }, ErrBadMagic},
+		{"bad version", func(b []byte) { b[7] = 99 }, ErrBadVersion},
+	} {
+		b := append([]byte(nil), orig...)
+		tc.edit(b)
+		p := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(p); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: got %v", tc.name, err)
+		}
+	}
+
 	e := seal()
-	e.Magic = "NOTASNAP"
-	p := filepath.Join(dir, "magic.bin")
-	if err := Write(p, e); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(p); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("bad magic: got %v", err)
-	}
-
-	e = seal()
-	e.Version = 99
-	p = filepath.Join(dir, "version.bin")
-	if err := Write(p, e); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(p); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("bad version: got %v", err)
-	}
-
-	e = seal()
 	e.Machine.Kernel.Tick++ // state edited after sealing
-	p = filepath.Join(dir, "state.bin")
+	p := filepath.Join(dir, "state.bin")
 	if err := Write(p, e); err != nil {
 		t.Fatal(err)
 	}

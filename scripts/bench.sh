@@ -5,7 +5,8 @@
 # alloc/free (LIFO, and both PFN orders at 256 MiB and 8 GiB), a
 # workload tick, the covering-head lookup, and the cycle-level hardware
 # model (one `migbench -bench serve` exec, the §5.3 serving runs, a
-# cache access and a TLB translation) — and writes the parsed results
+# cache access and a TLB translation), and a write-then-verified-read of
+# each sealed on-disk record format — and writes the parsed results
 # (ns/op, B/op, allocs/op) as JSON. With COUNT > 1 each benchmark's
 # fields are the medians across the repetitions.
 #
@@ -60,7 +61,7 @@ fi
 out="${1:-BENCH.json}"
 benchtime="${BENCHTIME:-3x}"
 count="${COUNT:-1}"
-pattern='^(BenchmarkFullScan|BenchmarkFullScanCold|BenchmarkFig4ContiguityCDF|BenchmarkFleetCampaignCold|BenchmarkFleetCampaignWarm|BenchmarkBuddyAllocFree4K|BenchmarkBuddyAllocFree4KLowestPFN|BenchmarkBuddyAllocFree4KHighestPFN|BenchmarkColdCell|BenchmarkWorkloadTick|BenchmarkAllocHead|BenchmarkTickTelemetryOff|BenchmarkTickTelemetryOn|BenchmarkMetricsExposition|BenchmarkTickScrapeUnderLoad|BenchmarkServeExec|BenchmarkSec53MigrationImpact|BenchmarkCacheAccess|BenchmarkTLBTranslate)$'
+pattern='^(BenchmarkFullScan|BenchmarkFullScanCold|BenchmarkFig4ContiguityCDF|BenchmarkFleetCampaignCold|BenchmarkFleetCampaignWarm|BenchmarkBuddyAllocFree4K|BenchmarkBuddyAllocFree4KLowestPFN|BenchmarkBuddyAllocFree4KHighestPFN|BenchmarkColdCell|BenchmarkWorkloadTick|BenchmarkAllocHead|BenchmarkTickTelemetryOff|BenchmarkTickTelemetryOn|BenchmarkMetricsExposition|BenchmarkTickScrapeUnderLoad|BenchmarkServeExec|BenchmarkSec53MigrationImpact|BenchmarkCacheAccess|BenchmarkTLBTranslate|BenchmarkSealedRecords)$'
 
 raw="$(go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -count "$count" .)"
 printf '%s\n' "$raw"
