@@ -420,6 +420,65 @@ func benchOrderedAllocFree(b *testing.B, policy mem.AllocPolicy) {
 	}
 }
 
+// BenchmarkBuddyAllocFree4KBulk times one run of 512 4 KB pages, taken
+// and given back, under each free-list policy: "single" as 512 Alloc
+// and 512 Free calls, "bulk" as one AllocBulk4K and one FreeBatch,
+// which leave the same state (FuzzBuddyAllocFree). ns/op is per run of
+// 512 pages. The machine is full but for one free pageblock, as a cold
+// cell's machines are, so the run splits and re-merges that pageblock
+// rather than restamping a near-empty machine's largest block. The
+// frees go back in allocation order, as a reclaim batch or a mapping's
+// block list does.
+func BenchmarkBuddyAllocFree4KBulk(b *testing.B) {
+	const run = 512
+	for _, pol := range []struct {
+		name   string
+		policy mem.AllocPolicy
+	}{{"LIFO", mem.PolicyLIFO}, {"LowestPFN", mem.PolicyLowestPFN}, {"HighestPFN", mem.PolicyHighestPFN}} {
+		for _, bulk := range []bool{false, true} {
+			name := pol.name + "/single"
+			if bulk {
+				name = pol.name + "/bulk"
+			}
+			b.Run(name, func(b *testing.B) {
+				pm := mem.NewPhysMem(256 << 20)
+				bd := mem.NewBuddy(pm, 0, pm.NPages, pol.policy, false, mem.MigrateMovable)
+				pfns := bd.AllocBulk4K(nil, int(pm.NPages), mem.MigrateMovable, mem.SrcUser)
+				for pfn := pm.NPages / 2; pfn < pm.NPages/2+run; pfn++ {
+					bd.Free(pfn)
+				}
+				pfns = pfns[:0]
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pfns = pfns[:0]
+					if bulk {
+						pfns = bd.AllocBulk4K(pfns, run, mem.MigrateMovable, mem.SrcUser)
+						if len(pfns) != run {
+							b.Fatal("oom")
+						}
+						if err := bd.FreeBatch(pfns); err != nil {
+							b.Fatal(err)
+						}
+						continue
+					}
+					for j := 0; j < run; j++ {
+						pfn, ok := bd.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
+						if !ok {
+							b.Fatal("oom")
+						}
+						pfns = append(pfns, pfn)
+					}
+					for _, pfn := range pfns {
+						if err := bd.Free(pfn); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkBuddyAllocFree2M(b *testing.B) {
 	pm := mem.NewPhysMem(256 << 20)
 	bd := mem.NewBuddy(pm, 0, pm.NPages, mem.PolicyLIFO, true, mem.MigrateMovable)

@@ -160,6 +160,16 @@ func (in *Injector) DisarmAll() {
 	}
 }
 
+// Armed reports whether the named point is armed. Crossing an unarmed
+// point has no effect, so a caller may skip crossings while it is not.
+func (in *Injector) Armed(name string) bool {
+	if in == nil {
+		return false
+	}
+	_, ok := in.points[name]
+	return ok
+}
+
 // Should reports whether the named fault fires at this crossing. Safe on
 // a nil injector (never fires) and on unarmed points.
 func (in *Injector) Should(name string) bool {

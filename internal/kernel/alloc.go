@@ -101,17 +101,29 @@ func (k *Kernel) Alloc(order int, mt mem.MigrateType, src mem.Source) (*Page, er
 		}
 		return nil, k.errNoMemory(order, mt)
 	}
+	return k.finishAlloc(pfn, order, mt, src, k.inCacheAlloc), nil
+}
+
+// finishAlloc accounts a served allocation and creates its handle. A
+// page-cache allocation is reported to the sink by registerCache, once
+// it is on the reclaimable FIFO.
+func (k *Kernel) finishAlloc(pfn uint64, order int, mt mem.MigrateType, src mem.Source, pageCache bool) *Page {
+	p := &k.newPages(1)[0]
+	k.initHandle(p, pfn, order, mt, src, pageCache)
+	return p
+}
+
+// initHandle is finishAlloc on a freshly carved handle.
+func (k *Kernel) initHandle(p *Page, pfn uint64, order int, mt mem.MigrateType, src mem.Source, pageCache bool) {
 	k.AllocOK++
 	if k.tp.Enabled() {
 		k.tp.Emit(k.tick, telemetry.EvAlloc, pfn, uint64(order), uint64(mt))
 	}
-	p := k.newPage()
 	*p = Page{PFN: pfn, Order: int8(order), MT: mt, Src: src, cacheIdx: -1}
 	k.live.set(pfn, p)
-	if k.sink != nil && !k.inCacheAlloc {
+	if k.sink != nil && !pageCache {
 		k.sink.OnAlloc(p, false)
 	}
-	return p, nil
 }
 
 // Free releases an allocation. Pinned pages must be unpinned first.
@@ -119,6 +131,17 @@ func (k *Kernel) Alloc(order int, mt mem.MigrateType, src mem.Source) (*Page, er
 // handle (double free, reclaimed page-cache handle) returns a typed
 // error and leaves the kernel untouched.
 func (k *Kernel) Free(p *Page) error {
+	if err := k.releaseHandle(p); err != nil {
+		return err
+	}
+	mustFree(k.owningBuddy(p.PFN), p.PFN)
+	return nil
+}
+
+// releaseHandle does everything Free does except the buddy free: it
+// refuses misuse, reports the free, and detaches the handle from the
+// live table and the reclaimable FIFO.
+func (k *Kernel) releaseHandle(p *Page) error {
 	if p == nil {
 		return ErrNilHandle
 	}
@@ -141,7 +164,6 @@ func (k *Kernel) Free(p *Page) error {
 		p.cacheIdx = -1
 	}
 	k.live.del(p.PFN)
-	mustFree(k.owningBuddy(p.PFN), p.PFN)
 	return nil
 }
 
@@ -150,15 +172,17 @@ func (k *Kernel) Free(p *Page) error {
 // chunk pinned by one long-lived handle wastes little.
 const pageArenaChunk = 2048
 
-// newPage carves the next handle from the arena. Every handle is a
-// distinct, never-reused object (see the pageArena field comment).
-func (k *Kernel) newPage() *Page {
+// newPages carves the next handles from the arena: n of them, or fewer
+// where the current chunk ends. Every handle is a distinct, never-reused
+// object (see the pageArena field comment).
+func (k *Kernel) newPages(n int) []Page {
 	if len(k.pageArena) == 0 {
 		k.pageArena = make([]Page, pageArenaChunk)
 	}
-	p := &k.pageArena[0]
-	k.pageArena = k.pageArena[1:]
-	return p
+	n = min(n, len(k.pageArena))
+	hs := k.pageArena[:n:n]
+	k.pageArena = k.pageArena[n:]
+	return hs
 }
 
 // errNoMemory returns the memoized allocation-failure error for the
@@ -196,13 +220,19 @@ func (k *Kernel) AllocPageCache(order int, src mem.Source) (*Page, error) {
 	if err != nil {
 		return nil, err
 	}
+	k.registerCache(p)
+	return p, nil
+}
+
+// registerCache appends a fresh page-cache allocation to the
+// reclaimable FIFO and reports it to the sink.
+func (k *Kernel) registerCache(p *Page) {
 	p.cacheIdx = int32(len(k.reclaimable))
 	k.reclaimable = append(k.reclaimable, uint32(p.PFN))
 	k.reclaimablePages += p.Pages()
 	if k.sink != nil {
 		k.sink.OnAlloc(p, true)
 	}
-	return p, nil
 }
 
 // Live reports whether the handle still owns memory (page-cache handles
@@ -221,11 +251,9 @@ func (k *Kernel) Pin(p *Page) error {
 	}
 	if k.cfg.Mode == ModeContiguitas && p.PFN >= k.boundary {
 		// Allocate a landing block in the unmovable region and move.
+		// No direct reclaim: page cache lives in the movable region, so
+		// the unmovable one has nothing to reclaim.
 		dst, ok := k.unmov.Alloc(int(p.Order), mem.MigrateUnmovable, p.Src)
-		if !ok {
-			k.reclaim(k.unmov, p.Pages())
-			dst, ok = k.unmov.Alloc(int(p.Order), mem.MigrateUnmovable, p.Src)
-		}
 		if !ok {
 			if k.ExpandUnmovable(p.Pages()*2) > 0 {
 				dst, ok = k.unmov.Alloc(int(p.Order), mem.MigrateUnmovable, p.Src)

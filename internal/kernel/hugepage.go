@@ -137,35 +137,31 @@ func (k *Kernel) AllocUserTHP(bytes uint64, thp, thp1G bool) (*Mapping, error) {
 			if k.tp.Enabled() {
 				k.tp.Emit(k.tick, telemetry.EvTHPFallback, mem.Order2M, remaining, 0)
 			}
-			for i := 0; i < mem.PageblockPages; i++ {
-				p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
-				if err != nil {
-					k.FreeMapping(m)
-					return nil, err
-				}
-				m.appendBlock(p)
-				remaining--
+			if err := k.allocUser4K(m, mem.PageblockPages); err != nil {
+				k.FreeMapping(m)
+				return nil, err
 			}
+			remaining -= mem.PageblockPages
 			continue
 		}
-		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
-		if err != nil {
+		// Base pages to the end, unless a 1 GB attempt just failed and
+		// the next page leaves enough for another.
+		n := remaining
+		if thp1G && remaining >= mem.OrderPages(mem.Order1G) {
+			n = 1
+		}
+		if err := k.allocUser4K(m, int(n)); err != nil {
 			k.FreeMapping(m)
 			return nil, err
 		}
-		m.appendBlock(p)
-		remaining--
+		remaining -= n
 	}
 	return m, nil
 }
 
-// FreeMapping releases every block of the mapping.
+// FreeMapping releases every live block of the mapping, in order.
 func (k *Kernel) FreeMapping(m *Mapping) {
-	for _, b := range m.Blocks {
-		if k.Live(b) {
-			k.Free(b)
-		}
-	}
+	k.FreeBatch(m.Blocks)
 	m.Blocks = nil
 	m.n4K = 0
 	m.interleaved = false
@@ -207,7 +203,7 @@ func (k *Kernel) Promote(m *Mapping, maxCollapses int) int {
 		}
 		group := small[next : next+mem.PageblockPages]
 		next += mem.PageblockPages
-		for _, p := range group {
+		for range group {
 			// Collapse: copy the base page into the huge block.
 			k.SWMigrations++
 			cycles := k.migCost.UnavailableCycles(k.cfg.Victims)
@@ -215,8 +211,8 @@ func (k *Kernel) Promote(m *Mapping, maxCollapses int) int {
 			if k.histSW != nil {
 				k.histSW.Observe(cycles)
 			}
-			k.Free(p)
 		}
+		k.FreeBatch(group)
 		rest = append(rest, huge)
 		collapses++
 	}

@@ -326,6 +326,14 @@ type Kernel struct {
 	promoteSmall []*Page
 	promoteRest  []*Page
 
+	// bulkPFNs and freeQ are the bounded scratch of the bulk 4 KB paths
+	// (bulk.go): one allocation step's PFNs, and the queued buddy frees
+	// of each region (0: zone or unmovable, 1: movable). Both are empty
+	// between kernel calls. singleCalls is the SetSingleCalls switch.
+	bulkPFNs    []uint64
+	freeQ       [2][]uint64
+	singleCalls bool
+
 	// pageArena batches handle allocation: Pages are carved from chunks
 	// so the hot path pays one heap allocation per chunk instead of one
 	// per Alloc. Handles are never recycled, so the identity-based
@@ -376,6 +384,11 @@ type Kernel struct {
 func New(cfg Config) *Kernel {
 	if cfg.MemBytes == 0 {
 		panic("kernel: zero memory size")
+	}
+	if cfg.WatermarkHigh < cfg.WatermarkLow {
+		// kswapd reclaims high - free pages once free drops below low;
+		// with high below low that difference wraps around.
+		panic("kernel: WatermarkHigh below WatermarkLow")
 	}
 	pm := mem.NewPhysMem(cfg.MemBytes)
 	k := &Kernel{

@@ -41,26 +41,39 @@ func (k *Kernel) reclaim(b *mem.Buddy, target uint64) uint64 {
 		if !b.Owns(pfn) {
 			continue
 		}
-		// A live FIFO entry always resolves: the slot is stamped with the
-		// sentinel whenever its page is freed, detached, or reclaimed.
-		p := k.live.get(pfn)
-		k.live.del(pfn)
-		mustFree(b, pfn)
-		k.reclaimable[i] = noCacheEntry
-		p.cacheIdx = -1
-		freed += p.Pages()
-		k.ReclaimedPages += p.Pages()
-		k.reclaimablePages -= p.Pages()
+		freed += k.dropReclaimable(i).Pages()
+		k.queueFree(pfn)
 	}
-	// Advance the head past the leading run of consumed entries.
+	k.flushFrees()
+	k.settleReclaimHead()
+	return freed
+}
+
+// dropReclaimable consumes FIFO slot i as reclaimed: the handle leaves
+// the live table and the FIFO, and the caller releases its frames. A
+// live FIFO entry always resolves: the slot is stamped with the sentinel
+// whenever its page is freed, detached, or reclaimed.
+func (k *Kernel) dropReclaimable(i int) *Page {
+	pfn := uint64(k.reclaimable[i])
+	p := k.live.get(pfn)
+	k.live.del(pfn)
+	k.reclaimable[i] = noCacheEntry
+	p.cacheIdx = -1
+	k.ReclaimedPages += p.Pages()
+	k.reclaimablePages -= p.Pages()
+	return p
+}
+
+// settleReclaimHead ends a reclaim pass: it advances the head past the
+// leading run of consumed entries and compacts the FIFO when the dead
+// prefix dominates.
+func (k *Kernel) settleReclaimHead() {
 	for k.reclaimHead < len(k.reclaimable) && k.reclaimable[k.reclaimHead] == noCacheEntry {
 		k.reclaimHead++
 	}
-	// Compact when the dead prefix dominates.
 	if k.reclaimHead > len(k.reclaimable)/2 && k.reclaimHead > 1024 {
 		k.compactReclaimable()
 	}
-	return freed
 }
 
 // compactReclaimable drops consumed entries and re-indexes survivors.

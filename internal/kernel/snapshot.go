@@ -301,7 +301,7 @@ func Restore(cfg Config, st *State) (*Kernel, error) {
 	// table's agreement (order, pin flags, allocated-head status) is
 	// proven by CheckInvariants below.
 	for _, ps := range st.Live {
-		p := k.newPage()
+		p := &k.newPages(1)[0]
 		*p = Page{PFN: ps.PFN, cacheIdx: ps.CacheIdx, Order: ps.Order,
 			MT: ps.MT, Src: ps.Src, Pinned: ps.Pinned}
 		if ps.PFN >= pm.NPages {

@@ -179,6 +179,12 @@ func (b *Buddy) noteBlockDel(order int, mt MigrateType) {
 // owning-list tag for free heads).
 func (b *Buddy) pushFree(pfn uint64, order int, listMT MigrateType) {
 	b.pm.setFreeHead(pfn, order, listMT)
+	b.listBlock(pfn, order, listMT)
+}
+
+// listBlock puts a block whose head already carries its free stamp on
+// listMT's list of the given order and counts it.
+func (b *Buddy) listBlock(pfn uint64, order int, listMT MigrateType) {
 	b.lists[order][listMT].push(b.pm, pfn)
 	b.freeByList[listMT] += OrderPages(order)
 	b.freeTotal += OrderPages(order)
@@ -301,11 +307,8 @@ func (b *Buddy) steal(order int, mt MigrateType) bool {
 		// pageblock.
 		b.StealsPolluting++
 	}
-	b.freeByList[mt] += OrderPages(o)
-	b.freeTotal += OrderPages(o)
 	b.pm.setHeadMT(pfn, mt)
-	b.lists[o][mt].push(b.pm, pfn)
-	b.noteBlockAdd(o, mt)
+	b.listBlock(pfn, o, mt)
 	return true
 }
 
@@ -314,13 +317,9 @@ func (b *Buddy) steal(order int, mt MigrateType) bool {
 // migratetype, as in Linux. A PFN outside the region or not heading an
 // allocated block returns a typed error and changes nothing.
 func (b *Buddy) Free(pfn uint64) error {
-	if !b.Owns(pfn) {
-		return fmt.Errorf("%w: Free(%d) outside [%d, %d)", ErrOutOfRange, pfn, b.start, b.end)
-	}
-	m := b.pm.meta[pfn]
-	order := metaOrder(m)
-	if order < 0 || m&flagFree != 0 {
-		return fmt.Errorf("%w: Free(%d)", ErrNotAllocated, pfn)
+	order, err := b.allocatedHead(pfn)
+	if err != nil {
+		return err
 	}
 	// The block keeps its allocated stamps until freeBlock's final
 	// pushFree restamps the whole merged block; the merge checks only
@@ -329,27 +328,56 @@ func (b *Buddy) Free(pfn uint64) error {
 	return nil
 }
 
+// allocatedHead returns the order of the allocated block headed at pfn,
+// or the error Free reports for any other pfn.
+func (b *Buddy) allocatedHead(pfn uint64) (int, error) {
+	if !b.Owns(pfn) {
+		return 0, fmt.Errorf("%w: Free(%d) outside [%d, %d)", ErrOutOfRange, pfn, b.start, b.end)
+	}
+	m := b.pm.meta[pfn]
+	order := metaOrder(m)
+	if order < 0 || m&flagFree != 0 {
+		return 0, fmt.Errorf("%w: Free(%d)", ErrNotAllocated, pfn)
+	}
+	return order, nil
+}
+
 // freeBlock inserts a (currently unmarked) block as free, coalescing
 // upward while the buddy block is free, same-order, and inside the region.
 func (b *Buddy) freeBlock(pfn uint64, order int) {
+	pfn, order = b.mergeUp(pfn, order, false)
+	b.pushFree(pfn, order, b.pm.PageblockMT(pfn))
+}
+
+// mergeUp coalesces the block at pfn upward while its buddy is a free
+// head of the same order inside the region, and returns the merged
+// block. An absorbed head's frame stops being a head; the caller's
+// final stamp of the merged block restamps every frame it covers. With
+// unlisted set, heads marked flagPending are FreeBatch blocks kept off
+// the lists, absorbed without a list remove.
+func (b *Buddy) mergeUp(pfn uint64, order int, unlisted bool) (uint64, int) {
+	meta := b.pm.meta
 	for order < MaxOrder {
 		buddy := pfn ^ OrderPages(order)
 		if buddy < b.start || buddy+OrderPages(order) > b.end {
 			break
 		}
-		bm := b.pm.meta[buddy]
+		bm := meta[buddy]
 		if bm&(flagFree|flagHead) != flagFree|flagHead || metaOrder(bm) != order {
 			break
 		}
-		// No clearBlock of the absorbed buddy: the merged block's final
-		// setFreeHead restamps every frame it covers.
-		b.takeFree(buddy)
+		if !unlisted || bm&flagPending == 0 {
+			b.takeFree(buddy)
+		}
 		if buddy < pfn {
+			meta[pfn] = 0
 			pfn = buddy
+		} else {
+			meta[buddy] = 0
 		}
 		order++
 	}
-	b.pushFree(pfn, order, b.pm.PageblockMT(pfn))
+	return pfn, order
 }
 
 // Donate adds the frame range [start, start+n) to the region as free

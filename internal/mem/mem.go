@@ -310,6 +310,18 @@ func (pm *PhysMem) setAllocated(pfn uint64, order int, mt MigrateType, src Sourc
 	pm.markDirty(pfn, n)
 }
 
+// setAllocated4K stamps the n frames from pfn as n allocated 4 KB
+// pages: the state n setAllocated(pfn+i, Order4K, mt, src) calls leave.
+func (pm *PhysMem) setAllocated4K(pfn, n uint64, mt MigrateType, src Source) {
+	w := uint32(1)<<metaCovShift | uint32(mt)<<metaMTShift | uint32(src)<<metaSrcShift |
+		flagHead | uint32(1)<<metaOrdShift
+	mw := pm.meta[pfn : pfn+n]
+	for i := range mw {
+		mw[i] = w
+	}
+	pm.markDirty(pfn, n)
+}
+
 // setFreeHead stamps a block as a free buddy block of the given order,
 // owned by listMT's free list (the tag takeFree reads back). The mt/src
 // stamps of the frames' past lives are dropped; nothing reads them on

@@ -23,6 +23,9 @@ type Runner struct {
 	mappings []*kernel.Mapping
 	unmov    []*kernel.Page
 	small    []*kernel.Page
+	// freeBatch is the reused, cleared-after-use queue of one churn
+	// pass's frees.
+	freeBatch []*kernel.Page
 	// unmovHeld and mappingHeld cache the frame counts of the unmovable
 	// pool and the user mappings (both are refilled in loops; recomputing
 	// the sums would be quadratic in pool size).
@@ -119,17 +122,22 @@ func (r *Runner) Run(n uint64) {
 // it — the scattering mechanism; under ModeContiguitas it is confined.
 func (r *Runner) stepUnmovable() {
 	churn := int(float64(len(r.unmov)) * r.P.UnmovableChurn)
+	batch := r.freeBatch[:0]
 	for i := 0; i < churn && len(r.unmov) > 0; i++ {
 		j := r.rng.Intn(len(r.unmov))
 		p := r.unmov[j]
 		if p.Pinned {
+			// Free what is queued first, so the unpin lands between the
+			// same frees as it would one call at a time.
+			batch = r.flushFrees(batch)
 			r.K.Unpin(p)
 		}
-		r.K.Free(p)
+		batch = append(batch, p)
 		r.unmovHeld -= p.Pages()
 		r.unmov[j] = r.unmov[len(r.unmov)-1]
 		r.unmov = r.unmov[:len(r.unmov)-1]
 	}
+	r.freeBatch = r.flushFrees(batch)
 	target := r.unmovableTarget()
 	// The slab allocator holds its share as backing pages; direct
 	// unmovable allocations cover the remainder.
@@ -233,12 +241,24 @@ func (r *Runner) unmovableTarget() uint64 {
 // holes across the address space.
 func (r *Runner) churnSmall() {
 	churn := int(float64(len(r.small)) * r.P.SmallChurn)
+	batch := r.freeBatch[:0]
 	for i := 0; i < churn && len(r.small) > 0; i++ {
 		j := r.rng.Intn(len(r.small))
-		r.K.Free(r.small[j])
+		batch = append(batch, r.small[j])
 		r.small[j] = r.small[len(r.small)-1]
 		r.small = r.small[:len(r.small)-1]
 	}
+	r.freeBatch = r.flushFrees(batch)
+}
+
+// flushFrees frees the queued handles in order (Kernel.FreeBatch) and
+// returns the emptied queue, its slots cleared so it pins no handle.
+func (r *Runner) flushFrees(batch []*kernel.Page) []*kernel.Page {
+	if len(batch) > 0 {
+		r.K.FreeBatch(batch)
+		clear(batch)
+	}
+	return batch[:0]
 }
 
 // fillSmall tops the 4 KB user pool back up to target.
@@ -248,6 +268,13 @@ func (r *Runner) fillSmall() {
 		r.small = make([]*kernel.Page, 0, target)
 	}
 	for uint64(len(r.small)) < target && !r.suppressed(vicSmall) {
+		// The bulk path serves the pages single calls would serve
+		// without a slow path; the slow one, which may OOM-kill this
+		// very pool, stays a single call against r.small.
+		r.small = r.K.AllocBulk4K(r.small, int(target)-len(r.small), mem.MigrateMovable, mem.SrcUser)
+		if uint64(len(r.small)) >= target {
+			return
+		}
 		p, err := r.K.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
 			return
@@ -260,13 +287,8 @@ func (r *Runner) fillSmall() {
 // under pressure, so overshoot self-corrects.
 func (r *Runner) stepPageCache() {
 	target := r.targetPages(r.P.PageCacheFrac)
-	have := r.cachePagesEstimate()
-	for have < target {
-		p, err := r.K.AllocPageCache(mem.Order4K, mem.SrcFilesystem)
-		if err != nil {
-			return
-		}
-		have += p.Pages()
+	if have := r.cachePagesEstimate(); have < target {
+		r.K.AllocPageCacheBulk4K(int(target-have), mem.SrcFilesystem)
 	}
 }
 

@@ -2,7 +2,8 @@
 # Hot-path benchmark smoke: runs the simulator's key benchmarks —
 # warm/cold physical-memory scans, the Figure 4 fleet study, the
 # cold/warm result-cache campaign pair, one cold contigd cell, buddy
-# alloc/free (LIFO, and both PFN orders at 256 MiB and 8 GiB), a
+# alloc/free (LIFO, and both PFN orders at 256 MiB and 8 GiB; runs of
+# 512 4 KB pages as single calls and as bulk calls, per policy), a
 # workload tick, the covering-head lookup, and the cycle-level hardware
 # model (one `migbench -bench serve` exec, the §5.3 serving runs, a
 # cache access and a TLB translation), and a write-then-verified-read of
@@ -61,7 +62,7 @@ fi
 out="${1:-BENCH.json}"
 benchtime="${BENCHTIME:-3x}"
 count="${COUNT:-1}"
-pattern='^(BenchmarkFullScan|BenchmarkFullScanCold|BenchmarkFig4ContiguityCDF|BenchmarkFleetCampaignCold|BenchmarkFleetCampaignWarm|BenchmarkBuddyAllocFree4K|BenchmarkBuddyAllocFree4KLowestPFN|BenchmarkBuddyAllocFree4KHighestPFN|BenchmarkColdCell|BenchmarkWorkloadTick|BenchmarkAllocHead|BenchmarkTickTelemetryOff|BenchmarkTickTelemetryOn|BenchmarkMetricsExposition|BenchmarkTickScrapeUnderLoad|BenchmarkServeExec|BenchmarkSec53MigrationImpact|BenchmarkCacheAccess|BenchmarkTLBTranslate|BenchmarkSealedRecords)$'
+pattern='^(BenchmarkFullScan|BenchmarkFullScanCold|BenchmarkFig4ContiguityCDF|BenchmarkFleetCampaignCold|BenchmarkFleetCampaignWarm|BenchmarkBuddyAllocFree4K|BenchmarkBuddyAllocFree4KLowestPFN|BenchmarkBuddyAllocFree4KHighestPFN|BenchmarkBuddyAllocFree4KBulk|BenchmarkColdCell|BenchmarkWorkloadTick|BenchmarkAllocHead|BenchmarkTickTelemetryOff|BenchmarkTickTelemetryOn|BenchmarkMetricsExposition|BenchmarkTickScrapeUnderLoad|BenchmarkServeExec|BenchmarkSec53MigrationImpact|BenchmarkCacheAccess|BenchmarkTLBTranslate|BenchmarkSealedRecords)$'
 
 raw="$(go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -count "$count" .)"
 printf '%s\n' "$raw"
