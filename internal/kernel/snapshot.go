@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 
 	"contiguitas/internal/mem"
@@ -11,10 +10,6 @@ import (
 	"contiguitas/internal/seal"
 	"contiguitas/internal/stats"
 )
-
-// floatBits is the canonical bit pattern a float contributes to the
-// state hash.
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
 
 // Checkpoint/restore codec for the whole simulated machine.
 //
@@ -384,128 +379,173 @@ func Restore(cfg Config, st *State) (*Kernel, error) {
 // do.
 func (k *Kernel) PageAt(pfn uint64) *Page { return k.live.get(pfn) }
 
-// Hash computes the canonical state digest: a 64-bit FNV-1a over every
-// serialized field in a fixed order (map-valued scan statistics are
-// walked in ScanOrders order, never map order). Two machines with equal
-// hashes at the same tick are byte-equivalent for every serialized
-// structure; the chain hash in the snapshot envelope links these
-// per-checkpoint digests into a tamper-evident history.
+// Hash is the canonical state digest: FNV-1a 64 of the state's hashed
+// section (see walk). Two machines with equal hashes at the same tick
+// are equivalent for every serialized structure; the chain hash in the
+// snapshot envelope links these per-checkpoint digests into a
+// tamper-evident history.
 func (st *State) Hash() uint64 {
-	h := seal.NewDigest()
-	w := func(vs ...uint64) { h.Uint64s(vs...) }
-	wb := func(v bool) {
-		if v {
-			w(1)
-		} else {
-			w(0)
+	hashed, _ := st.sections()
+	return seal.Sum64(hashed)
+}
+
+// Encode appends the state's hashed section and then its witness
+// section to w, each behind its byte length.
+func (st *State) Encode(w *seal.Writer) {
+	hashed, witness := st.sections()
+	w.Bytes(hashed)
+	w.Bytes(witness)
+}
+
+// DecodeState reads a state Encode wrote, refusing any bytes Encode
+// would not have produced. Errors wrap r's format sentinel.
+func DecodeState(r *seal.Reader) (*State, error) {
+	hr, wr := r.Section(), r.Section()
+	st := new(State)
+	st.walk(seal.NewDecoder(hr), seal.NewDecoder(wr))
+	if err := hr.Done(); err != nil {
+		return nil, fmt.Errorf("kernel state: %w", err)
+	}
+	if err := wr.Done(); err != nil {
+		return nil, fmt.Errorf("kernel state witness: %w", err)
+	}
+	return st, nil
+}
+
+func (st *State) sections() (hashed, witness []byte) {
+	var h, w seal.Writer
+	st.walk(seal.NewEncoder(&h), seal.NewEncoder(&w))
+	return h.Body(), w.Body()
+}
+
+// walk is the state's one schema. Fields the hash covers go through h,
+// in the order and at the widths the state hash has always digested
+// them; stored fields the hash leaves out go through w: the FlIdx
+// witness (redundant with the free lists hashed in h) and the presence
+// markers of Scan and Pressure, which the hashed section leaves
+// implicit.
+func (st *State) walk(h, w *seal.Codec) {
+	words := func(s []uint64) {
+		for i := range s {
+			h.U64(&s[i])
 		}
 	}
-
-	w(st.MemBytes, uint64(st.Mode), st.Seed)
-	wb(st.HasHWMover)
-	w(st.Tick, st.Boundary, st.RNGS0, st.RNGS1)
-	w(st.WdMigStall, st.WdCompactStall)
+	h.U64(&st.MemBytes)
+	seal.Uint(h, &st.Mode)
+	h.U64(&st.Seed)
+	h.Bool(&st.HasHWMover)
+	h.U64s(&st.Tick, &st.Boundary, &st.RNGS0, &st.RNGS1, &st.WdMigStall, &st.WdCompactStall)
 
 	c := &st.Counters
-	w(c.AllocOK, c.AllocFail, c.DirectReclaim, c.KswapdRuns, c.ReclaimedPages,
-		c.CompactRuns, c.CompactSuccess, c.CompactDeferred,
-		c.SWMigrations, c.SWMigrationCycles, c.HWMigrations, c.HWMigrationCycles, c.PinMigrations,
-		c.MigrationFailures, c.MigrationRetries, c.BackoffCycles, c.SWFallbacks, c.MigrationDeferred,
-		c.CarveFails, c.CompactRequeues, c.ResizeAborts, c.LivelockTrips,
-		c.Expands, c.Shrinks, c.ShrinkFails, c.BoundaryMovedPages,
-		c.AllocThrottled, c.ThrottleStallCycles, c.AllocShed,
-		c.EmergencyShrinks, c.EmergencyShrinkPages, c.EmergencyShrinkDeferred,
-		c.OOMKills, c.OOMKilledPages, c.THPFallbacks)
+	h.U64s(&c.AllocOK, &c.AllocFail, &c.DirectReclaim, &c.KswapdRuns, &c.ReclaimedPages,
+		&c.CompactRuns, &c.CompactSuccess, &c.CompactDeferred,
+		&c.SWMigrations, &c.SWMigrationCycles, &c.HWMigrations, &c.HWMigrationCycles, &c.PinMigrations,
+		&c.MigrationFailures, &c.MigrationRetries, &c.BackoffCycles, &c.SWFallbacks, &c.MigrationDeferred,
+		&c.CarveFails, &c.CompactRequeues, &c.ResizeAborts, &c.LivelockTrips,
+		&c.Expands, &c.Shrinks, &c.ShrinkFails, &c.BoundaryMovedPages,
+		&c.AllocThrottled, &c.ThrottleStallCycles, &c.AllocShed,
+		&c.EmergencyShrinks, &c.EmergencyShrinkPages, &c.EmergencyShrinkDeferred,
+		&c.OOMKills, &c.OOMKilledPages, &c.THPFallbacks)
 
-	w(st.Phys.NPages)
-	for _, m := range st.Phys.Meta {
-		w(uint64(m))
-	}
-	for _, m := range st.Phys.PbMT {
-		w(uint64(m))
-	}
-	// FlIdx is a witness over the free lists hashed below; hashing it
-	// too would be redundant.
+	ph := &st.Phys
+	h.U64(&ph.NPages)
+	seal.Array(h, &ph.Meta, ph.NPages, func(m *uint32) { seal.Uint(h, m) })
+	seal.Array(h, &ph.PbMT, ph.NPages/mem.PageblockPages, func(m *uint8) { seal.Uint(h, m) })
+	seal.Array(w, &ph.FlIdx, ph.NPages, func(i *int32) { seal.Int(w, i) })
 
-	w(uint64(len(st.Regions)))
-	for _, bs := range st.Regions {
-		w(bs.Start, bs.End, uint64(bs.Policy))
-		wb(bs.Fallback)
-		w(bs.FreeTotal, bs.StealsConverting, bs.StealsPolluting)
-		for _, f := range bs.FreeByList {
-			w(f)
+	seal.Slice(h, &st.Regions, func(bs *mem.BuddyState) {
+		h.U64s(&bs.Start, &bs.End)
+		seal.Uint(h, &bs.Policy)
+		h.Bool(&bs.Fallback)
+		h.U64s(&bs.FreeTotal, &bs.StealsConverting, &bs.StealsPolluting)
+		words(bs.FreeByList[:])
+		for o := range bs.Lists {
+			for mt := range bs.Lists[o] {
+				seal.Slice(h, &bs.Lists[o][mt], h.U64)
+			}
 		}
-		for o := 0; o <= mem.MaxOrder; o++ {
-			for mt := 0; mt < mem.NumMigrateTypes; mt++ {
-				l := bs.Lists[o][mt]
-				w(uint64(len(l)))
-				w(l...)
+	})
+
+	seal.Slice(h, &st.Live, func(p *PageState) {
+		// CacheIdx and Order are hashed as their unsigned bit patterns.
+		cacheIdx, order := uint32(p.CacheIdx), uint8(p.Order)
+		h.U64(&p.PFN)
+		seal.Uint(h, &cacheIdx)
+		seal.Uint(h, &order)
+		seal.Uint(h, &p.MT)
+		seal.Uint(h, &p.Src)
+		h.Bool(&p.Pinned)
+		if h.Decoding() {
+			p.CacheIdx, p.Order = int32(cacheIdx), int8(order)
+		}
+	})
+
+	seal.Slice(h, &st.Reclaimable, func(e *uint32) { seal.Uint(h, e) })
+	seal.Int(h, &st.ReclaimHead)
+	h.U64(&st.ReclaimablePages)
+
+	seal.Slice(h, &st.Compact, func(cs *CompactRegionState) {
+		seal.Int(h, &cs.Region)
+		seal.Uint(h, &cs.DeferShift)
+		h.U64(&cs.DeferUntil)
+		words(cs.Cursors[:])
+		seal.Slice(h, &cs.Retry, func(t *CompactTargetState) {
+			h.U64(&t.PFN)
+			seal.Int(h, &t.Order)
+		})
+	})
+
+	for i := range st.PSI.Trackers {
+		walkTracker(h, &st.PSI.Trackers[i])
+	}
+	for i := range st.PSI.Pending {
+		h.F64(&st.PSI.Pending[i])
+	}
+
+	if seal.Opt(w, &st.Scan) {
+		s := st.Scan
+		h.U64s(&s.TotalPages, &s.FreePages, &s.UnmovableFrames)
+		words(s.UnmovableBySource[:])
+		// The per-order maps are walked in ScanOrders order, never map
+		// order, and decode with exactly the ScanOrders keys.
+		maps := []*map[int]uint64{&s.FreeContigPages, &s.UnmovableBlocks, &s.TotalBlocks, &s.PotentialBlocks}
+		for _, m := range maps {
+			if h.Decoding() {
+				*m = make(map[int]uint64, len(mem.ScanOrders))
+			}
+		}
+		for _, o := range mem.ScanOrders {
+			for _, m := range maps {
+				v := (*m)[o]
+				h.U64(&v)
+				if h.Decoding() {
+					(*m)[o] = v
+				}
 			}
 		}
 	}
 
-	w(uint64(len(st.Live)))
-	for _, p := range st.Live {
-		w(p.PFN, uint64(uint32(p.CacheIdx)), uint64(uint8(p.Order)), uint64(p.MT), uint64(p.Src))
-		wb(p.Pinned)
-	}
-
-	w(uint64(len(st.Reclaimable)))
-	for _, e := range st.Reclaimable {
-		w(uint64(e))
-	}
-	w(uint64(st.ReclaimHead), st.ReclaimablePages)
-
-	w(uint64(len(st.Compact)))
-	for _, cs := range st.Compact {
-		w(uint64(cs.Region), uint64(cs.DeferShift), cs.DeferUntil)
-		for _, cur := range cs.Cursors {
-			w(cur)
-		}
-		w(uint64(len(cs.Retry)))
-		for _, t := range cs.Retry {
-			w(t.PFN, uint64(t.Order))
-		}
-	}
-
-	for _, tr := range st.PSI.Trackers {
-		w(floatBits(tr.Avg), floatBits(tr.Total), tr.Ticks)
-	}
-	for _, p := range st.PSI.Pending {
-		w(floatBits(p))
-	}
-
-	if st.Scan != nil {
-		s := st.Scan
-		w(s.TotalPages, s.FreePages, s.UnmovableFrames)
-		for _, v := range s.UnmovableBySource {
-			w(v)
-		}
-		for _, o := range mem.ScanOrders {
-			w(s.FreeContigPages[o], s.UnmovableBlocks[o], s.TotalBlocks[o], s.PotentialBlocks[o])
-		}
-	}
-
-	wb(st.HasPressure)
-	if st.Pressure != nil {
+	h.Bool(&st.HasPressure)
+	if seal.Opt(w, &st.Pressure) {
 		p := st.Pressure
-		wb(p.Gate.Shedding)
-		w(p.Gate.Since)
-		w(floatBits(p.GatePSI.Avg), floatBits(p.GatePSI.Total), p.GatePSI.Ticks)
-		for _, v := range p.Esc.Hits {
-			w(v)
-		}
-		for _, v := range p.Esc.FirstTick {
-			w(v)
-		}
-		w(uint64(len(p.OOMHistory)))
-		for _, kl := range p.OOMHistory {
-			w(kl.Tick, uint64(len(kl.Victim)))
-			h.WriteString(kl.Victim)
-			w(uint64(kl.Badness), kl.PagesFreed)
-		}
+		h.Bool(&p.Gate.Shedding)
+		h.U64(&p.Gate.Since)
+		walkTracker(h, &p.GatePSI)
+		words(p.Esc.Hits[:])
+		words(p.Esc.FirstTick[:])
+		seal.Slice(h, &p.OOMHistory, func(kl *pressure.Kill) {
+			h.U64(&kl.Tick)
+			h.String(&kl.Victim)
+			seal.Int(h, &kl.Badness)
+			h.U64(&kl.PagesFreed)
+		})
 	}
-	return h.Sum64()
+}
+
+func walkTracker(c *seal.Codec, t *psi.TrackerState) {
+	c.F64(&t.Avg)
+	c.F64(&t.Total)
+	c.U64(&t.Ticks)
 }
 
 // StateHash exports the machine and returns its canonical digest. It is

@@ -76,8 +76,11 @@ func (r *Reader) U64() uint64 {
 // Count reads a u64 element count, refusing one whose elements (each at
 // least minSize bytes) cannot fit in what remains — a corrupt count
 // never sizes an allocation.
-func (r *Reader) Count(minSize int) int {
-	n := r.U64()
+func (r *Reader) Count(minSize int) int { return r.fit(r.U64(), minSize) }
+
+// fit returns n, refusing it when n elements of minSize bytes each
+// cannot fit in what remains.
+func (r *Reader) fit(n uint64, minSize int) int {
 	if n > uint64(len(r.buf))/uint64(max(minSize, 1)) {
 		r.fail("count %d of %d-byte elements, %d bytes left", n, minSize, len(r.buf))
 	}
@@ -89,6 +92,10 @@ func (r *Reader) Count(minSize int) int {
 
 // Bytes reads a u64-length-prefixed byte string, aliasing the body.
 func (r *Reader) Bytes() []byte { return r.take(uint64(r.Count(1))) }
+
+// Section reads a u64-length-prefixed byte string as a reader of its
+// own, whose errors wrap the same format sentinel.
+func (r *Reader) Section() *Reader { return &Reader{buf: r.Bytes(), family: r.family} }
 
 // CString reads a NUL-terminated string.
 func (r *Reader) CString() string {

@@ -3,14 +3,21 @@ package seal_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
+	"contiguitas/internal/fault"
 	"contiguitas/internal/kernel"
+	"contiguitas/internal/mem"
 	"contiguitas/internal/resultcache"
 	"contiguitas/internal/service"
 	"contiguitas/internal/snapshot"
+	"contiguitas/internal/workload"
 )
 
 // sealedFormat is one of the five on-disk formats, seen through its
@@ -20,8 +27,7 @@ type sealedFormat struct {
 	// file is a valid sealed file written by the format's writer.
 	file []byte
 	// decode runs the format's decoder. On success it returns the
-	// decoded value re-encoded through the writer, or nil when the
-	// encoding is not canonical (CTGSNAP's gob-encoded machine).
+	// decoded value re-encoded through the writer.
 	decode func(data []byte) ([]byte, error)
 	// family reports whether err is one of the format's sentinels.
 	family func(err error) bool
@@ -94,10 +100,13 @@ func sealedFormats(tb testing.TB) []sealedFormat {
 			file: writeRead(func(p string) error { return snapshot.Write(p, env) }),
 			decode: func(data []byte) ([]byte, error) {
 				e, err := snapshot.Decode(data)
-				if err == nil && snapshot.HashMachine(&e.Machine) != e.StateHash {
+				if err != nil {
+					return nil, err
+				}
+				if snapshot.HashMachine(&e.Machine) != e.StateHash {
 					return nil, errors.New("accepted an envelope whose state hash does not verify")
 				}
-				return nil, err
+				return writeRead(func(p string) error { return snapshot.Write(p, e) }), nil
 			},
 			family: func(err error) bool {
 				return isAny(err, snapshot.ErrBadMagic, snapshot.ErrBadVersion, snapshot.ErrHashMismatch)
@@ -165,7 +174,7 @@ func TestSealedRecordsRejectEveryEdit(t *testing.T) {
 			if err != nil {
 				t.Fatalf("valid file refused: %v", err)
 			}
-			if re != nil && !bytes.Equal(re, f.file) {
+			if !bytes.Equal(re, f.file) {
 				t.Fatal("re-encoding the decoded value changed the bytes")
 			}
 			refused := func(what string, data []byte) {
@@ -193,8 +202,7 @@ func TestSealedRecordsRejectEveryEdit(t *testing.T) {
 
 // FuzzSealedRecords throws arbitrary bytes at all five decoders. Each
 // must refuse with its own sentinel or accept, never panic; an accepted
-// record must re-encode to the same bytes (CTGSNAP: its state hash must
-// verify). The corpus seeds a valid file of each format plus a
+// record must re-encode to the same bytes. The corpus seeds a valid file of each format plus a
 // truncated and a bit-flipped copy, so mutation starts inside every
 // frame.
 func FuzzSealedRecords(f *testing.F) {
@@ -216,9 +224,184 @@ func FuzzSealedRecords(f *testing.F) {
 				}
 				continue
 			}
-			if re != nil && !bytes.Equal(re, data) {
+			if !bytes.Equal(re, data) {
 				t.Fatalf("%s: accepted record re-encodes to different bytes", sf.name)
 			}
 		}
 	})
+}
+
+// codecBase is the machine TestSnapshotCodecCoversEveryField mutates:
+// every optional layer present, every implicit-length array sized from
+// NPages, and the scan maps keyed by exactly mem.ScanOrders, so that
+// each leaf is reachable and the unmutated machine round-trips.
+func codecBase() *snapshot.Machine {
+	npages := uint64(mem.PageblockPages)
+	orders := func() map[int]uint64 {
+		m := make(map[int]uint64)
+		for _, o := range mem.ScanOrders {
+			m[o] = 0
+		}
+		return m
+	}
+	return &snapshot.Machine{
+		Kernel: &kernel.State{
+			Phys: mem.PhysMemState{NPages: npages, Meta: make([]uint32, npages),
+				PbMT: make([]uint8, npages/mem.PageblockPages), FlIdx: make([]int32, npages)},
+			Scan: &mem.ContiguityStats{FreeContigPages: orders(), UnmovableBlocks: orders(),
+				TotalBlocks: orders(), PotentialBlocks: orders()},
+			HasPressure: true,
+			Pressure:    &kernel.PressureState{},
+		},
+		Runner: &workload.RunnerState{},
+		Faults: &fault.InjectorState{},
+	}
+}
+
+// codecImplied re-sizes the arrays whose length the schema derives from
+// a field, after a mutation moved that field.
+var codecImplied = map[string]func(m *snapshot.Machine){
+	"Kernel.Phys.NPages": func(m *snapshot.Machine) {
+		ph := &m.Kernel.Phys
+		ph.NPages = 2 * mem.PageblockPages
+		ph.Meta, ph.PbMT, ph.FlIdx = make([]uint32, ph.NPages), make([]uint8, 2), make([]int32, ph.NPages)
+	},
+}
+
+// codecWitness lists the fields the snapshot stores but the state hash
+// leaves out, by path with indices dropped.
+var codecWitness = map[string]bool{"Kernel.Phys.FlIdx": true}
+
+// mutateLeaf finds the target-th leaf of v (counting from *seen) and
+// changes it, returning its path; a leaf is a scalar field, an array
+// element, element 0 of a slice (allocated when empty), a map value, or
+// an optional pointer (set to nil). Scalars move to an edge of their
+// width: all ones unsigned, -2 signed, so narrowing and sign extension
+// are exercised too.
+func mutateLeaf(t *testing.T, v reflect.Value, path string, target int, seen *int) (string, bool) {
+	leaf := func(set func()) (string, bool) {
+		if *seen == target {
+			set()
+			return path, true
+		}
+		*seen++
+		return "", false
+	}
+	switch v.Kind() {
+	case reflect.Pointer:
+		if path != "Kernel" {
+			if p, ok := leaf(func() { v.SetZero() }); ok {
+				return p, ok
+			}
+		}
+		return mutateLeaf(t, v.Elem(), path, target, seen)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if !f.IsExported() {
+				t.Fatalf("%s.%s is unexported: the snapshot cannot carry it", path, f.Name)
+			}
+			if p, ok := mutateLeaf(t, v.Field(i), strings.TrimPrefix(path+"."+f.Name, "."), target, seen); ok {
+				return p, ok
+			}
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if p, ok := mutateLeaf(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), target, seen); ok {
+				return p, ok
+			}
+		}
+	case reflect.Slice:
+		elems := v
+		if v.Len() == 0 {
+			elems = reflect.MakeSlice(v.Type(), 1, 1)
+		}
+		p, ok := mutateLeaf(t, elems.Index(0), path+"[0]", target, seen)
+		if ok {
+			v.Set(elems)
+		}
+		return p, ok
+	case reflect.Map:
+		keys := v.MapKeys()
+		if len(keys) == 0 {
+			t.Fatalf("%s: base map is empty", path)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i].Int() < keys[j].Int() })
+		for _, k := range keys {
+			val := reflect.New(v.Type().Elem()).Elem()
+			val.Set(v.MapIndex(k))
+			if p, ok := mutateLeaf(t, val, fmt.Sprintf("%s[%d]", path, k.Int()), target, seen); ok {
+				v.SetMapIndex(k, val)
+				return p, ok
+			}
+		}
+	case reflect.Bool:
+		return leaf(func() { v.SetBool(!v.Bool()) })
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return leaf(func() { v.SetInt(-2) })
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return leaf(func() { v.SetUint(^uint64(0) >> (64 - v.Type().Bits())) })
+	case reflect.Float64:
+		return leaf(func() { v.SetFloat(v.Float() + 1.5) })
+	case reflect.String:
+		return leaf(func() { v.SetString(v.String() + "x") })
+	default:
+		t.Fatalf("%s: no mutation for kind %v", path, v.Kind())
+	}
+	return "", false
+}
+
+// TestSnapshotCodecCoversEveryField changes each leaf of kernel.State,
+// workload.RunnerState and fault.InjectorState in turn. The change must
+// survive a CTGSNAP write and read, and must move the state hash unless
+// the field is on the witness list — so a field added to any of these
+// structs fails here until the codec's walk carries and hashes it.
+func TestSnapshotCodecCoversEveryField(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.ctgsnap")
+	roundTrip := func(field string, m *snapshot.Machine) (*snapshot.Envelope, uint64) {
+		t.Helper()
+		e := &snapshot.Envelope{Machine: *m}
+		e.Seal(0)
+		if err := snapshot.Write(path, e); err != nil {
+			t.Fatal(err)
+		}
+		got, err := snapshot.Read(path)
+		if err != nil {
+			t.Fatalf("%s: read back: %v", field, err)
+		}
+		return got, e.StateHash
+	}
+	base := codecBase()
+	got, baseHash := roundTrip("base", base)
+	if !reflect.DeepEqual(got.Machine, *base) {
+		t.Fatal("the unmutated machine did not survive the round trip")
+	}
+
+	leaves := 0
+	for ; ; leaves++ {
+		m := codecBase()
+		seen := 0
+		field, ok := mutateLeaf(t, reflect.ValueOf(m).Elem(), "", leaves, &seen)
+		if !ok {
+			break
+		}
+		if fix := codecImplied[field]; fix != nil {
+			fix(m)
+		}
+		got, hash := roundTrip(field, m)
+		if !reflect.DeepEqual(got.Machine, *m) {
+			t.Errorf("%s: changed value did not survive encode and decode", field)
+		}
+		witness := codecWitness[strings.Split(field, "[")[0]]
+		if hash == baseHash && !witness {
+			t.Errorf("%s: change does not move the state hash", field)
+		}
+		if hash != baseHash && witness {
+			t.Errorf("%s: witness field moves the state hash", field)
+		}
+	}
+	if leaves < 100 {
+		t.Fatalf("walked only %d leaves", leaves)
+	}
+	t.Logf("%d leaves", leaves)
 }

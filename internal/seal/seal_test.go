@@ -144,3 +144,57 @@ func TestReaderRefusals(t *testing.T) {
 		t.Fatalf("format reader: %v, want ErrBody and the format sentinel", err)
 	}
 }
+
+// TestCodecRefusesNonCanonical: a decoded value must re-encode to the
+// bytes it came from, so every u64 its field cannot reproduce — and any
+// count the remaining bytes cannot hold — is refused.
+func TestCodecRefusesNonCanonical(t *testing.T) {
+	body := func(vs ...uint64) *Reader {
+		var w Writer
+		w.U64(vs...)
+		return NewReader(w.Body())
+	}
+	for _, tc := range []struct {
+		name string
+		r    *Reader
+		walk func(c *Codec)
+	}{
+		{"bool 2", body(2), func(c *Codec) { var b bool; c.Bool(&b) }},
+		{"uint8 256", body(256), func(c *Codec) { var v uint8; Uint(c, &v) }},
+		{"uint32 2^32", body(1 << 32), func(c *Codec) { var v uint32; Uint(c, &v) }},
+		{"int8 +128", body(128), func(c *Codec) { var v int8; Int(c, &v) }},
+		{"int32 below range", body(^uint64(1 << 31)), func(c *Codec) { var v int32; Int(c, &v) }},
+		{"slice count past end", body(3, 1, 2), func(c *Codec) { var s []uint64; Slice(c, &s, c.U64) }},
+		{"array length past end", body(1, 2), func(c *Codec) { var s []uint64; Array(c, &s, 3, c.U64) }},
+		{"presence marker 2", body(2), func(c *Codec) { var p *uint64; Opt(c, &p) }},
+	} {
+		tc.walk(NewDecoder(tc.r))
+		if err := tc.r.Done(); !errors.Is(err, ErrBody) {
+			t.Errorf("%s: got %v, want ErrBody", tc.name, err)
+		}
+	}
+
+	// The edges of every width survive the round trip.
+	var w Writer
+	i8, i32, u8, f, s := int8(-128), int32(-1), uint8(255), -0.5, "edge"
+	enc := NewEncoder(&w)
+	Int(enc, &i8)
+	Int(enc, &i32)
+	Uint(enc, &u8)
+	enc.F64(&f)
+	enc.String(&s)
+	var (
+		gi8, gi32, gu8 = int8(0), int32(0), uint8(0)
+		gf, gs         = 0.0, ""
+	)
+	r := NewReader(w.Body())
+	dec := NewDecoder(r)
+	Int(dec, &gi8)
+	Int(dec, &gi32)
+	Uint(dec, &gu8)
+	dec.F64(&gf)
+	dec.String(&gs)
+	if err := r.Done(); err != nil || gi8 != i8 || gi32 != i32 || gu8 != u8 || gf != f || gs != s {
+		t.Fatalf("edge values: %v %v %v %v %q, %v", gi8, gi32, gu8, gf, gs, err)
+	}
+}

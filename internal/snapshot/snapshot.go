@@ -26,15 +26,13 @@
 package snapshot
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"math"
 
 	"contiguitas/internal/fault"
 	"contiguitas/internal/kernel"
 	"contiguitas/internal/seal"
+	"contiguitas/internal/slab"
 	"contiguitas/internal/workload"
 )
 
@@ -47,7 +45,10 @@ import (
 //	    history), runner OOMBackoffUntil/OOMKillsTaken, and the nine
 //	    pressure counters in the kernel counter block.
 //	3 — sealed-record frame: flat header fields, gob only for Machine.
-var envelopeFormat = seal.Format{Magic: "CTGSNAP", Version: 3, Err: ErrHashMismatch}
+//	4 — no gob: the kernel's hashed and witness sections, then the
+//	    runner and injector layers, all written by the walks the state
+//	    hashes digest.
+var envelopeFormat = seal.Format{Magic: "CTGSNAP", Version: 4, Err: ErrHashMismatch}
 
 // Typed decode failures. ErrBadMagic and ErrBadVersion are the frame's
 // own kinds; every other refusal wraps ErrHashMismatch.
@@ -71,7 +72,9 @@ type Machine struct {
 }
 
 // Envelope is one checkpoint. On disk its body is Seq, Tick, StateHash,
-// PrevChainHash, ChainHash, then the gob encoding of Machine.
+// PrevChainHash, ChainHash, then Machine: the kernel state's hashed and
+// witness sections (kernel.State.Encode), then the runner and injector
+// layers (walkLayers).
 type Envelope struct {
 	// Seq numbers checkpoints within a run (0-based); Tick is the
 	// virtual time the machine was quiesced at.
@@ -89,81 +92,73 @@ type Envelope struct {
 func mix(chain, stateHash uint64) uint64 { return seal.Sum64s(chain, stateHash) }
 
 // HashMachine computes the canonical digest of a full machine state:
-// the kernel's own state hash extended with the runner and injector
-// digests. Nil layers contribute a fixed marker, so a faultless
-// checkpoint and a faulted one can never collide by omission.
+// FNV-1a 64 of the machine's hashed section, which is the kernel's own
+// state hash followed by the runner and injector layers (walkLayers).
+// Nil layers contribute a fixed marker, so a faultless checkpoint and a
+// faulted one can never collide by omission.
 func HashMachine(m *Machine) uint64 {
-	h := seal.NewDigest()
-	w := func(vs ...uint64) { h.Uint64s(vs...) }
-	ws := func(s string) {
-		w(uint64(len(s)))
-		h.WriteString(s)
-	}
+	var w seal.Writer
+	w.U64(m.Kernel.Hash())
+	walkLayers(seal.NewEncoder(&w), m)
+	return seal.Sum64(w.Body())
+}
 
-	w(m.Kernel.Hash())
-
-	if m.Runner == nil {
-		w(0)
-	} else {
-		r := m.Runner
-		w(1, r.RNGS0, r.RNGS1)
-		w(uint64(len(r.Mappings)))
-		for _, ms := range r.Mappings {
-			w(ms.Bytes, uint64(len(ms.Blocks)))
-			w(ms.Blocks...)
-		}
-		w(uint64(len(r.Unmov)))
-		w(r.Unmov...)
-		w(uint64(len(r.Small)))
-		w(r.Small...)
-		w(r.UnmovHeld, r.MappingHeld)
-		w(uint64(len(r.Slab)))
-		for _, cs := range r.Slab {
-			ws(cs.Name)
-			w(uint64(len(cs.Pages)))
-			for _, ps := range cs.Pages {
-				w(ps.PFN, uint64(len(ps.Used)))
-				w(ps.Used...)
-				w(uint64(ps.Live))
-				if ps.Partial {
-					w(1)
-				} else {
-					w(0)
-				}
-			}
-			w(uint64(cs.Objects), uint64(cs.PagesHeld),
-				cs.PagesGrown, cs.PagesFreed, cs.AllocCalls, cs.FreeCalls)
-		}
-		w(uint64(len(r.SlabObjs)))
-		for _, so := range r.SlabObjs {
-			w(uint64(so.Cache), so.PFN, uint64(so.Slot))
-		}
-		w(r.UnmovableAllocFailures, r.TicksRun, math.Float64bits(r.ChurnCarry))
-		w(uint64(len(r.OOMBackoffUntil)))
-		w(r.OOMBackoffUntil...)
-		w(r.OOMKillsTaken)
+// walkLayers is the schema of the runner and injector layers, each
+// behind a 0/1 presence marker. Every field is hashed.
+func walkLayers(c *seal.Codec, m *Machine) {
+	if seal.Opt(c, &m.Runner) {
+		walkRunner(c, m.Runner)
 	}
-
-	if m.Faults == nil {
-		w(0)
-	} else {
-		f := m.Faults
-		w(1, f.Seed, uint64(len(f.Points)))
-		for _, p := range f.Points {
-			ws(p.Name)
-			w(math.Float64bits(p.Trig.Prob), p.Trig.EveryN)
-			w(uint64(len(p.Trig.OnHits)))
-			w(p.Trig.OnHits...)
-			w(p.Trig.From, p.Trig.Until)
-			w(p.S0, p.S1, p.Hits, p.Fired)
-		}
-		w(uint64(len(f.Retired)))
-		for _, p := range f.Retired {
-			ws(p.Name)
-			w(p.Hits, p.Fired)
-		}
+	if seal.Opt(c, &m.Faults) {
+		walkInjector(c, m.Faults)
 	}
-	return h.Sum64()
+}
+
+func walkRunner(c *seal.Codec, r *workload.RunnerState) {
+	c.U64s(&r.RNGS0, &r.RNGS1)
+	seal.Slice(c, &r.Mappings, func(ms *workload.MappingState) {
+		c.U64(&ms.Bytes)
+		seal.Slice(c, &ms.Blocks, c.U64)
+	})
+	seal.Slice(c, &r.Unmov, c.U64)
+	seal.Slice(c, &r.Small, c.U64)
+	c.U64s(&r.UnmovHeld, &r.MappingHeld)
+	seal.Slice(c, &r.Slab, func(cs *slab.CacheState) {
+		c.String(&cs.Name)
+		seal.Slice(c, &cs.Pages, func(ps *slab.SlabPageState) {
+			c.U64(&ps.PFN)
+			seal.Slice(c, &ps.Used, c.U64)
+			seal.Int(c, &ps.Live)
+			c.Bool(&ps.Partial)
+		})
+		seal.Int(c, &cs.Objects)
+		seal.Int(c, &cs.PagesHeld)
+		c.U64s(&cs.PagesGrown, &cs.PagesFreed, &cs.AllocCalls, &cs.FreeCalls)
+	})
+	seal.Slice(c, &r.SlabObjs, func(so *workload.SlabObjState) {
+		seal.Int(c, &so.Cache)
+		c.U64(&so.PFN)
+		seal.Int(c, &so.Slot)
+	})
+	c.U64s(&r.UnmovableAllocFailures, &r.TicksRun)
+	c.F64(&r.ChurnCarry)
+	seal.Slice(c, &r.OOMBackoffUntil, c.U64)
+	c.U64(&r.OOMKillsTaken)
+}
+
+func walkInjector(c *seal.Codec, f *fault.InjectorState) {
+	c.U64(&f.Seed)
+	seal.Slice(c, &f.Points, func(p *fault.PointState) {
+		c.String(&p.Name)
+		c.F64(&p.Trig.Prob)
+		c.U64(&p.Trig.EveryN)
+		seal.Slice(c, &p.Trig.OnHits, c.U64)
+		c.U64s(&p.Trig.From, &p.Trig.Until, &p.S0, &p.S1, &p.Hits, &p.Fired)
+	})
+	seal.Slice(c, &f.Retired, func(p *fault.PointStats) {
+		c.String(&p.Name)
+		c.U64s(&p.Hits, &p.Fired)
+	})
 }
 
 // Seal fills an envelope's hash fields from its machine state and the
@@ -178,17 +173,15 @@ func (e *Envelope) Seal(prevChain uint64) uint64 {
 // Write seals the envelope to path atomically and durably (temp file,
 // file fsync, rename, parent-directory fsync).
 func Write(path string, e *Envelope) error {
-	var machine bytes.Buffer
-	if err := gob.NewEncoder(&machine).Encode(&e.Machine); err != nil {
-		return fmt.Errorf("snapshot: encode: %w", err)
-	}
 	var w seal.Writer
 	w.U64(e.Seq, e.Tick, e.StateHash, e.PrevChainHash, e.ChainHash)
-	w.Bytes(machine.Bytes())
+	e.Machine.Kernel.Encode(&w)
+	walkLayers(seal.NewEncoder(&w), &e.Machine)
 	return envelopeFormat.WriteFile(path, w.Body())
 }
 
-// Decode verifies and decodes sealed envelope bytes: the frame, then
+// Decode verifies and decodes sealed envelope bytes: the frame, the
+// body (refused unless Write would produce exactly these bytes), then
 // both hash fields against the decoded state. Arbitrary bytes are
 // rejected with an error, never a panic (FuzzSealedRecords).
 func Decode(data []byte) (*Envelope, error) {
@@ -197,15 +190,12 @@ func Decode(data []byte) (*Envelope, error) {
 		return nil, err
 	}
 	e := &Envelope{Seq: r.U64(), Tick: r.U64(), StateHash: r.U64(), PrevChainHash: r.U64(), ChainHash: r.U64()}
-	machine := r.Bytes()
-	if err := r.Done(); err != nil {
+	if e.Machine.Kernel, err = kernel.DecodeState(r); err != nil {
 		return nil, err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(machine)).Decode(&e.Machine); err != nil {
-		return nil, fmt.Errorf("%w: decode machine: %v", ErrHashMismatch, err)
-	}
-	if e.Machine.Kernel == nil {
-		return nil, fmt.Errorf("%w: envelope carries no kernel state", ErrHashMismatch)
+	walkLayers(seal.NewDecoder(r), &e.Machine)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	if got := HashMachine(&e.Machine); got != e.StateHash {
 		return nil, fmt.Errorf("%w: recomputed state hash %016x, recorded %016x",

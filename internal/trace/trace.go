@@ -160,15 +160,21 @@ func (r *Reader) Read() (Event, error) {
 // transparently.
 type Recorder struct {
 	W      *Writer
+	k      *kernel.Kernel
 	nextID uint64
 	ids    map[*kernel.Page]uint64
-	err    error
+	// pruneAt is the size of ids that triggers the next prune (OnTick).
+	pruneAt int
+	err     error
 }
+
+// minPruneAt is the smallest ids size worth a prune pass.
+const minPruneAt = 1024
 
 // Attach creates a Recorder writing to w and registers it as k's event
 // sink. Detach with k.SetEventSink(nil).
 func Attach(k *kernel.Kernel, w *Writer) *Recorder {
-	r := &Recorder{W: w, ids: make(map[*kernel.Page]uint64)}
+	r := &Recorder{W: w, k: k, ids: make(map[*kernel.Page]uint64), pruneAt: minPruneAt}
 	k.SetEventSink(r)
 	return r
 }
@@ -206,8 +212,22 @@ func (r *Recorder) OnPin(p *kernel.Page) { r.emit(Event{Kind: KindPin, ID: r.ids
 // OnUnpin implements kernel.EventSink.
 func (r *Recorder) OnUnpin(p *kernel.Page) { r.emit(Event{Kind: KindUnpin, ID: r.ids[p]}) }
 
-// OnTick implements kernel.EventSink.
-func (r *Recorder) OnTick() { r.emit(Event{Kind: KindTick}) }
+// OnTick implements kernel.EventSink. Once ids has doubled since the
+// last prune it also drops the ids of handles the kernel let go without
+// an OnFree — reclaim detaches page-cache pages silently. A handle is
+// live exactly while PageAt returns it at its PFN, and handles are never
+// reused, so the test is exact and no id a later event needs is lost.
+func (r *Recorder) OnTick() {
+	if len(r.ids) >= r.pruneAt {
+		for p := range r.ids {
+			if r.k.PageAt(p.PFN) != p {
+				delete(r.ids, p)
+			}
+		}
+		r.pruneAt = max(2*len(r.ids), minPruneAt)
+	}
+	r.emit(Event{Kind: KindTick})
+}
 
 // ReplayStats summarises a replay.
 type ReplayStats struct {

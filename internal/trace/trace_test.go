@@ -9,6 +9,7 @@ import (
 
 	"contiguitas/internal/kernel"
 	"contiguitas/internal/mem"
+	"contiguitas/internal/seal"
 	"contiguitas/internal/stats"
 )
 
@@ -237,5 +238,60 @@ func TestQuickEventRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecorderForgetsReclaimedPages: reclaim drops page-cache handles
+// without an OnFree, and the recorder must not keep their ids for the
+// rest of the recording. The trace itself must not change: its length
+// and digest are pinned to what the recorder wrote before it pruned.
+func TestRecorderForgetsReclaimedPages(t *testing.T) {
+	cfg := kernel.DefaultConfig(kernel.ModeContiguitas)
+	cfg.MemBytes = 32 << 20
+	cfg.InitialUnmovableBytes, cfg.MinUnmovableBytes, cfg.MaxUnmovableBytes = 4<<20, 2<<20, 16<<20
+	k := kernel.New(cfg)
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	rec := Attach(k, w)
+	rng := stats.NewRNG(3)
+	var user []*kernel.Page
+	for tick := 0; tick < 50; tick++ {
+		for i := 0; i < 2000; i++ {
+			k.AllocPageCache(0, mem.SrcFilesystem)
+		}
+		for i := 0; i < 100; i++ {
+			if p, err := k.Alloc(rng.Intn(2), mem.MigrateMovable, mem.SrcUser); err == nil {
+				user = append(user, p)
+			}
+			if len(user) > 1500 {
+				j := rng.Intn(len(user))
+				k.Free(user[j])
+				user[j] = user[len(user)-1]
+				user = user[:len(user)-1]
+			}
+		}
+		k.EndTick()
+	}
+	if err := rec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	w.Flush()
+
+	live := 0
+	for pfn := uint64(0); pfn < k.PM().NPages; pfn++ {
+		if k.PageAt(pfn) != nil {
+			live++
+		}
+	}
+	if k.ReclaimedPages < 10*uint64(live) {
+		t.Fatalf("only %d pages reclaimed for %d live handles: the run does not exercise the leak", k.ReclaimedPages, live)
+	}
+	// Between prunes ids grows to at most twice what the last prune
+	// kept (or minPruneAt).
+	if limit := 2*live + minPruneAt; len(rec.ids) > limit {
+		t.Fatalf("recorder holds %d ids for %d live handles (limit %d)", len(rec.ids), live, limit)
+	}
+	if n, d := buf.Len(), seal.Sum64(buf.Bytes()); n != 1302510 || d != 0x5ac17ac49385ee26 {
+		t.Fatalf("trace is %d bytes with digest %#016x, pinned 1302510 and 0x5ac17ac49385ee26", n, d)
 	}
 }
