@@ -29,9 +29,9 @@ import (
 	"os"
 
 	"contiguitas/internal/cli"
+	"contiguitas/internal/core"
 	"contiguitas/internal/fault"
 	"contiguitas/internal/kernel"
-	"contiguitas/internal/obsv"
 	"contiguitas/internal/snapshot"
 	"contiguitas/internal/telemetry"
 	"contiguitas/internal/workload"
@@ -55,12 +55,11 @@ func main() {
 	killResume := flag.Bool("kill-resume", false, "run the kill-and-resume equivalence experiment instead of a single soak")
 	killAt := flag.Uint64("kill-at", 0, "tick to kill the soak at in -kill-resume mode (0 = mid-soak)")
 	pressureOn := flag.Bool("pressure", true, "enable the memory-pressure ladder (admission control, throttling, emergency shrink, OOM killer)")
-	serve := flag.String("serve", "", "serve the live observability HTTP plane on this address (e.g. :8080 or :0; empty disables)")
+	observe := cli.ObserveFlags(flag.CommandLine, false)
 	cli.Parse(flag.CommandLine, os.Args[1:])
 
-	handle, err := obsv.MountCLI(*serve)
-	cli.Check(err)
-	defer handle.Close()
+	handle, stop := observe.Start()
+	defer stop()
 
 	opts := workload.DefaultChaosOptions()
 	opts.MemBytes = *memMB << 20
@@ -78,25 +77,18 @@ func main() {
 		opts.ReclaimFaultRate = 0
 	}
 
-	switch *mode {
-	case "linux":
-		opts.Mode = kernel.ModeLinux
-	case "contiguitas":
-		opts.Mode = kernel.ModeContiguitas
-	default:
-		cli.Usagef("contigchaos: unknown mode %q", *mode)
+	design, err := core.ParseDesign(*mode)
+	if err != nil {
+		cli.Usagef("contigchaos: -mode: %v", err)
 	}
-	switch *profile {
-	case "web":
+	opts.Mode = design.Mode()
+	p, err := workload.ProfileByName(*profile)
+	if err != nil {
+		cli.Usagef("contigchaos: %v", err)
+	}
+	if *profile != "web" {
 		// DefaultChaosOptions already carries the pressured Web profile.
-	case "cachea":
-		opts.Profile = workload.CacheA()
-	case "cacheb":
-		opts.Profile = workload.CacheB()
-	case "ci":
-		opts.Profile = workload.CI()
-	default:
-		cli.Usagef("contigchaos: unknown profile %q", *profile)
+		opts.Profile = p
 	}
 
 	if *killResume {

@@ -36,10 +36,8 @@ import (
 	"contiguitas/internal/cli"
 	"contiguitas/internal/core"
 	"contiguitas/internal/hw"
-	"contiguitas/internal/kernel"
 	"contiguitas/internal/mem"
 	"contiguitas/internal/obsv"
-	"contiguitas/internal/prof"
 	"contiguitas/internal/resize"
 )
 
@@ -52,8 +50,6 @@ func main() {
 	memGB := flag.Uint64("mem", 8, "simulated machine memory in GiB")
 	ticks := flag.Uint64("ticks", 400, "workload warmup ticks")
 	seed := flag.Uint64("seed", 42, "simulation seed")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	trace := flag.Bool("trace", false, "run one instrumented kernel and export telemetry instead of -exp")
 	traceOut := flag.String("trace-out", "results/trace.json", "Chrome trace_event output path (with -trace)")
 	metricsOut := flag.String("metrics-out", "results/metrics.jsonl", "per-tick metrics JSONL output path (with -trace)")
@@ -66,16 +62,12 @@ func main() {
 	sweepMemMB := flag.Uint64("sweep-mem", 512, "pressure-sweep machine memory in MiB")
 	sweepTicks := flag.Uint64("sweep-ticks", 600, "pressure-sweep length in ticks")
 	sweepPeak := flag.Float64("sweep-peak", 2.0, "pressure-sweep peak demand as a multiple of machine memory")
-	serve := flag.String("serve", "", "serve the live observability HTTP plane on this address (e.g. :8080 or :0; empty disables)")
+	observe := cli.ObserveFlags(flag.CommandLine, true)
 	cli.Parse(flag.CommandLine, os.Args[1:])
 
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	cli.Check(err)
-	defer stopProf()
-
-	obsvHandle, err = obsv.MountCLI(*serve)
-	cli.Check(err)
-	defer obsvHandle.Close()
+	var stop func()
+	obsvHandle, stop = observe.Start()
+	defer stop()
 
 	if *sweep {
 		// The sweep is a verification run: its error means the pressure
@@ -87,13 +79,11 @@ func main() {
 	}
 
 	if *trace {
-		mode := kernel.ModeContiguitas
-		if *traceMode == "linux" {
-			mode = kernel.ModeLinux
-		} else if *traceMode != "contiguitas" {
-			cli.Usagef("contigsim: unknown -trace-mode %q", *traceMode)
+		design, err := core.ParseDesign(*traceMode)
+		if err != nil {
+			cli.Usagef("contigsim: -trace-mode: %v", err)
 		}
-		if err := traceRun(mode, *memGB<<30, *ticks, *seed, *traceOut, *metricsOut, *timelineOut, *ckptEvery, *ckptOut, *resume); err != nil {
+		if err := traceRun(design.Mode(), *memGB<<30, *ticks, *seed, *traceOut, *metricsOut, *timelineOut, *ckptEvery, *ckptOut, *resume); err != nil {
 			cli.Runtimef("contigsim: %v", err)
 		}
 		return

@@ -14,8 +14,8 @@ import (
 	"os"
 	"strings"
 
-	"contiguitas"
 	"contiguitas/internal/cli"
+	"contiguitas/internal/core"
 	"contiguitas/internal/kernel"
 	"contiguitas/internal/mem"
 	"contiguitas/internal/obsv"
@@ -37,29 +37,28 @@ func main() {
 	seed := flag.Uint64("seed", 1, "seed")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace of the replayed kernel to this file (replay only)")
 	metricsOut := flag.String("metrics-out", "", "write per-tick metrics JSONL of the replayed kernel to this file (replay only)")
-	serve := flag.String("serve", "", "serve the live observability HTTP plane on this address (e.g. :8080 or :0; empty disables)")
+	observe := cli.ObserveFlags(flag.CommandLine, false)
 	cli.Parse(flag.CommandLine, os.Args[1:])
 
-	var err error
-	obsvHandle, err = obsv.MountCLI(*serve)
-	cli.Check(err)
-	defer obsvHandle.Close()
+	var stop func()
+	obsvHandle, stop = observe.Start()
+	defer stop()
 
 	switch {
 	case *record != "":
-		if _, err := pickProfile(*profile); err != nil {
+		p, err := workload.ProfileByName(strings.ToLower(*profile))
+		if err != nil {
 			cli.Usagef("contigtrace: %v", err)
 		}
-		if err := doRecord(*record, *profile, *memMB<<20, *ticks, *seed); err != nil {
+		if err := doRecord(*record, p, *memMB<<20, *ticks, *seed); err != nil {
 			cli.Runtimef("contigtrace: %v", err)
 		}
 	case *replay != "":
-		switch strings.ToLower(*design) {
-		case "linux", "contiguitas":
-		default:
-			cli.Usagef("contigtrace: unknown design %q", *design)
+		d, err := core.ParseDesign(strings.ToLower(*design))
+		if err != nil {
+			cli.Usagef("contigtrace: %v", err)
 		}
-		if err := doReplay(*replay, *design, *memMB<<20, *traceOut, *metricsOut); err != nil {
+		if err := doReplay(*replay, d, *design, *memMB<<20, *traceOut, *metricsOut); err != nil {
 			cli.Runtimef("contigtrace: %v", err)
 		}
 	default:
@@ -68,47 +67,17 @@ func main() {
 	}
 }
 
-func pickProfile(name string) (contiguitas.Profile, error) {
-	switch strings.ToLower(name) {
-	case "web":
-		return contiguitas.Web(), nil
-	case "cachea":
-		return contiguitas.CacheA(), nil
-	case "cacheb":
-		return contiguitas.CacheB(), nil
-	case "ci":
-		return contiguitas.CI(), nil
-	}
-	return contiguitas.Profile{}, fmt.Errorf("unknown profile %q", name)
-}
-
-func newKernel(design string, memBytes uint64) (*kernel.Kernel, error) {
-	var d contiguitas.Design
-	switch strings.ToLower(design) {
-	case "linux":
-		d = contiguitas.DesignLinux
-	case "contiguitas":
-		d = contiguitas.DesignContiguitas
-	default:
-		return nil, fmt.Errorf("unknown design %q", design)
-	}
-	mc := contiguitas.DefaultMachineConfig(d)
+func newKernel(d core.Design, memBytes uint64) *kernel.Kernel {
+	mc := core.DefaultMachineConfig(d)
 	mc.MemBytes = memBytes
-	return contiguitas.NewMachine(mc).K, nil
+	return core.NewMachine(mc).K
 }
 
 // doRecord attaches a trace recorder to a kernel's event sink and runs
 // the real workload generator against it, so the captured trace is the
 // authentic allocation stream of the profile.
-func doRecord(path, profileName string, memBytes, ticks, seed uint64) error {
-	p, err := pickProfile(profileName)
-	if err != nil {
-		return err
-	}
-	k, err := newKernel("contiguitas", memBytes)
-	if err != nil {
-		return err
-	}
+func doRecord(path string, p workload.Profile, memBytes, ticks, seed uint64) error {
+	k := newKernel(core.DesignContiguitas, memBytes)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -132,7 +101,9 @@ func doRecord(path, profileName string, memBytes, ticks, seed uint64) error {
 	return nil
 }
 
-func doReplay(path, design string, memBytes uint64, traceOut, metricsOut string) error {
+// doReplay replays the trace at path on a fresh d machine; name is the
+// design as the user spelled it, for the summary line.
+func doReplay(path string, d core.Design, name string, memBytes uint64, traceOut, metricsOut string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -142,10 +113,7 @@ func doReplay(path, design string, memBytes uint64, traceOut, metricsOut string)
 	if err != nil {
 		return err
 	}
-	k, err := newKernel(design, memBytes)
-	if err != nil {
-		return err
-	}
+	k := newKernel(d, memBytes)
 	// Instrument the replayed kernel on request: the same recorded
 	// allocation stream then yields a per-design timeline and metric
 	// series, making cross-design comparisons visual. -serve forces the
@@ -180,7 +148,7 @@ func doReplay(path, design string, memBytes uint64, traceOut, metricsOut string)
 	}
 	scan := k.PM().Scan(mem.ScanOrders)
 	fmt.Printf("replayed %d events (%d ticks, %d failed allocations) on %s\n",
-		st.Events, st.Ticks, st.AllocFailed, design)
+		st.Events, st.Ticks, st.AllocFailed, name)
 	fmt.Printf("unmovable 2MB blocks: %.1f%% of memory\n",
 		scan.UnmovableBlockFraction(mem.Order2M)*100)
 	fmt.Printf("free 2MB contiguity:  %.1f%% of free memory\n",

@@ -22,14 +22,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sync/atomic"
 	"text/tabwriter"
 
 	"contiguitas"
 	"contiguitas/internal/cli"
 	"contiguitas/internal/fleet"
 	"contiguitas/internal/mem"
-	"contiguitas/internal/prof"
+	"contiguitas/internal/obsv"
 	"contiguitas/internal/resultcache"
+	"contiguitas/internal/service"
+	"contiguitas/internal/supervise"
+	"contiguitas/internal/telemetry"
 )
 
 func main() {
@@ -40,8 +44,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "study seed")
 	design := flag.String("design", "linux", "memory-management design (linux|contiguitas)")
 	shards := flag.Int("shards", 0, "supervised campaign shards (0 picks the default for -servers)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	trace := flag.Bool("trace", false, "also run one instrumented representative server and export its telemetry")
 	traceOut := flag.String("trace-out", "results/fleet-trace.json", "Chrome trace_event output path (with -trace)")
 	metricsOut := flag.String("metrics-out", "results/fleet-metrics.jsonl", "per-tick metrics JSONL output path (with -trace)")
@@ -61,32 +63,63 @@ func main() {
 	sweepOut := flag.String("sweep-out", "", "write the canonical sweep results file here (byte-identical across warm/cold runs)")
 	cacheDir := flag.String("cache-dir", "", "content-addressed shard result cache directory (empty disables)")
 	noCache := flag.Bool("no-cache", false, "ignore -cache-dir and run uncached")
-	serve := flag.String("serve", "", "serve the live observability HTTP plane on this address (e.g. :8080 or :0; empty disables)")
+	observe := cli.ObserveFlags(flag.CommandLine, true)
 	cli.Parse(flag.CommandLine, os.Args[1:])
 
+	// Each mode replaces the others' output, so asking for two is a
+	// mistake, not a priority order to resolve silently.
+	var modes []string
+	if *sweep {
+		modes = append(modes, "-sweep")
+	}
+	if *soak {
+		modes = append(modes, "-soak")
+	}
+	if *trace {
+		modes = append(modes, "-trace")
+	}
+	if len(modes) > 1 {
+		cli.Usagef("fleetscan: %s and %s cannot be combined", modes[0], modes[1])
+	}
 	if *resume != "" && !*soak && !*trace {
 		// A -resume with nothing to resume into must not silently run a
 		// fresh study — that reads as "resumed fine" to the caller.
 		cli.Usagef("fleetscan: -resume needs -soak (campaign state directory) or -trace (representative-server snapshot)")
 	}
 
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	cli.Check(err)
-	defer stopProf()
-
-	if *serve != "" {
-		startObsv(*serve)
-		defer stopObsv()
+	// Every mode is a campaign spec, held to contigd's admission rules:
+	// the study and the soak are one cell, a sweep is the grid. The spec
+	// is not normalized, so -seed 0 and -min-uptime 0 mean what they say.
+	spec := service.Spec{
+		Servers:  *servers,
+		Designs:  []string{*design},
+		MemsMiB:  []uint64{*memMB},
+		Jitters:  []float64{fleet.DefaultConfig().JitterFrac},
+		TicksMin: *minTicks,
+		TicksMax: *maxTicks,
+		Seed:     *seed,
+		Shards:   *shards,
+	}
+	if *sweep {
+		spec.Designs = splitCSV(*sweepDesigns, "-sweep-designs")
+		spec.MemsMiB = parseMems(*sweepMems)
+		spec.Jitters = parseJitters(*sweepJitters)
+	}
+	if err := spec.Validate(); err != nil {
+		cli.Usagef("fleetscan: %v", err)
+	}
+	if *soak && *killEvery == 1 {
+		cli.Usagef("fleetscan: -kill-every must be >= 2 (a shard killed on every server can never progress)")
 	}
 
-	cfg := contiguitas.DefaultFleetConfig()
-	cfg.Servers = *servers
-	cfg.MemBytes = *memMB << 20
-	cfg.TicksMin = *minTicks
-	cfg.TicksMax = *maxTicks
-	cfg.Seed = *seed
-	cfg.Shards = *shards
-	cfg.Design = parseDesignName(*design)
+	var stop func()
+	obsvHandle, stop = observe.Start()
+	defer stop()
+	obsvReg = telemetry.NewRegistry()
+	obsvPub = obsvHandle.Attach(obsvReg, nil)
+	// Baseline snapshot so /metrics answers before the first campaign
+	// event (the registry is still owned by this goroutine here).
+	obsvPub.Publish(0)
 
 	// The shard result cache: plain runs and sweeps share it; -no-cache
 	// wins over -cache-dir so scripts can flip one switch for A/B runs.
@@ -96,20 +129,11 @@ func main() {
 	}
 
 	if *sweep {
-		runSweep(cfg, sweepOptions{
-			designs: splitCSV(*sweepDesigns, "-sweep-designs"),
-			memsMB:  parseMems(*sweepMems),
-			jitters: parseJitters(*sweepJitters),
-			out:     *sweepOut,
-			cache:   cache,
-		})
+		runSweep(spec, *sweepOut, cache)
 		return
 	}
-
+	cfg := spec.FleetConfig(spec.Cells()[0])
 	if *soak {
-		if *killEvery == 1 {
-			cli.Usagef("fleetscan: -kill-every must be >= 2 (a shard killed on every server can never progress)")
-		}
 		runSoak(cfg, soakOptions{
 			dir:          *stateDir,
 			resumeDir:    *resume,
@@ -122,13 +146,11 @@ func main() {
 	}
 
 	fmt.Printf("scanning %d servers of %d MiB (%s design)...\n", cfg.Servers, *memMB, *design)
-	var s *contiguitas.FleetStudy
+	res := runCampaign("study", cfg, cache)
+	s := res.Study
 	if cache != nil {
-		res := runCampaign("study", cfg, cache)
-		s = res.Study
 		fmt.Println(cacheSummary(res.CacheHits, res.CacheMisses, res.CacheRejects))
 	} else {
-		s = contiguitas.RunFleet(cfg)
 		// State the cache mode explicitly so a -no-cache run is
 		// unambiguous next to a cached run's hits/misses line.
 		fmt.Println("cache: disabled")
@@ -203,3 +225,42 @@ func main() {
 	w.Flush()
 	fmt.Println("paper: servers can get highly fragmented within the first hour of running workloads")
 }
+
+// The -serve plane (nil when the flag is off). Every campaign records
+// its supervision metrics into obsvReg, which /metrics publishes through
+// obsvPub; obsvSeq stamps the snapshots, since fleet campaigns have no
+// global tick.
+var (
+	obsvHandle *obsv.Handle
+	obsvReg    *telemetry.Registry
+	obsvPub    *telemetry.Publisher
+	obsvSeq    atomic.Uint64
+)
+
+// onPlane puts a supervised campaign on the -serve plane under name:
+// progress on the board, supervision metrics into the plane's registry,
+// the tracepoint ring on /events, and a /metrics pump on every
+// supervision event — delivered by the supervisor goroutine, which is
+// the registry's writer while the campaign runs. A no-op without -serve.
+func onPlane(scfg *fleet.SupervisedConfig, name string) {
+	if obsvHandle == nil {
+		return
+	}
+	scfg.Progress = obsvHandle.Board.Register(name)
+	scfg.Metrics = obsvReg
+	if scfg.Trace == nil {
+		scfg.Trace = telemetry.NewRing(1 << 12)
+	}
+	obsvHandle.Attach(nil, scfg.Trace)
+	next := scfg.OnEvent
+	scfg.OnEvent = func(ev supervise.Event) {
+		obsvPub.Pump(obsvSeq.Add(1))
+		if next != nil {
+			next(ev)
+		}
+	}
+}
+
+// publishCampaign force-publishes a /metrics snapshot once a campaign's
+// supervisor has returned and the registry is this goroutine's again.
+func publishCampaign() { obsvPub.Publish(obsvSeq.Add(1)) }

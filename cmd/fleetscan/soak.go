@@ -57,9 +57,6 @@ func runSoak(cfg fleet.Config, opt soakOptions) {
 	// The oracle: same seed, no faults, no supervision stress.
 	want := referenceBytes(cfg)
 
-	ring := telemetry.NewRing(1 << 12)
-	obsvSinkRing(ring)
-	reg := obsvRegistry(telemetry.NewRegistry())
 	var crashes uint64
 	scfg := fleet.SupervisedConfig{
 		Fleet:       cfg,
@@ -72,11 +69,9 @@ func runSoak(cfg fleet.Config, opt soakOptions) {
 			CrashEveryN:        opt.killEvery,
 			CheckpointFailProb: opt.ckptFailProb,
 		},
-		Trace:    ring,
-		Metrics:  reg,
-		Progress: obsvProgress("soak"),
+		Trace:   telemetry.NewRing(1 << 12),
+		Metrics: telemetry.NewRegistry(),
 		OnEvent: func(ev supervise.Event) {
-			obsvPumpNow()
 			if ev.Kind != supervise.EventCrash {
 				return
 			}
@@ -94,13 +89,14 @@ func runSoak(cfg fleet.Config, opt soakOptions) {
 	if opt.killAfter > 0 && opt.dir == "" {
 		cli.Usagef("fleetscan: -kill-after needs -state-dir (a killed in-memory campaign has nothing to resume)")
 	}
+	onPlane(&scfg, "soak")
 
 	res, err := fleet.RunSupervised(context.Background(), scfg)
 	if err != nil {
 		cli.Runtimef("fleetscan: soak: %v", err)
 	}
-	obsvPublish()
-	report(res, reg)
+	publishCampaign()
+	report(res, scfg.Metrics)
 
 	if res.KillsInjected < opt.minKills {
 		cli.Verifyf("fleetscan: soak injected %d shard kills, need >= %d — the fault schedule did not stress the supervisor",
@@ -118,8 +114,7 @@ func runSoak(cfg fleet.Config, opt soakOptions) {
 // state across the kill.
 func resumeSoak(cfg fleet.Config, opt soakOptions) {
 	fmt.Printf("soak resume: %d servers from %s\n", cfg.Servers, opt.resumeDir)
-	reg := obsvRegistry(telemetry.NewRegistry())
-	res, err := fleet.RunSupervised(context.Background(), fleet.SupervisedConfig{
+	scfg := fleet.SupervisedConfig{
 		Fleet:       cfg,
 		MaxAttempts: soakMaxAttempts,
 		BackoffBase: soakBackoffBase,
@@ -127,10 +122,10 @@ func resumeSoak(cfg fleet.Config, opt soakOptions) {
 		Heartbeat:   30 * time.Second,
 		Dir:         opt.resumeDir,
 		Resume:      true,
-		Metrics:     reg,
-		Progress:    obsvProgress("soak-resume"),
-		OnEvent:     obsvPump(),
-	})
+		Metrics:     telemetry.NewRegistry(),
+	}
+	onPlane(&scfg, "soak-resume")
+	res, err := fleet.RunSupervised(context.Background(), scfg)
 	if err != nil {
 		if errors.Is(err, snapshot.ErrNoManifest) {
 			// Not a campaign state directory at all: a missing or empty
@@ -144,8 +139,8 @@ func resumeSoak(cfg fleet.Config, opt soakOptions) {
 		// campaign configuration.
 		cli.Verifyf("fleetscan: resume: %v", err)
 	}
-	obsvPublish()
-	report(res, reg)
+	publishCampaign()
+	report(res, scfg.Metrics)
 	verifyIdentical(res, referenceBytes(cfg))
 	var priorAttempts uint64
 	for _, s := range res.Manifest.Shards {
@@ -186,11 +181,9 @@ func verifyIdentical(res *fleet.CampaignResult, want []byte) {
 
 // referenceBytes runs the unfaulted oracle study and serialises it.
 func referenceBytes(cfg fleet.Config) []byte {
-	res, err := fleet.RunSupervised(context.Background(), fleet.SupervisedConfig{
-		Fleet:    cfg,
-		Progress: obsvProgress("reference"),
-		OnEvent:  obsvPump(),
-	})
+	scfg := fleet.SupervisedConfig{Fleet: cfg}
+	onPlane(&scfg, "reference")
+	res, err := fleet.RunSupervised(context.Background(), scfg)
 	if err != nil {
 		cli.Runtimef("fleetscan: reference run: %v", err)
 	}

@@ -13,22 +13,13 @@ import (
 	"strconv"
 	"strings"
 
-	"contiguitas"
 	"contiguitas/internal/cli"
 	"contiguitas/internal/fleet"
 	"contiguitas/internal/mem"
 	"contiguitas/internal/resultcache"
-	"contiguitas/internal/telemetry"
+	"contiguitas/internal/service"
 	"contiguitas/internal/vfs"
 )
-
-type sweepOptions struct {
-	designs []string
-	memsMB  []uint64
-	jitters []float64
-	out     string
-	cache   resultcache.Cache
-}
 
 // Fixed CDF probe points: the Fig. 4 contiguity thresholds and the
 // Fig. 5 unmovable-block thresholds main() prints, frozen here so the
@@ -38,18 +29,6 @@ var (
 	sweepUnmovX  = []float64{0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0}
 	sweepOrders  = []int{mem.Order2M, mem.Order4M, mem.Order32M, mem.Order1G}
 )
-
-func parseDesignName(name string) contiguitas.Design {
-	switch name {
-	case "linux":
-		return contiguitas.DesignLinux
-	case "contiguitas":
-		return contiguitas.DesignContiguitas
-	default:
-		cli.Usagef("fleetscan: unknown design %q", name)
-		panic("unreachable")
-	}
-}
 
 func splitCSV(s, flagName string) []string {
 	var out []string
@@ -68,7 +47,7 @@ func parseMems(s string) []uint64 {
 	var out []uint64
 	for _, f := range splitCSV(s, "-sweep-mems") {
 		v, err := strconv.ParseUint(f, 10, 64)
-		if err != nil || v == 0 {
+		if err != nil {
 			cli.Usagef("fleetscan: -sweep-mems: bad MiB value %q", f)
 		}
 		out = append(out, v)
@@ -80,8 +59,8 @@ func parseJitters(s string) []float64 {
 	var out []float64
 	for _, f := range splitCSV(s, "-sweep-jitters") {
 		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || v < 0 || v >= 1 {
-			cli.Usagef("fleetscan: -sweep-jitters: bad fraction %q (want [0, 1))", f)
+		if err != nil {
+			cli.Usagef("fleetscan: -sweep-jitters: bad fraction %q", f)
 		}
 		out = append(out, v)
 	}
@@ -93,23 +72,13 @@ func parseJitters(s string) []float64 {
 // incomplete unfaulted runs. name labels the campaign on the -serve
 // board.
 func runCampaign(name string, cfg fleet.Config, cache resultcache.Cache) *fleet.CampaignResult {
-	scfg := fleet.SupervisedConfig{
-		Fleet:    cfg,
-		Cache:    cache,
-		Metrics:  obsvRegistry(nil),
-		Progress: obsvProgress(name),
-		OnEvent:  obsvPump(),
-	}
-	if plane != nil {
-		ring := telemetry.NewRing(1 << 12)
-		obsvSinkRing(ring)
-		scfg.Trace = ring
-	}
+	scfg := fleet.SupervisedConfig{Fleet: cfg, Cache: cache}
+	onPlane(&scfg, name)
 	res, err := fleet.RunSupervised(context.Background(), scfg)
 	if err != nil {
 		cli.Runtimef("fleetscan: %v", err)
 	}
-	obsvPublish()
+	publishCampaign()
 	if !res.Report.Complete {
 		cli.Verifyf("fleetscan: unfaulted campaign incomplete: %s", res.Report)
 	}
@@ -122,47 +91,41 @@ func cacheSummary(hits, misses, rejects uint64) string {
 	return fmt.Sprintf("cache: hits=%d misses=%d rejects=%d", hits, misses, rejects)
 }
 
-func runSweep(base fleet.Config, opt sweepOptions) {
-	cells := len(opt.designs) * len(opt.memsMB) * len(opt.jitters)
+// runSweep runs every cell of sp's grid, in the service's canonical
+// order, and writes the canonical results file to out (if set).
+func runSweep(sp service.Spec, out string, cache resultcache.Cache) {
+	cells := sp.Cells()
 	fmt.Printf("sweep: %d cells (%d designs x %d mems x %d jitters), %d servers each\n",
-		cells, len(opt.designs), len(opt.memsMB), len(opt.jitters), base.Servers)
+		len(cells), len(sp.Designs), len(sp.MemsMiB), len(sp.Jitters), sp.Servers)
 
 	var canon bytes.Buffer
 	fmt.Fprintf(&canon, "# fleetscan sweep v1 servers=%d seed=%d shards=%d min=%d max=%d\n",
-		base.Servers, base.Seed, base.Shards, base.TicksMin, base.TicksMax)
+		sp.Servers, sp.Seed, sp.Shards, sp.TicksMin, sp.TicksMax)
 
 	var hits, misses, rejects uint64
-	for _, dname := range opt.designs {
-		for _, mib := range opt.memsMB {
-			for _, jit := range opt.jitters {
-				cfg := base
-				cfg.Design = parseDesignName(dname)
-				cfg.MemBytes = mib << 20
-				cfg.JitterFrac = jit
-				res := runCampaign(fmt.Sprintf("%s-%dMiB-j%g", dname, mib, jit), cfg, opt.cache)
-				hits += res.CacheHits
-				misses += res.CacheMisses
-				rejects += res.CacheRejects
-				writeCell(&canon, dname, mib, jit, res.Study)
-				fmt.Printf("  design=%-12s mem=%5d MiB jitter=%.2f  zero-2MB-contig=%3.0f%%  median-unmov-2MB=%3.0f%%\n",
-					dname, mib, jit,
-					res.Study.NoContigFraction(mem.Order2M)*100,
-					res.Study.MedianUnmovBlockFrac(mem.Order2M)*100)
-			}
-		}
+	for _, c := range cells {
+		res := runCampaign(fmt.Sprintf("%s-%dMiB-j%g", c.Design, c.MemMiB, c.Jitter), sp.FleetConfig(c), cache)
+		hits += res.CacheHits
+		misses += res.CacheMisses
+		rejects += res.CacheRejects
+		writeCell(&canon, c, res.Study)
+		fmt.Printf("  design=%-12s mem=%5d MiB jitter=%.2f  zero-2MB-contig=%3.0f%%  median-unmov-2MB=%3.0f%%\n",
+			c.Design, c.MemMiB, c.Jitter,
+			res.Study.NoContigFraction(mem.Order2M)*100,
+			res.Study.MedianUnmovBlockFrac(mem.Order2M)*100)
 	}
 
-	if opt.cache != nil {
+	if cache != nil {
 		fmt.Println(cacheSummary(hits, misses, rejects))
 	} else {
 		fmt.Println("cache: disabled")
 	}
 
-	if opt.out != "" {
+	if out != "" {
 		// Durable write: a sweep interrupted mid-write must never leave a
 		// torn canonical file for a later diff to chase.
-		cli.Check(vfs.WriteFileDurable(vfs.Active(), opt.out, canon.Bytes()))
-		fmt.Printf("wrote %d cells (%d canonical bytes) to %s\n", cells, canon.Len(), opt.out)
+		cli.Check(vfs.WriteFileDurable(vfs.Active(), out, canon.Bytes()))
+		fmt.Printf("wrote %d cells (%d canonical bytes) to %s\n", len(cells), canon.Len(), out)
 	}
 }
 
@@ -170,8 +133,8 @@ func runSweep(base fleet.Config, opt sweepOptions) {
 // coordinates, the FNV digest of the study's full canonical byte
 // serialisation (every sample field — the strongest equality check we
 // have), and the Fig. 4 / Fig. 5 CDF values at the frozen probe points.
-func writeCell(buf *bytes.Buffer, design string, mib uint64, jitter float64, s *fleet.Study) {
-	fmt.Fprintf(buf, "cell design=%s mem_mib=%d jitter=%g\n", design, mib, jitter)
+func writeCell(buf *bytes.Buffer, c service.Cell, s *fleet.Study) {
+	fmt.Fprintf(buf, "cell design=%s mem_mib=%d jitter=%g\n", c.Design, c.MemMiB, c.Jitter)
 	fmt.Fprintf(buf, "study samples=%d digest=%016x\n", len(s.Samples), fleet.CanonicalDigest(s))
 	for _, o := range sweepOrders {
 		fmt.Fprintf(buf, "fig4 order=%d", o)

@@ -54,13 +54,8 @@ func traceRepresentative(cfg contiguitas.FleetConfig, ticks uint64, traceOut, me
 	tp := telemetry.NewRing(1 << 15)
 	m.K.SetTracer(tp)
 	sampler := m.K.AttachSampler(int(ticks) + 1)
-	obsvSinkRing(tp)
-	var pub *telemetry.Publisher
-	if plane != nil {
-		pub = telemetry.NewPublisher(m.K.Metrics())
-		plane.srv.SetPublisher(pub)
-		pub.Publish(startTick)
-	}
+	pub := obsvHandle.Attach(m.K.Metrics(), tp)
+	pub.Publish(startTick)
 
 	for tick := startTick; tick < ticks; tick++ {
 		r.Step()

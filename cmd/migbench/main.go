@@ -31,13 +31,12 @@ func main() {
 	victims := flag.Int("victims", 8, "maximum victim TLBs for fig13")
 	cycles := flag.Uint64("cycles", 8_000_000, "serving window in cycles")
 	traceOut := flag.String("trace-out", "", "write a cycle-level Chrome trace of one SW and one HW migration to this file")
-	serveAddr := flag.String("serve", "", "serve the live observability HTTP plane on this address (e.g. :8080 or :0; empty disables)")
+	observe := cli.ObserveFlags(flag.CommandLine, false)
 	cli.Parse(flag.CommandLine, os.Args[1:])
 
-	var err error
-	obsvHandle, err = obsv.MountCLI(*serveAddr)
-	cli.Check(err)
-	defer obsvHandle.Close()
+	var stop func()
+	obsvHandle, stop = observe.Start()
+	defer stop()
 
 	if *traceOut != "" {
 		if err := traceMigrations(*traceOut, *victims); err != nil {

@@ -13,6 +13,9 @@
 //
 // CI and scripts key off these codes: 2 is the "the property we gate on
 // does not hold" signal, distinct from both misuse and I/O flakes.
+//
+// The package also holds the flags the commands share for watching a
+// run: -serve and the profiles (ObserveFlags).
 package cli
 
 import (

@@ -81,3 +81,38 @@ func TestParseSucceedsInProcess(t *testing.T) {
 		t.Fatalf("parsed n = %d, want 7", *n)
 	}
 }
+
+// ObserveFlags registers -serve everywhere and the profile flags only
+// when asked; Start with -serve unset mounts nothing, and its stop
+// completes both profiles.
+func TestObserveFlags(t *testing.T) {
+	for _, profiling := range []bool{false, true} {
+		fs := flag.NewFlagSet("fake", flag.ContinueOnError)
+		o := ObserveFlags(fs, profiling)
+		for _, name := range []string{"cpuprofile", "memprofile"} {
+			if (fs.Lookup(name) != nil) != profiling {
+				t.Fatalf("profiling=%v: -%s registered=%v", profiling, name, !profiling)
+			}
+		}
+		if fs.Lookup("serve") == nil {
+			t.Fatal("-serve not registered")
+		}
+		var args, profiles []string
+		if profiling {
+			dir := t.TempDir()
+			profiles = []string{dir + "/cpu.prof", dir + "/mem.prof"}
+			args = []string{"-cpuprofile", profiles[0], "-memprofile", profiles[1]}
+		}
+		Parse(fs, args)
+		h, stop := o.Start()
+		if h != nil {
+			t.Fatal("a plane was mounted without -serve")
+		}
+		stop()
+		for _, p := range profiles {
+			if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+				t.Fatalf("%s not written: %v", p, err)
+			}
+		}
+	}
+}

@@ -43,6 +43,29 @@ func (d Design) String() string {
 	return fmt.Sprintf("design(%d)", uint8(d))
 }
 
+// ParseDesign maps a design name, as the CLIs and the campaign service
+// accept it, to its design. The HW variant has no name: it is an
+// experiment-internal configuration, not a selectable design.
+func ParseDesign(name string) (Design, error) {
+	switch name {
+	case "linux":
+		return DesignLinux, nil
+	case "contiguitas":
+		return DesignContiguitas, nil
+	default:
+		return 0, fmt.Errorf("unknown design %q (want linux|contiguitas)", name)
+	}
+}
+
+// Mode is the kernel mode the design boots: every Contiguitas variant
+// runs the confined-region kernel.
+func (d Design) Mode() kernel.Mode {
+	if d == DesignLinux {
+		return kernel.ModeLinux
+	}
+	return kernel.ModeContiguitas
+}
+
 // MachineConfig sizes a simulated server.
 type MachineConfig struct {
 	Design   Design
@@ -78,11 +101,7 @@ type Machine struct {
 // exposed so checkpoint restore can rebuild a machine with the
 // identical fingerprint (mode, memory size, region bounds, seed).
 func (mc MachineConfig) KernelConfig() kernel.Config {
-	mode := kernel.ModeLinux
-	if mc.Design != DesignLinux {
-		mode = kernel.ModeContiguitas
-	}
-	cfg := kernel.DefaultConfig(mode)
+	cfg := kernel.DefaultConfig(mc.Design.Mode())
 	cfg.MemBytes = mc.MemBytes
 	cfg.Seed = mc.Seed
 

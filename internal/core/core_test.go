@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"contiguitas/internal/hw/contighw"
+	"contiguitas/internal/kernel"
 	"contiguitas/internal/mem"
 	"contiguitas/internal/trans"
 	"contiguitas/internal/workload"
@@ -233,5 +234,28 @@ func TestMigrationCostTable(t *testing.T) {
 		if tbl[i] <= tbl[i-1] {
 			t.Fatal("must grow with victims")
 		}
+	}
+}
+
+// TestParseDesignNames walks every design name the CLIs and the
+// campaign service accept, and one they refuse.
+func TestParseDesignNames(t *testing.T) {
+	for name, want := range map[string]struct {
+		design Design
+		mode   kernel.Mode
+	}{
+		"linux":       {DesignLinux, kernel.ModeLinux},
+		"contiguitas": {DesignContiguitas, kernel.ModeContiguitas},
+	} {
+		d, err := ParseDesign(name)
+		if err != nil || d != want.design {
+			t.Fatalf("%q: got %v, %v; want %v", name, d, err, want.design)
+		}
+		if d.Mode() != want.mode || d.Mode().String() != name {
+			t.Fatalf("%q: mode %v, want %v", name, d.Mode(), want.mode)
+		}
+	}
+	if _, err := ParseDesign("contiguitas-hw"); err == nil {
+		t.Fatal(`"contiguitas-hw" accepted: the HW variant is not a selectable design`)
 	}
 }

@@ -2,6 +2,7 @@ package seal_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"contiguitas/internal/kernel"
 	"contiguitas/internal/mem"
 	"contiguitas/internal/resultcache"
+	"contiguitas/internal/seal"
 	"contiguitas/internal/service"
 	"contiguitas/internal/snapshot"
 	"contiguitas/internal/workload"
@@ -200,31 +202,53 @@ func TestSealedRecordsRejectEveryEdit(t *testing.T) {
 	}
 }
 
+// reseal frames body the way the format's writer does: its magic and
+// version, the body, then the FNV-1a trailer over all three.
+func (sf sealedFormat) reseal(body []byte) []byte {
+	header := sf.file[:11] // 7-byte magic, u32 version
+	return seal.Format{Magic: string(header[:7]), Version: binary.LittleEndian.Uint32(header[7:])}.Seal(body)
+}
+
 // FuzzSealedRecords throws arbitrary bytes at all five decoders. Each
 // must refuse with its own sentinel or accept, never panic; an accepted
-// record must re-encode to the same bytes. The corpus seeds a valid file of each format plus a
-// truncated and a bit-flipped copy, so mutation starts inside every
-// frame.
+// record must re-encode to the same bytes. With reseal unset the input
+// is a whole file, and the frame check refuses nearly every edit before
+// a body parser runs; with reseal set the input is a body, framed with
+// each format's magic, version and a correct digest, so the fuzzer
+// drives the body decoders themselves. The corpus seeds a valid file and
+// body of each format plus a truncated and a bit-flipped copy of each,
+// so mutation starts inside every frame and every body.
 func FuzzSealedRecords(f *testing.F) {
 	formats := sealedFormats(f)
-	f.Add([]byte{})
+	f.Add(false, []byte{})
+	f.Add(true, []byte{})
 	for _, sf := range formats {
-		f.Add(sf.file)
-		f.Add(sf.file[:len(sf.file)-1])
-		flipped := bytes.Clone(sf.file)
-		flipped[len(flipped)/2] ^= 0x40
-		f.Add(flipped)
+		body := sf.file[11 : len(sf.file)-8]
+		for _, seed := range []struct {
+			reseal bool
+			data   []byte
+		}{{false, sf.file}, {true, body}} {
+			f.Add(seed.reseal, seed.data)
+			f.Add(seed.reseal, seed.data[:len(seed.data)-1])
+			flipped := bytes.Clone(seed.data)
+			flipped[len(flipped)/2] ^= 0x40
+			f.Add(seed.reseal, flipped)
+		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, reseal bool, data []byte) {
 		for _, sf := range formats {
-			re, err := sf.decode(data)
+			file := data
+			if reseal {
+				file = sf.reseal(data)
+			}
+			re, err := sf.decode(file)
 			if err != nil {
 				if !sf.family(err) {
 					t.Fatalf("%s: refusal without the format's sentinel: %v", sf.name, err)
 				}
 				continue
 			}
-			if !bytes.Equal(re, data) {
+			if !bytes.Equal(re, file) {
 				t.Fatalf("%s: accepted record re-encodes to different bytes", sf.name)
 			}
 		}

@@ -111,6 +111,12 @@ func DecodeRecord(data []byte) (*Campaign, error) {
 	if err := json.Unmarshal(body, c); err != nil {
 		return nil, fmt.Errorf("%w: decode: %v", ErrCorruptRecord, err)
 	}
+	// A record is exactly what EncodeRecord writes. encoding/json also
+	// accepts keys in any letter case, unknown keys and free whitespace,
+	// so a body that decodes is not yet proof of that.
+	if canon, err := json.Marshal(c); err != nil || !bytes.Equal(canon, body) {
+		return nil, fmt.Errorf("%w: decode: body is not the record's canonical encoding", ErrCorruptRecord)
+	}
 	return c, nil
 }
 

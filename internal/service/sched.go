@@ -355,7 +355,7 @@ func (s *Scheduler) Submit(spec Spec, key string) (*Campaign, bool, error) {
 		return nil, false, ErrDegraded
 	}
 	spec = spec.normalized()
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, false, err
 	}
 	fp := fmt.Sprintf("%016x", spec.fingerprint())
@@ -669,7 +669,7 @@ func (s *Scheduler) runCell(ctx context.Context, c *Campaign, idx int, cell Cell
 			}
 		}
 		res, err := fleet.RunSupervised(ctx, fleet.SupervisedConfig{
-			Fleet:       c.Spec.fleetConfig(cell),
+			Fleet:       c.Spec.FleetConfig(cell),
 			Workers:     s.cfg.ShardWorkers,
 			MaxAttempts: s.cfg.ShardMaxAttempts,
 			BackoffBase: s.cfg.BackoffBase / 10,

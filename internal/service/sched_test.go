@@ -60,7 +60,7 @@ func referenceMerged(sp Spec) []byte {
 	sp = sp.normalized()
 	var out bytes.Buffer
 	for _, cell := range sp.Cells() {
-		data := fleet.CanonicalBytes(fleet.Run(sp.fleetConfig(cell)))
+		data := fleet.CanonicalBytes(fleet.Run(sp.FleetConfig(cell)))
 		fmt.Fprintf(&out, "cell design=%s mem_mib=%d jitter=%g bytes=%d\n",
 			cell.Design, cell.MemMiB, cell.Jitter, len(data))
 		out.Write(data)

@@ -163,9 +163,10 @@ func (sp Spec) normalized() Spec {
 	return sp
 }
 
-// validate rejects a normalized spec with a typed, human-readable
-// reason. Bounds are generous — this is admission sanity, not policy.
-func (sp Spec) validate() error {
+// Validate rejects a spec with a typed, human-readable reason. Bounds
+// are generous — this is admission sanity, not policy. The service
+// validates normalized specs; fleetscan validates its flags as given.
+func (sp Spec) Validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrBadSpec, fmt.Sprintf(format, args...))
 	}
@@ -173,7 +174,7 @@ func (sp Spec) validate() error {
 		return bad("servers %d out of range [1, 1000000]", sp.Servers)
 	}
 	for _, d := range sp.Designs {
-		if _, err := ParseDesign(d); err != nil {
+		if _, err := core.ParseDesign(d); err != nil {
 			return bad("%v", err)
 		}
 	}
@@ -186,7 +187,7 @@ func (sp Spec) validate() error {
 		}
 	}
 	for _, d := range sp.Designs {
-		design, _ := ParseDesign(d)
+		design, _ := core.ParseDesign(d)
 		if design == core.DesignLinux {
 			continue
 		}
@@ -237,9 +238,10 @@ func (sp Spec) Cells() []Cell {
 	return cells
 }
 
-// fleetConfig builds the per-cell fleet configuration.
-func (sp Spec) fleetConfig(cell Cell) fleet.Config {
-	design, _ := ParseDesign(cell.Design) // validated at admission
+// FleetConfig builds the per-cell fleet configuration of a validated
+// spec.
+func (sp Spec) FleetConfig(cell Cell) fleet.Config {
+	design, _ := core.ParseDesign(cell.Design)
 	cfg := fleet.DefaultConfig()
 	cfg.Servers = sp.Servers
 	cfg.MemBytes = cell.MemMiB << 20
@@ -276,18 +278,9 @@ func (sp Spec) fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// ParseDesign maps a design name to its core value, with a plain error
-// (the cli.Usagef exit in fleetscan is a CLI policy, not a library one).
-func ParseDesign(name string) (core.Design, error) {
-	switch name {
-	case "linux":
-		return core.DesignLinux, nil
-	case "contiguitas":
-		return core.DesignContiguitas, nil
-	default:
-		return 0, fmt.Errorf("unknown design %q (want linux|contiguitas)", name)
-	}
-}
+// ParseDesign forwards to core.ParseDesign, the one design-name table;
+// it stays for perfbench, a separate module that names designs here.
+func ParseDesign(name string) (core.Design, error) { return core.ParseDesign(name) }
 
 // Campaign is the durable record of one submission: spec, lifecycle
 // state, attempt counts, and the result identity once done. This is

@@ -187,9 +187,12 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	}
 	m := &Manifest{Campaign: r.U64()}
 	m.Shards = make([]ManifestShard, r.Count(7*8)) // seven u64s per record
+	dec := seal.NewDecoder(r)
 	for i := range m.Shards {
-		m.Shards[i] = ManifestShard{Shard: int(r.U64()), Units: r.U64(), Done: r.U64(), Seq: r.U64(),
-			Chain: r.U64(), Attempts: r.U64(), Status: ShardStatus(r.U64())}
+		s := &m.Shards[i]
+		seal.Int(dec, &s.Shard)
+		dec.U64s(&s.Units, &s.Done, &s.Seq, &s.Chain, &s.Attempts)
+		seal.Uint(dec, &s.Status) // a status past uint8 would not re-encode
 	}
 	if err := r.Done(); err != nil {
 		return nil, err

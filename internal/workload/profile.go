@@ -9,6 +9,8 @@
 package workload
 
 import (
+	"fmt"
+
 	"contiguitas/internal/mem"
 	"contiguitas/internal/trans"
 )
@@ -242,6 +244,23 @@ func Ads() Profile {
 // Profiles returns the Figure 11/12 service set.
 func Profiles() []Profile {
 	return []Profile{CI(), Web(), CacheA(), CacheB()}
+}
+
+// ProfileByName looks up a service profile by the name the CLIs accept
+// (web|cachea|cacheb|ci).
+func ProfileByName(name string) (Profile, error) {
+	switch name {
+	case "web":
+		return Web(), nil
+	case "cachea":
+		return CacheA(), nil
+	case "cacheb":
+		return CacheB(), nil
+	case "ci":
+		return CI(), nil
+	default:
+		return Profile{}, fmt.Errorf("unknown profile %q (want web|cachea|cacheb|ci)", name)
+	}
 }
 
 // sourceOrder returns the block order a given unmovable source

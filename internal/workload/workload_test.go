@@ -279,3 +279,19 @@ func TestNoSlabManagerWithoutSlabWeight(t *testing.T) {
 		t.Fatal("no slab weight must mean no slab manager")
 	}
 }
+
+// TestProfileByName walks every profile name the CLIs accept, and one
+// they refuse.
+func TestProfileByName(t *testing.T) {
+	for name, want := range map[string]string{
+		"web": "Web", "cachea": "Cache A", "cacheb": "Cache B", "ci": "CI",
+	} {
+		p, err := ProfileByName(name)
+		if err != nil || p.Name != want {
+			t.Fatalf("%q: got %q, %v; want %q", name, p.Name, err, want)
+		}
+	}
+	if _, err := ProfileByName("ads"); err == nil {
+		t.Fatal(`"ads" accepted: Ads is not a CLI profile`)
+	}
+}
