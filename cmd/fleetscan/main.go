@@ -27,6 +27,7 @@ import (
 
 	"contiguitas"
 	"contiguitas/internal/cli"
+	"contiguitas/internal/core"
 	"contiguitas/internal/fleet"
 	"contiguitas/internal/mem"
 	"contiguitas/internal/obsv"
@@ -87,6 +88,12 @@ func main() {
 		cli.Usagef("fleetscan: -resume needs -soak (campaign state directory) or -trace (representative-server snapshot)")
 	}
 
+	// A sweep runs -sweep-designs, but -design is still a named flag: a
+	// name no design answers to is refused under every mode.
+	if _, err := core.ParseDesign(*design); err != nil {
+		cli.Usagef("fleetscan: %v", err)
+	}
+
 	// Every mode is a campaign spec, held to contigd's admission rules:
 	// the study and the soak are one cell, a sweep is the grid. The spec
 	// is not normalized, so -seed 0 and -min-uptime 0 mean what they say.
@@ -132,7 +139,10 @@ func main() {
 		runSweep(spec, *sweepOut, cache)
 		return
 	}
-	cfg := spec.FleetConfig(spec.Cells()[0])
+	cfg, err := spec.FleetConfig(spec.Cells()[0])
+	if err != nil {
+		cli.Usagef("fleetscan: %v", err)
+	}
 	if *soak {
 		runSoak(cfg, soakOptions{
 			dir:          *stateDir,

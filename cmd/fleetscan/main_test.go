@@ -41,6 +41,8 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-sweep", "-sweep-mems", "33"}, "invalid campaign spec: mem 33 MiB is not a whole number of 2 MiB pageblocks"},
 		{[]string{"-soak", "-mem", "33"}, "invalid campaign spec: mem 33 MiB is not a whole number of 2 MiB pageblocks"},
 		{[]string{"-sweep", "-servers", "4", "-sweep-mems", "32", "-sweep-designs", "linux,bsd"}, `invalid campaign spec: unknown design "bsd"`},
+		{[]string{"-design", "bogus"}, `unknown design "bogus"`},
+		{append([]string{"-sweep", "-design", "bogus"}, tiny...), `unknown design "bogus"`},
 		{append([]string{"-sweep", "-soak"}, tiny...), "-sweep and -soak cannot be combined"},
 		{append([]string{"-sweep", "-trace"}, tiny...), "-sweep and -trace cannot be combined"},
 		{append([]string{"-soak", "-trace"}, tiny...), "-soak and -trace cannot be combined"},

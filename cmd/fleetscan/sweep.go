@@ -104,7 +104,11 @@ func runSweep(sp service.Spec, out string, cache resultcache.Cache) {
 
 	var hits, misses, rejects uint64
 	for _, c := range cells {
-		res := runCampaign(fmt.Sprintf("%s-%dMiB-j%g", c.Design, c.MemMiB, c.Jitter), sp.FleetConfig(c), cache)
+		cfg, err := sp.FleetConfig(c)
+		if err != nil {
+			cli.Usagef("fleetscan: %v", err)
+		}
+		res := runCampaign(fmt.Sprintf("%s-%dMiB-j%g", c.Design, c.MemMiB, c.Jitter), cfg, cache)
 		hits += res.CacheHits
 		misses += res.CacheMisses
 		rejects += res.CacheRejects

@@ -89,9 +89,14 @@ func (d *Disk) cellPath(id string, cell int) string {
 	return filepath.Join(d.dir(id), fmt.Sprintf("cell-%03d.bin", cell))
 }
 
-// EncodeRecord seals a campaign into its CTGCAMP record bytes.
+// EncodeRecord seals a campaign into its CTGCAMP record bytes. It
+// refuses a campaign whose record DecodeRecord would refuse, so every
+// record the store writes reads back.
 func EncodeRecord(c *Campaign) ([]byte, error) {
 	body, err := json.Marshal(c)
+	if err == nil {
+		_, err = decodeBody(body)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("service: encode campaign %s: %w", c.ID, err)
 	}
@@ -107,13 +112,19 @@ func DecodeRecord(data []byte) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeBody(body)
+}
+
+// decodeBody decodes a record body that must be exactly what
+// EncodeRecord writes. encoding/json also accepts keys in any letter
+// case, unknown keys and free whitespace, and it writes a string that
+// is not valid UTF-8 as an escape that decodes to U+FFFD, so a body
+// that decodes is not yet proof of that.
+func decodeBody(body []byte) (*Campaign, error) {
 	c := &Campaign{}
 	if err := json.Unmarshal(body, c); err != nil {
 		return nil, fmt.Errorf("%w: decode: %v", ErrCorruptRecord, err)
 	}
-	// A record is exactly what EncodeRecord writes. encoding/json also
-	// accepts keys in any letter case, unknown keys and free whitespace,
-	// so a body that decodes is not yet proof of that.
 	if canon, err := json.Marshal(c); err != nil || !bytes.Equal(canon, body) {
 		return nil, fmt.Errorf("%w: decode: body is not the record's canonical encoding", ErrCorruptRecord)
 	}

@@ -101,7 +101,7 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // optional Retry-After value.
 func submitStatus(err error) (int, string) {
 	switch {
-	case errors.Is(err, ErrNoKey), errors.Is(err, ErrBadSpec):
+	case errors.Is(err, ErrNoKey), errors.Is(err, ErrBadKey), errors.Is(err, ErrBadSpec):
 		return http.StatusBadRequest, ""
 	case errors.Is(err, ErrKeyReuse):
 		return http.StatusConflict, ""

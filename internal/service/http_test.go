@@ -247,3 +247,25 @@ func TestHTTPRejectsMachinesTooSmallToBoot(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPRefusesKeyNotUTF8: net/http passes header bytes >= 0x80
+// through, but a key that is not valid UTF-8 cannot be stored and read
+// back unchanged. It is a 400 at admission, and the store's listing
+// stays readable.
+func TestHTTPRefusesKeyNotUTF8(t *testing.T) {
+	st, err := OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewScheduler(SchedulerConfig{Store: st}) // not started
+	srv := testServer(t, s)
+	spec, _ := json.Marshal(tinySpec())
+	resp, data := postJSON(t, srv.URL+"/api/campaigns", fmt.Sprintf(`{"spec": %s}`, spec),
+		map[string]string{"Idempotency-Key": "key-\xff"})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "not valid UTF-8") {
+		t.Fatalf("key with byte 0xff: %d %s", resp.StatusCode, data)
+	}
+	if resp, data = getBody(t, srv.URL+"/api/campaigns"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("list after refusal: %d %s", resp.StatusCode, data)
+	}
+}

@@ -33,9 +33,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"contiguitas/internal/fleet"
 	"contiguitas/internal/obsv"
@@ -344,6 +346,9 @@ func (s *Scheduler) Submit(spec Spec, key string) (*Campaign, bool, error) {
 	if key == "" {
 		return nil, false, ErrNoKey
 	}
+	if !utf8.ValidString(key) {
+		return nil, false, ErrBadKey
+	}
 	if s.draining.Load() {
 		s.stRejected.Add(1)
 		return nil, false, ErrDraining
@@ -499,7 +504,8 @@ func (s *Scheduler) interrupted() bool {
 // fail marks a campaign terminally failed.
 func (s *Scheduler) fail(c *Campaign, reason string) {
 	c.State = StateFailed
-	c.Error = reason
+	// A reason can quote input bytes; keep the record encodable.
+	c.Error = strings.ToValidUTF8(reason, "\uFFFD")
 	c.FinishedUnix = s.now().Unix()
 	_ = s.cfg.Store.Put(c)
 	s.stFailed.Add(1)
@@ -636,6 +642,10 @@ func (s *Scheduler) runCampaign(id string) {
 // caller; integrity verdicts from the checkpoint layer are permanent
 // and returned on first sight.
 func (s *Scheduler) runCell(ctx context.Context, c *Campaign, idx int, cell Cell) ([]byte, error) {
+	fcfg, err := c.Spec.FleetConfig(cell)
+	if err != nil {
+		return nil, err
+	}
 	var dir string
 	if sd := s.cfg.Store.StateDir(c.ID); sd != "" {
 		dir = filepath.Join(sd, fmt.Sprintf("cell-%03d", idx))
@@ -669,7 +679,7 @@ func (s *Scheduler) runCell(ctx context.Context, c *Campaign, idx int, cell Cell
 			}
 		}
 		res, err := fleet.RunSupervised(ctx, fleet.SupervisedConfig{
-			Fleet:       c.Spec.FleetConfig(cell),
+			Fleet:       fcfg,
 			Workers:     s.cfg.ShardWorkers,
 			MaxAttempts: s.cfg.ShardMaxAttempts,
 			BackoffBase: s.cfg.BackoffBase / 10,

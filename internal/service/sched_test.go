@@ -60,7 +60,11 @@ func referenceMerged(sp Spec) []byte {
 	sp = sp.normalized()
 	var out bytes.Buffer
 	for _, cell := range sp.Cells() {
-		data := fleet.CanonicalBytes(fleet.Run(sp.FleetConfig(cell)))
+		cfg, err := sp.FleetConfig(cell)
+		if err != nil {
+			panic(err)
+		}
+		data := fleet.CanonicalBytes(fleet.Run(cfg))
 		fmt.Fprintf(&out, "cell design=%s mem_mib=%d jitter=%g bytes=%d\n",
 			cell.Design, cell.MemMiB, cell.Jitter, len(data))
 		out.Write(data)

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unicode/utf8"
 
 	"contiguitas/internal/core"
 	"contiguitas/internal/fleet"
@@ -61,6 +62,9 @@ var (
 	ErrBadSpec = errors.New("service: invalid campaign spec")
 	// ErrNoKey reports a submission without an idempotency key (400).
 	ErrNoKey = errors.New("service: idempotency key required")
+	// ErrBadKey reports an idempotency key that is not valid UTF-8; its
+	// record could not be stored and read back unchanged (400).
+	ErrBadKey = errors.New("service: idempotency key is not valid UTF-8")
 	// ErrKeyReuse reports an idempotency key resubmitted with a
 	// different spec — the one thing an idempotent endpoint must never
 	// silently accept (409).
@@ -170,6 +174,9 @@ func (sp Spec) Validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrBadSpec, fmt.Sprintf(format, args...))
 	}
+	if !utf8.ValidString(sp.Name) {
+		return bad("name %q is not valid UTF-8", sp.Name)
+	}
 	if sp.Servers < 1 || sp.Servers > 1_000_000 {
 		return bad("servers %d out of range [1, 1000000]", sp.Servers)
 	}
@@ -239,9 +246,13 @@ func (sp Spec) Cells() []Cell {
 }
 
 // FleetConfig builds the per-cell fleet configuration of a validated
-// spec.
-func (sp Spec) FleetConfig(cell Cell) fleet.Config {
-	design, _ := core.ParseDesign(cell.Design)
+// spec. A cell whose design does not parse is refused with ErrBadSpec,
+// never run as some other design.
+func (sp Spec) FleetConfig(cell Cell) (fleet.Config, error) {
+	design, err := core.ParseDesign(cell.Design)
+	if err != nil {
+		return fleet.Config{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
 	cfg := fleet.DefaultConfig()
 	cfg.Servers = sp.Servers
 	cfg.MemBytes = cell.MemMiB << 20
@@ -251,7 +262,7 @@ func (sp Spec) FleetConfig(cell Cell) fleet.Config {
 	cfg.JitterFrac = cell.Jitter
 	cfg.Seed = sp.Seed
 	cfg.Shards = sp.Shards
-	return cfg
+	return cfg, nil
 }
 
 // fingerprint digests every result-shaping field of a normalized spec.

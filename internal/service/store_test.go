@@ -257,6 +257,49 @@ func TestDiskStoreCorruptRecordTyped(t *testing.T) {
 	}
 }
 
+// TestEncodeRecordRefusesUnreadableRecords: json.Marshal writes a
+// string that is not valid UTF-8 as an escape that decodes to U+FFFD,
+// so such a record would not decode to itself. EncodeRecord refuses it
+// rather than write a record DecodeRecord refuses, and every string a
+// campaign takes from input is checked before it reaches the store.
+func TestEncodeRecordRefusesUnreadableRecords(t *testing.T) {
+	for name, edit := range map[string]func(*Campaign){
+		"key":   func(c *Campaign) { c.Key = "k\xff" },
+		"name":  func(c *Campaign) { c.Spec.Name = "n\xff" },
+		"error": func(c *Campaign) { c.Error = "e\xff" },
+	} {
+		c := testCampaign("utf8")
+		edit(c)
+		if _, err := EncodeRecord(c); err == nil {
+			t.Errorf("%s not valid UTF-8: encoded", name)
+		}
+	}
+
+	s := fastSched(NewMemory())
+	if _, _, err := s.Submit(tinySpec(), "k\xff"); !errors.Is(err, ErrBadKey) {
+		t.Fatalf("key not valid UTF-8: %v, want ErrBadKey", err)
+	}
+	bad := tinySpec()
+	bad.Name = "n\xff"
+	if _, _, err := s.Submit(bad, "k"); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("name not valid UTF-8: %v, want ErrBadSpec", err)
+	}
+	c := testCampaign("failed")
+	s.fail(c, "reason \xff")
+	if _, err := EncodeRecord(c); err != nil {
+		t.Fatalf("failed record with a reason not valid UTF-8: %v", err)
+	}
+}
+
+// TestFleetConfigRefusesUnknownDesign: a cell whose design does not
+// parse is refused, never run as Linux.
+func TestFleetConfigRefusesUnknownDesign(t *testing.T) {
+	sp := tinySpec().normalized()
+	if _, err := sp.FleetConfig(Cell{Design: "bsd", MemMiB: 64}); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("FleetConfig(bsd) = %v, want ErrBadSpec", err)
+	}
+}
+
 // TestDiskStoreSkipsUnacknowledgedDirs: a campaign directory without a
 // record belongs to a submission killed before acknowledgement; List
 // must skip it rather than error or invent a campaign.
