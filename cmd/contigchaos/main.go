@@ -22,18 +22,14 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
 
 	"contiguitas/internal/cli"
 	"contiguitas/internal/core"
-	"contiguitas/internal/fault"
 	"contiguitas/internal/kernel"
 	"contiguitas/internal/snapshot"
-	"contiguitas/internal/telemetry"
 	"contiguitas/internal/workload"
 )
 
@@ -47,11 +43,7 @@ func main() {
 	faultRate := flag.Float64("fault-rate", 0.20, "mover fault probability; other points scale from it")
 	seed := flag.Uint64("seed", 1, "soak seed (faults and workload)")
 	trace := flag.Bool("trace", false, "attach telemetry to the soaked kernel and export it on exit")
-	traceOut := flag.String("trace-out", "results/chaos-trace.json", "Chrome trace_event output path (with -trace)")
-	metricsOut := flag.String("metrics-out", "results/chaos-metrics.jsonl", "per-tick metrics JSONL output path (with -trace)")
-	ckptEvery := flag.Uint64("checkpoint-every", 0, "take a crash-consistent checkpoint every N ticks (0 disables)")
-	ckptOut := flag.String("checkpoint-out", "results/chaos.snap", "rolling checkpoint path (with -checkpoint-every)")
-	resume := flag.String("resume", "", "resume the soak from this checkpoint file instead of starting fresh")
+	tr := cli.TraceRunFlags(flag.CommandLine, "results/chaos-trace.json", "results/chaos-metrics.jsonl", "results/chaos.snap")
 	killResume := flag.Bool("kill-resume", false, "run the kill-and-resume equivalence experiment instead of a single soak")
 	killAt := flag.Uint64("kill-at", 0, "tick to kill the soak at in -kill-resume mode (0 = mid-soak)")
 	pressureOn := flag.Bool("pressure", true, "enable the memory-pressure ladder (admission control, throttling, emergency shrink, OOM killer)")
@@ -92,7 +84,7 @@ func main() {
 	}
 
 	if *killResume {
-		runKillResume(opts, *ckptEvery, *killAt, *ckptOut)
+		runKillResume(opts, tr.CheckpointEvery, *killAt, tr.CheckpointOut)
 		return
 	}
 
@@ -100,12 +92,18 @@ func main() {
 		*mode, opts.Profile.Name, *memMB, opts.Ticks, opts.RecoveryTicks,
 		opts.Seed, opts.MoverFaultRate*100)
 
+	// -serve alone streams the soaked kernel's ring without writing the
+	// artifacts.
+	if !*trace {
+		tr.TraceOut, tr.MetricsOut = "", ""
+	}
+	run := tr.Start("contigchaos", handle)
+
 	// The writer-side pump: the checkpoint callback runs on the soak's
 	// driving goroutine every -check-every ticks, which is exactly the
 	// boundary a /metrics scrape may publish at.
-	var pub *telemetry.Publisher
 	opts.Checkpoint = func(ck workload.ChaosCheckpoint) {
-		pub.Pump(ck.Tick)
+		run.Pump(ck.Tick)
 		status := "ok"
 		if ck.Violation != nil {
 			status = "VIOLATION: " + ck.Violation.Error()
@@ -113,101 +111,33 @@ func main() {
 		fmt.Printf("  tick %6d  events %9d  %s  [%s]\n",
 			ck.Tick, ck.Events, ck.Robustness, status)
 	}
-
-	// With -trace, attach a tracer and sampler to the soak's kernel via
-	// the OnKernel hook (on resume the hook sees the restored kernel).
-	// Export runs through opts.Export, which RunChaos invokes on every
-	// exit path — a killed or failed soak still flushes complete
-	// artifacts instead of leaving truncated files behind. -serve
-	// attaches the same way even without -trace (a smaller ring, no
-	// exports).
-	var soaked *kernel.Kernel
-	var tp *telemetry.Ring
-	var sampler *telemetry.Sampler
-	var exportErr error
-	if *trace {
+	// With -trace or -serve, instrument the soak's kernel via the
+	// OnKernel hook (on resume the hook sees the restored kernel).
+	if *trace || handle != nil {
 		opts.OnKernel = func(k *kernel.Kernel) {
-			soaked = k
-			tp = telemetry.NewRing(1 << 16)
-			k.SetTracer(tp)
-			sampler = k.AttachSampler(int(opts.Ticks+opts.RecoveryTicks) + 1)
-			pub = handle.Attach(k.Metrics(), tp)
-			pub.Publish(0)
-		}
-		opts.Export = func() {
-			if soaked == nil {
-				return
-			}
-			exportErr = telemetry.ExportAll(
-				telemetry.ChromeTraceArtifact(*traceOut, tp, sampler),
-				telemetry.MetricsJSONLArtifact(*metricsOut, sampler),
-			)
-			if exportErr != nil {
-				return
-			}
-			fmt.Printf("telemetry: %s (%d events, %d overwritten), %s (%d rows)\n",
-				*traceOut, tp.Len(), tp.Overwritten(), *metricsOut, sampler.Len())
-		}
-	} else if handle != nil {
-		opts.OnKernel = func(k *kernel.Kernel) {
-			tp = telemetry.NewRing(1 << 12)
-			k.SetTracer(tp)
-			pub = handle.Attach(k.Metrics(), tp)
-			pub.Publish(0)
+			run.Instrument(k, 1<<16, int(opts.Ticks+opts.RecoveryTicks)+1)
 		}
 	}
-
 	// Rolling checkpoints: every -checkpoint-every ticks the full machine
 	// (kernel, runner, injector) is sealed into the hash chain and the
 	// file at -checkpoint-out is atomically replaced.
-	cp := &snapshot.Checkpointer{Path: *ckptOut}
-	var cpErr error
-	if *ckptEvery > 0 {
-		opts.SnapshotEvery = *ckptEvery
-		opts.OnSnapshot = func(tick uint64, k *kernel.Kernel, r *workload.Runner, inj *fault.Injector) {
-			if _, err := cp.Take(tick, k, r, inj); err != nil && cpErr == nil {
-				cpErr = err
-			}
-		}
-	}
+	opts.SnapshotEvery, opts.OnSnapshot = tr.CheckpointEvery, run.Checkpoint
 
 	var rep *workload.ChaosReport
-	if *resume != "" {
-		var e *snapshot.Envelope
-		e, err = snapshot.Read(*resume)
-		if err != nil {
-			// A missing file is operational; anything else means the
-			// snapshot failed its integrity checks.
-			if errors.Is(err, fs.ErrNotExist) {
-				cli.Runtimef("contigchaos: %v", err)
-			}
-			cli.Verifyf("contigchaos: %v", err)
-		}
-		fmt.Printf("resuming from %s: seq=%d tick=%d state=%016x chain=%016x\n",
-			*resume, e.Seq, e.Tick, e.StateHash, e.ChainHash)
-		// Checkpoints taken after the resume extend the original chain.
-		cp.SetChain(e.Seq+1, e.ChainHash)
-		rep, err = snapshot.ResumeChaos(opts, e)
+	if run.Resumed != nil {
+		rep, err = snapshot.ResumeChaos(opts, run.Resumed)
 	} else {
 		rep, err = workload.RunChaos(opts)
 	}
 	if err != nil {
 		cli.Runtimef("contigchaos: %v", err)
 	}
-	pub.Publish(rep.Ticks)
-	if exportErr != nil {
-		cli.Runtimef("contigchaos: %v", exportErr)
-	}
-	if cpErr != nil {
-		cli.Runtimef("contigchaos: checkpointing: %v", cpErr)
+	if err := run.Finish(rep.Ticks); err != nil {
+		cli.Runtimef("contigchaos: %v", err)
 	}
 
 	fmt.Printf("\nsoak complete: %d ticks, %d events, %d checkpoints\n",
 		rep.Ticks, rep.Events, rep.Checkpoints)
-	if last := cp.Last(); last != nil {
-		fmt.Printf("last snapshot: %s seq=%d tick=%d state=%016x chain=%016x\n",
-			*ckptOut, last.Seq, last.Tick, last.StateHash, last.ChainHash)
-	}
 	fmt.Printf("final state hash: %016x\n", rep.FinalStateHash)
 	fmt.Println("injected faults:")
 	for _, ps := range rep.Faults {

@@ -37,13 +37,8 @@ import (
 	"contiguitas/internal/core"
 	"contiguitas/internal/hw"
 	"contiguitas/internal/mem"
-	"contiguitas/internal/obsv"
 	"contiguitas/internal/resize"
 )
-
-// obsvHandle is the -serve plane (nil when the flag is off); traceRun
-// attaches the instrumented kernel's registry and ring to it.
-var obsvHandle *obsv.Handle
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id (fig2|fig3|fig10|fig11|fig12|fig13|sec52|sec53|tab1|ablations|all)")
@@ -51,22 +46,20 @@ func main() {
 	ticks := flag.Uint64("ticks", 400, "workload warmup ticks")
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	trace := flag.Bool("trace", false, "run one instrumented kernel and export telemetry instead of -exp")
-	traceOut := flag.String("trace-out", "results/trace.json", "Chrome trace_event output path (with -trace)")
-	metricsOut := flag.String("metrics-out", "results/metrics.jsonl", "per-tick metrics JSONL output path (with -trace)")
+	tr := cli.TraceRunFlags(flag.CommandLine, "results/trace.json", "results/metrics.jsonl", "results/trace.snap")
 	timelineOut := flag.String("timeline-out", "", "greppable text timeline output path (with -trace; empty disables)")
 	traceMode := flag.String("trace-mode", "contiguitas", "kernel mode for the traced run (linux|contiguitas)")
-	ckptEvery := flag.Uint64("checkpoint-every", 0, "take a crash-consistent checkpoint every N ticks during -trace (0 disables)")
-	ckptOut := flag.String("checkpoint-out", "results/trace.snap", "rolling checkpoint path (with -checkpoint-every)")
-	resume := flag.String("resume", "", "resume the -trace run from this checkpoint file")
 	sweep := flag.Bool("pressure-sweep", false, "ramp footprint past machine capacity and verify graceful degradation instead of -exp")
 	sweepMemMB := flag.Uint64("sweep-mem", 512, "pressure-sweep machine memory in MiB")
 	sweepTicks := flag.Uint64("sweep-ticks", 600, "pressure-sweep length in ticks")
 	sweepPeak := flag.Float64("sweep-peak", 2.0, "pressure-sweep peak demand as a multiple of machine memory")
 	observe := cli.ObserveFlags(flag.CommandLine, true)
 	cli.Parse(flag.CommandLine, os.Args[1:])
+	if !*trace {
+		tr.Untraced("contigsim")
+	}
 
-	var stop func()
-	obsvHandle, stop = observe.Start()
+	handle, stop := observe.Start()
 	defer stop()
 
 	if *sweep {
@@ -83,7 +76,9 @@ func main() {
 		if err != nil {
 			cli.Usagef("contigsim: -trace-mode: %v", err)
 		}
-		if err := traceRun(design.Mode(), *memGB<<30, *ticks, *seed, *traceOut, *metricsOut, *timelineOut, *ckptEvery, *ckptOut, *resume); err != nil {
+		run := tr.Start("contigsim", handle)
+		run.Timeline = *timelineOut
+		if err := traceRun(run, design.Mode(), *memGB<<30, *ticks, *seed); err != nil {
 			cli.Runtimef("contigsim: %v", err)
 		}
 		return

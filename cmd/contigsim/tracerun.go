@@ -4,25 +4,23 @@ import (
 	"fmt"
 	"os"
 
+	"contiguitas/internal/cli"
 	"contiguitas/internal/kernel"
 	"contiguitas/internal/mem"
 	"contiguitas/internal/psi"
-	"contiguitas/internal/snapshot"
 	"contiguitas/internal/telemetry"
 	"contiguitas/internal/workload"
 )
 
-// traceRun drives one fully instrumented kernel and exports every
-// telemetry artifact: a Perfetto-loadable Chrome trace with distinct
-// migration/compaction/resize tracks, the per-tick metrics JSONL, an
-// optional greppable text timeline, and the Fig. 13-style migration
-// latency histograms printed to stdout.
-//
-// With ckptEvery > 0 the full machine is checkpointed to ckptOut every
-// ckptEvery ticks at the end-of-tick quiesce boundary; with resume set
-// the run restores from that file and continues to the same end tick
-// (the telemetry ring restarts — only simulator state is checkpointed).
-func traceRun(mode kernel.Mode, memBytes, ticks, seed uint64, traceOut, metricsOut, timelineOut string, ckptEvery uint64, ckptOut, resume string) error {
+// traceRun drives one fully instrumented kernel (restored from -resume
+// when set) to the end tick, checkpointing it every -checkpoint-every
+// ticks, and exports every telemetry artifact: a Perfetto-loadable
+// Chrome trace with distinct migration/compaction/resize tracks, the
+// per-tick metrics JSONL, an optional greppable text timeline, and the
+// Fig. 13-style migration latency histograms printed to stdout. The
+// telemetry ring restarts on resume; only simulator state is
+// checkpointed.
+func traceRun(run *cli.Run, mode kernel.Mode, memBytes, ticks, seed uint64) error {
 	cfg := kernel.DefaultConfig(mode)
 	cfg.MemBytes = memBytes
 	cfg.InitialUnmovableBytes = memBytes / 8
@@ -37,43 +35,15 @@ func traceRun(mode kernel.Mode, memBytes, ticks, seed uint64, traceOut, metricsO
 	p.UserFrac = 0.79
 	p.PageCacheFrac = 0.09
 
-	cp := &snapshot.Checkpointer{Path: ckptOut}
-	var k *kernel.Kernel
-	var r *workload.Runner
-	startTick := uint64(0)
-	if resume != "" {
-		e, err := snapshot.Read(resume)
-		if err != nil {
-			return err
-		}
-		k, err = kernel.Restore(cfg, e.Machine.Kernel)
-		if err != nil {
-			return fmt.Errorf("resume: %w", err)
-		}
-		r, err = workload.RestoreRunner(k, p, seed, e.Machine.Runner)
-		if err != nil {
-			return fmt.Errorf("resume: %w", err)
-		}
-		startTick = e.Tick
-		cp.SetChain(e.Seq+1, e.ChainHash)
-		fmt.Printf("resumed from %s: seq=%d tick=%d state=%016x\n", resume, e.Seq, e.Tick, e.StateHash)
-	} else {
-		k = kernel.New(cfg)
-		r = workload.NewRunner(k, p, seed)
+	k, r, err := run.Boot(cfg, p, seed)
+	if err != nil {
+		return err
 	}
-
-	tp := telemetry.NewRing(1 << 16)
-	k.SetTracer(tp)
-	sampler := k.AttachSampler(int(ticks) + 1)
-	pub := obsvHandle.Attach(k.Metrics(), tp)
-	pub.Publish(startTick)
-
-	for tick := startTick; tick < ticks; tick++ {
-		r.Step()
-		pub.Pump(tick)
-		// Deterministic pulses keep every timeline track populated: the
-		// HugeTLB probe forces direct compaction, the defrag pass drives
-		// the hardware mover.
+	run.Instrument(k, 1<<16, int(ticks)+1)
+	// Deterministic pulses keep every timeline track populated: the
+	// HugeTLB probe forces direct compaction, the defrag pass drives the
+	// hardware mover.
+	err = run.Loop(k, r, ticks, func(tick uint64) {
 		if tick%25 == 0 {
 			huge := k.AllocHugeTLB(mem.Order2M, 2)
 			k.FreeHugeTLB(&huge)
@@ -81,36 +51,14 @@ func traceRun(mode kernel.Mode, memBytes, ticks, seed uint64, traceOut, metricsO
 		if mode == kernel.ModeContiguitas && tick%50 == 49 {
 			k.DefragUnmovable()
 		}
-		if ckptEvery > 0 && (tick+1)%ckptEvery == 0 {
-			if _, err := cp.Take(tick+1, k, r, nil); err != nil {
-				return fmt.Errorf("checkpoint: %w", err)
-			}
-		}
+	})
+	if err != nil {
+		return err
 	}
-	pub.Publish(ticks)
-	if last := cp.Last(); last != nil {
-		fmt.Printf("last snapshot: %s seq=%d tick=%d state=%016x chain=%016x\n",
-			ckptOut, last.Seq, last.Tick, last.StateHash, last.ChainHash)
-	}
-
-	// Flush-all: every artifact is attempted even when a sibling's write
-	// fails, so one bad output path cannot cost the others.
-	if err := telemetry.ExportAll(
-		telemetry.ChromeTraceArtifact(traceOut, tp, sampler),
-		telemetry.MetricsJSONLArtifact(metricsOut, sampler),
-		telemetry.TimelineArtifact(timelineOut, tp),
-	); err != nil {
-		return fmt.Errorf("telemetry export: %w", err)
-	}
-
 	fmt.Printf("== traced run: %s, %d MiB, %d ticks ==\n", mode, memBytes>>20, ticks)
-	fmt.Printf("trace:   %s (load in Perfetto / chrome://tracing)\n", traceOut)
-	fmt.Printf("metrics: %s\n", metricsOut)
-	if timelineOut != "" {
-		fmt.Printf("timeline: %s\n", timelineOut)
+	if err := run.Finish(ticks); err != nil {
+		return err
 	}
-	fmt.Printf("events: %d retained, %d overwritten (ring cap %d)\n",
-		tp.Len(), tp.Overwritten(), tp.Cap())
 
 	fmt.Println("\n-- per-tick stall/latency breakdown --")
 	w := table()

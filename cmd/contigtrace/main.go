@@ -18,14 +18,9 @@ import (
 	"contiguitas/internal/core"
 	"contiguitas/internal/kernel"
 	"contiguitas/internal/mem"
-	"contiguitas/internal/obsv"
-	"contiguitas/internal/telemetry"
 	"contiguitas/internal/trace"
 	"contiguitas/internal/workload"
 )
-
-// obsvHandle is the -serve plane (nil when the flag is off).
-var obsvHandle *obsv.Handle
 
 func main() {
 	record := flag.String("record", "", "record a trace to this file")
@@ -35,13 +30,11 @@ func main() {
 	memMB := flag.Uint64("mem", 512, "machine memory in MiB")
 	ticks := flag.Uint64("ticks", 200, "ticks to record")
 	seed := flag.Uint64("seed", 1, "seed")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace of the replayed kernel to this file (replay only)")
-	metricsOut := flag.String("metrics-out", "", "write per-tick metrics JSONL of the replayed kernel to this file (replay only)")
+	tr := cli.TraceRunFlags(flag.CommandLine, "", "", "")
 	observe := cli.ObserveFlags(flag.CommandLine, false)
 	cli.Parse(flag.CommandLine, os.Args[1:])
 
-	var stop func()
-	obsvHandle, stop = observe.Start()
+	handle, stop := observe.Start()
 	defer stop()
 
 	switch {
@@ -58,7 +51,8 @@ func main() {
 		if err != nil {
 			cli.Usagef("contigtrace: %v", err)
 		}
-		if err := doReplay(*replay, d, *design, *memMB<<20, *traceOut, *metricsOut); err != nil {
+		instrument := tr.TraceOut != "" || tr.MetricsOut != "" || handle != nil
+		if err := doReplay(tr.Start("contigtrace", handle), instrument, *replay, d, *design, *memMB<<20); err != nil {
 			cli.Runtimef("contigtrace: %v", err)
 		}
 	default:
@@ -103,7 +97,7 @@ func doRecord(path string, p workload.Profile, memBytes, ticks, seed uint64) err
 
 // doReplay replays the trace at path on a fresh d machine; name is the
 // design as the user spelled it, for the summary line.
-func doReplay(path string, d core.Design, name string, memBytes uint64, traceOut, metricsOut string) error {
+func doReplay(run *cli.Run, instrument bool, path string, d core.Design, name string, memBytes uint64) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -118,33 +112,15 @@ func doReplay(path string, d core.Design, name string, memBytes uint64, traceOut
 	// allocation stream then yields a per-design timeline and metric
 	// series, making cross-design comparisons visual. -serve forces the
 	// instrumentation on so the plane has something to stream.
-	var tp *telemetry.Ring
-	var sampler *telemetry.Sampler
-	if traceOut != "" || metricsOut != "" || obsvHandle != nil {
-		tp = telemetry.NewRing(1 << 15)
-		k.SetTracer(tp)
-		sampler = k.AttachSampler(1 << 12)
+	if instrument {
+		run.Instrument(k, 1<<15, 1<<12)
 	}
-	pub := obsvHandle.Attach(k.Metrics(), tp)
-	pub.Publish(0)
 	st, err := trace.Replay(k, r)
 	if err != nil {
 		return err
 	}
-	pub.Publish(st.Ticks)
-	// Both artifacts are attempted even if one fails; an empty path
-	// skips that artifact.
-	if err := telemetry.ExportAll(
-		telemetry.ChromeTraceArtifact(traceOut, tp, sampler),
-		telemetry.MetricsJSONLArtifact(metricsOut, sampler),
-	); err != nil {
+	if err := run.Finish(st.Ticks); err != nil {
 		return err
-	}
-	if traceOut != "" {
-		fmt.Printf("trace: %s (%d events, %d overwritten)\n", traceOut, tp.Len(), tp.Overwritten())
-	}
-	if metricsOut != "" {
-		fmt.Printf("metrics: %s (%d rows)\n", metricsOut, sampler.Len())
 	}
 	scan := k.PM().Scan(mem.ScanOrders)
 	fmt.Printf("replayed %d events (%d ticks, %d failed allocations) on %s\n",

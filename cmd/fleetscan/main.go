@@ -35,6 +35,7 @@ import (
 	"contiguitas/internal/service"
 	"contiguitas/internal/supervise"
 	"contiguitas/internal/telemetry"
+	"contiguitas/internal/workload"
 )
 
 func main() {
@@ -46,11 +47,8 @@ func main() {
 	design := flag.String("design", "linux", "memory-management design (linux|contiguitas)")
 	shards := flag.Int("shards", 0, "supervised campaign shards (0 picks the default for -servers)")
 	trace := flag.Bool("trace", false, "also run one instrumented representative server and export its telemetry")
-	traceOut := flag.String("trace-out", "results/fleet-trace.json", "Chrome trace_event output path (with -trace)")
-	metricsOut := flag.String("metrics-out", "results/fleet-metrics.jsonl", "per-tick metrics JSONL output path (with -trace)")
-	ckptEvery := flag.Uint64("checkpoint-every", 0, "checkpoint the -trace representative server every N ticks (0 disables)")
-	ckptOut := flag.String("checkpoint-out", "results/fleet.snap", "rolling checkpoint path (with -checkpoint-every)")
-	resume := flag.String("resume", "", "resume path: a representative-server snapshot with -trace, or a campaign state directory with -soak")
+	tr := cli.TraceRunFlags(flag.CommandLine, "results/fleet-trace.json", "results/fleet-metrics.jsonl", "results/fleet.snap")
+	flag.Lookup("resume").Usage = "resume path: a representative-server snapshot with -trace, or a campaign state directory with -soak"
 	soak := flag.Bool("soak", false, "run the kill-heavy supervision soak instead of printing the study")
 	stateDir := flag.String("state-dir", "", "campaign state directory for -soak (manifest + shard checkpoints; empty keeps state in memory)")
 	killEvery := flag.Uint64("kill-every", 3, "with -soak, kill a shard on every Nth server it completes (>= 2; 0 disables)")
@@ -82,10 +80,19 @@ func main() {
 	if len(modes) > 1 {
 		cli.Usagef("fleetscan: %s and %s cannot be combined", modes[0], modes[1])
 	}
-	if *resume != "" && !*soak && !*trace {
+	if tr.Resume != "" && !*soak && !*trace {
 		// A -resume with nothing to resume into must not silently run a
 		// fresh study — that reads as "resumed fine" to the caller.
 		cli.Usagef("fleetscan: -resume needs -soak (campaign state directory) or -trace (representative-server snapshot)")
+	}
+	// Under -soak, -resume names a campaign state directory, not a
+	// snapshot of the traced server.
+	var soakResume string
+	if *soak {
+		soakResume, tr.Resume = tr.Resume, ""
+	}
+	if !*trace {
+		tr.Untraced("fleetscan")
 	}
 
 	// A sweep runs -sweep-designs, but -design is still a named flag: a
@@ -127,6 +134,12 @@ func main() {
 	// Baseline snapshot so /metrics answers before the first campaign
 	// event (the registry is still owned by this goroutine here).
 	obsvPub.Publish(0)
+	// Read a -resume snapshot before the study runs, so a bad one fails
+	// fast.
+	var run *cli.Run
+	if *trace {
+		run = tr.Start("fleetscan", obsvHandle)
+	}
 
 	// The shard result cache: plain runs and sweeps share it; -no-cache
 	// wins over -cache-dir so scripts can flip one switch for A/B runs.
@@ -146,7 +159,7 @@ func main() {
 	if *soak {
 		runSoak(cfg, soakOptions{
 			dir:          *stateDir,
-			resumeDir:    *resume,
+			resumeDir:    soakResume,
 			killEvery:    *killEvery,
 			ckptFailProb: *ckptFailProb,
 			killAfter:    *killAfter,
@@ -166,8 +179,8 @@ func main() {
 		fmt.Println("cache: disabled")
 	}
 
-	if *trace {
-		if err := traceRepresentative(cfg, *maxTicks, *traceOut, *metricsOut, *ckptEvery, *ckptOut, *resume); err != nil {
+	if run != nil {
+		if err := traceRepresentative(run, cfg, *maxTicks); err != nil {
 			cli.Runtimef("fleetscan: %v", err)
 		}
 	}
@@ -234,6 +247,27 @@ func main() {
 	}
 	w.Flush()
 	fmt.Println("paper: servers can get highly fragmented within the first hour of running workloads")
+}
+
+// traceRepresentative boots one server with the study's design and
+// memory size (restored from -resume when set), runs it for the study's
+// maximum uptime under the Web profile with full telemetry attached and
+// exports its Chrome trace and per-tick metrics JSONL. The fleet study
+// itself stays uninstrumented — its servers are too many and too
+// short-lived for a per-server timeline to mean anything.
+func traceRepresentative(run *cli.Run, cfg contiguitas.FleetConfig, ticks uint64) error {
+	mc := core.DefaultMachineConfig(cfg.Design)
+	mc.MemBytes = cfg.MemBytes
+	mc.Seed = cfg.Seed
+	k, r, err := run.Boot(mc.KernelConfig(), workload.Web(), cfg.Seed)
+	if err != nil {
+		return err
+	}
+	run.Instrument(k, 1<<15, int(ticks)+1)
+	if err := run.Loop(k, r, ticks, nil); err != nil {
+		return err
+	}
+	return run.Finish(ticks)
 }
 
 // The -serve plane (nil when the flag is off). Every campaign records

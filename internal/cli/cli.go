@@ -15,7 +15,10 @@
 // does not hold" signal, distinct from both misuse and I/O flakes.
 //
 // The package also holds the flags the commands share for watching a
-// run: -serve and the profiles (ObserveFlags).
+// run: -serve and the profiles (ObserveFlags), and the one traced-run
+// path every command that steps an instrumented kernel goes through:
+// its flag group, resume, instrumentation, tick loop and export
+// (TraceRunFlags, Run).
 package cli
 
 import (

@@ -9,7 +9,7 @@ import (
 // use. This registration table is the single place counter names are
 // defined: every Counters field is bound here by pointer, so the hot
 // paths keep their plain `k.AllocOK++` increments while exporters,
-// samplers, and trace.SnapshotRobustness all read through the registry.
+// samplers, and telemetry.SnapshotRobustness all read through the registry.
 // Counters carrying TagRobustness are the failure-handling set the
 // chaos machinery snapshots.
 func (k *Kernel) Metrics() *telemetry.Registry {

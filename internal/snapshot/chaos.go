@@ -57,9 +57,6 @@ func (c *Checkpointer) Take(tick uint64, k *kernel.Kernel, r *workload.Runner, i
 // Last returns the most recent checkpoint (nil before the first Take).
 func (c *Checkpointer) Last() *Envelope { return c.last }
 
-// Chain returns the running chain digest after the last Take.
-func (c *Checkpointer) Chain() uint64 { return c.chain }
-
 // SetChain seeds the running chain digest and sequence number — used
 // when resuming, so checkpoints taken after the restore extend the
 // original chain instead of starting a new one.

@@ -80,39 +80,6 @@ func WriteMetricsJSONL(w io.Writer, s *Sampler) error {
 	return bw.Flush()
 }
 
-// WriteMetricsCSV writes the sampler's time series as CSV: a header of
-// column names, then one row per tick of cumulative counter values and
-// gauge values.
-func WriteMetricsCSV(w io.Writer, s *Sampler) error {
-	bw := bufio.NewWriter(w)
-	reg := s.Registry()
-
-	bw.WriteString("tick")
-	for _, c := range reg.Counters() {
-		bw.WriteByte(',')
-		bw.WriteString(c.Name())
-	}
-	for _, g := range reg.Gauges() {
-		bw.WriteByte(',')
-		bw.WriteString(g.Name())
-	}
-	bw.WriteByte('\n')
-
-	s.Rows(func(row *SampleRow) {
-		bw.WriteString(strconv.FormatUint(row.Tick, 10))
-		for _, v := range row.Counters {
-			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatUint(v, 10))
-		}
-		for _, v := range row.Gauges {
-			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatFloat(v, 'g', 6, 64))
-		}
-		bw.WriteByte('\n')
-	})
-	return bw.Flush()
-}
-
 // WriteTimeline writes the ring as a stable, greppable text timeline,
 // one event per line:
 //
@@ -262,31 +229,28 @@ func writeFile(path string, fn func(io.Writer) error) error {
 }
 
 // Artifact is one pending export: a target path and the writer that
-// produces it. A zero Path marks the artifact disabled (ExportAll skips
-// it), so optional outputs thread through uniformly.
+// produces its bytes. A zero Path marks the artifact disabled (ExportAll
+// skips it), so optional outputs thread through uniformly.
 type Artifact struct {
 	Path  string
-	Write func(path string) error
+	write func(io.Writer) error
 }
 
-// ChromeTraceArtifact defers an ExportChromeTraceFile.
+// ChromeTraceArtifact writes the ring, and the sampler's gauge series,
+// as Chrome trace_event JSON (WriteChromeTrace).
 func ChromeTraceArtifact(path string, r *Ring, s *Sampler) Artifact {
-	return Artifact{Path: path, Write: func(p string) error { return ExportChromeTraceFile(p, r, s) }}
+	return Artifact{path, func(w io.Writer) error { return WriteChromeTrace(w, r, s) }}
 }
 
-// MetricsJSONLArtifact defers an ExportMetricsJSONLFile.
+// MetricsJSONLArtifact writes the sampler's series as JSON Lines
+// (WriteMetricsJSONL).
 func MetricsJSONLArtifact(path string, s *Sampler) Artifact {
-	return Artifact{Path: path, Write: func(p string) error { return ExportMetricsJSONLFile(p, s) }}
+	return Artifact{path, func(w io.Writer) error { return WriteMetricsJSONL(w, s) }}
 }
 
-// MetricsCSVArtifact defers an ExportMetricsCSVFile.
-func MetricsCSVArtifact(path string, s *Sampler) Artifact {
-	return Artifact{Path: path, Write: func(p string) error { return ExportMetricsCSVFile(p, s) }}
-}
-
-// TimelineArtifact defers an ExportTimelineFile.
+// TimelineArtifact writes the ring's text timeline (WriteTimeline).
 func TimelineArtifact(path string, r *Ring) Artifact {
-	return Artifact{Path: path, Write: func(p string) error { return ExportTimelineFile(p, r) }}
+	return Artifact{path, func(w io.Writer) error { return WriteTimeline(w, r) }}
 }
 
 // ExportAll flushes every artifact, attempting each one regardless of
@@ -301,29 +265,9 @@ func ExportAll(artifacts ...Artifact) error {
 		if a.Path == "" {
 			continue
 		}
-		if err := a.Write(a.Path); err != nil {
+		if err := writeFile(a.Path, a.write); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", a.Path, err))
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// ExportMetricsJSONLFile writes the sampler's JSONL series to path.
-func ExportMetricsJSONLFile(path string, s *Sampler) error {
-	return writeFile(path, func(w io.Writer) error { return WriteMetricsJSONL(w, s) })
-}
-
-// ExportMetricsCSVFile writes the sampler's CSV series to path.
-func ExportMetricsCSVFile(path string, s *Sampler) error {
-	return writeFile(path, func(w io.Writer) error { return WriteMetricsCSV(w, s) })
-}
-
-// ExportTimelineFile writes the ring's text timeline to path.
-func ExportTimelineFile(path string, r *Ring) error {
-	return writeFile(path, func(w io.Writer) error { return WriteTimeline(w, r) })
-}
-
-// ExportChromeTraceFile writes the Chrome trace_event JSON to path.
-func ExportChromeTraceFile(path string, r *Ring, s *Sampler) error {
-	return writeFile(path, func(w io.Writer) error { return WriteChromeTrace(w, r, s) })
 }

@@ -1,20 +1,16 @@
-package trace
+package telemetry
 
 import (
 	"strconv"
 	"strings"
-
-	"contiguitas/internal/kernel"
-	"contiguitas/internal/telemetry"
 )
 
-// Robustness is a snapshot of the kernel's failure-handling counters —
-// the observability companion to the fault-injection machinery. The
-// chaos driver takes one per checkpoint; deltas between snapshots show
-// where the failure budget went.
+// Robustness is a snapshot of a registry's failure-handling counters
+// (its TagRobustness set) — the observability companion to the
+// fault-injection machinery. The chaos soak takes one of the kernel's
+// registry per checkpoint.
 //
-// The snapshot is derived from the metric registry's TagRobustness set,
-// so the counter names exist in exactly one place: the kernel's
+// The counter names exist in exactly one place: the kernel's
 // registration table (kernel.Metrics). Adding a failure counter there
 // automatically extends every chaos report.
 type Robustness struct {
@@ -22,9 +18,9 @@ type Robustness struct {
 	vals  []uint64
 }
 
-// SnapshotRobustness captures the kernel's current failure counters.
-func SnapshotRobustness(k *kernel.Kernel) Robustness {
-	cs := k.Metrics().Tagged(telemetry.TagRobustness)
+// SnapshotRobustness captures reg's current TagRobustness counters.
+func SnapshotRobustness(reg *Registry) Robustness {
+	cs := reg.Tagged(TagRobustness)
 	r := Robustness{names: make([]string, len(cs)), vals: make([]uint64, len(cs))}
 	for i, c := range cs {
 		r.names[i] = c.Name()
@@ -41,16 +37,6 @@ func (r Robustness) Value(name string) uint64 {
 		}
 	}
 	return 0
-}
-
-// Sub returns the per-counter delta since an earlier snapshot. Both
-// snapshots must come from the same registry schema.
-func (r Robustness) Sub(prev Robustness) Robustness {
-	d := Robustness{names: r.names, vals: make([]uint64, len(r.vals))}
-	for i, v := range r.vals {
-		d.vals[i] = v - prev.Value(r.names[i])
-	}
-	return d
 }
 
 // Equal reports whether two snapshots agree on every counter.

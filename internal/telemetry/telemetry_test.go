@@ -263,27 +263,6 @@ func TestSamplerNilEnabled(t *testing.T) {
 	}
 }
 
-func TestWriteMetricsCSV(t *testing.T) {
-	reg := NewRegistry()
-	var a uint64
-	reg.BindCounter("a", &a)
-	reg.GaugeFunc("g", func() float64 { return 1.5 })
-	s := NewSampler(reg, 64)
-	a = 5
-	s.Sample(0)
-	a = 9
-	s.Sample(1)
-
-	var buf bytes.Buffer
-	if err := WriteMetricsCSV(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	want := "tick,a,g\n0,5,1.5\n1,9,1.5\n"
-	if buf.String() != want {
-		t.Fatalf("csv = %q, want %q", buf.String(), want)
-	}
-}
-
 func TestWriteTimeline(t *testing.T) {
 	r := NewRing(64)
 	r.Emit(42, EvMigrateComplete, 512, 1024, 9000)
@@ -435,18 +414,12 @@ func TestExportFiles(t *testing.T) {
 	s := NewSampler(reg, 64)
 	s.Sample(1)
 
-	for _, p := range []struct {
-		path string
-		fn   func(string) error
-	}{
-		{dir + "/sub/trace.json", func(p string) error { return ExportChromeTraceFile(p, r, s) }},
-		{dir + "/metrics.jsonl", func(p string) error { return ExportMetricsJSONLFile(p, s) }},
-		{dir + "/metrics.csv", func(p string) error { return ExportMetricsCSVFile(p, s) }},
-		{dir + "/timeline.txt", func(p string) error { return ExportTimelineFile(p, r) }},
-	} {
-		if err := p.fn(p.path); err != nil {
-			t.Fatalf("%s: %v", p.path, err)
-		}
+	if err := ExportAll(
+		ChromeTraceArtifact(dir+"/sub/trace.json", r, s),
+		MetricsJSONLArtifact(dir+"/metrics.jsonl", s),
+		TimelineArtifact(dir+"/timeline.txt", r),
+	); err != nil {
+		t.Fatal(err)
 	}
 }
 

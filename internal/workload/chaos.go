@@ -2,14 +2,13 @@ package workload
 
 import (
 	"fmt"
-	"io"
 	"reflect"
 
 	"contiguitas/internal/fault"
 	"contiguitas/internal/kernel"
 	"contiguitas/internal/mem"
 	"contiguitas/internal/pressure"
-	"contiguitas/internal/trace"
+	"contiguitas/internal/telemetry"
 )
 
 // ChaosOptions configures a chaos soak: a service profile driven against
@@ -73,11 +72,6 @@ type ChaosOptions struct {
 	// resumed soak it receives the restored kernel instead, so telemetry
 	// is re-attached fresh (rings and samplers are not checkpointed).
 	OnKernel func(*kernel.Kernel)
-
-	// Export, when set, runs exactly once on every exit path — normal
-	// completion, a KillAtTick crash, and error returns — so telemetry
-	// artifacts are always flushed complete, never truncated.
-	Export func()
 
 	// SnapshotEvery, when >0, invokes OnSnapshot at the end of every
 	// N-th tick — the EndTick quiesce boundary, where migrations have
@@ -143,7 +137,7 @@ func DefaultChaosOptions() ChaosOptions {
 type ChaosCheckpoint struct {
 	Tick       uint64
 	Events     uint64
-	Robustness trace.Robustness
+	Robustness telemetry.Robustness
 	Violation  error
 }
 
@@ -159,7 +153,7 @@ type ChaosReport struct {
 	// the fired counts.
 	Faults        []fault.PointStats
 	TotalInjected uint64
-	Robustness    trace.Robustness
+	Robustness    telemetry.Robustness
 
 	UnmovableAllocFailures uint64
 
@@ -238,12 +232,9 @@ func ArmChaosFaults(inj *fault.Injector, opts ChaosOptions) {
 // is deterministic in ChaosOptions: fault schedules and workload churn
 // both derive from the seed. A resumed soak (opts.Resume) continues a
 // checkpointed one and reaches the same final kernel state hash as an
-// uninterrupted run; only trace-layer event counts differ (the trace
-// writer restarts at resume).
+// uninterrupted run; only event counts differ (the count restarts at
+// resume).
 func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
-	if opts.Export != nil {
-		defer opts.Export()
-	}
 	if opts.Ticks == 0 {
 		return nil, fmt.Errorf("chaos: zero-tick soak")
 	}
@@ -272,13 +263,9 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 		opts.OnKernel(k)
 	}
 
-	// Count every public kernel event through the trace layer; the soak
-	// discards the bytes and keeps the counter.
-	tw, err := trace.NewWriter(io.Discard)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	rec := trace.Attach(k, tw)
+	// Count every public kernel event, the ones a recorded trace holds.
+	var events eventCount
+	k.SetEventSink(&events)
 
 	var r *Runner
 	if opts.Resume != nil {
@@ -307,8 +294,8 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 		if opts.Checkpoint != nil {
 			opts.Checkpoint(ChaosCheckpoint{
 				Tick:       tick,
-				Events:     tw.Events(),
-				Robustness: trace.SnapshotRobustness(k),
+				Events:     uint64(events),
+				Robustness: telemetry.SnapshotRobustness(k.Metrics()),
 				Violation:  verr,
 			})
 		}
@@ -353,7 +340,7 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 		if opts.KillAtTick > 0 && tick >= opts.KillAtTick {
 			rep.Killed = true
 			rep.Ticks = tick
-			rep.Events = tw.Events()
+			rep.Events = uint64(events)
 			return rep, nil
 		}
 	}
@@ -378,17 +365,24 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 	rep.FreeContig2MAfter = scan.FreeContigFraction(mem.Order2M)
 
 	rep.Ticks = opts.Ticks + opts.RecoveryTicks
-	rep.Events = tw.Events()
+	rep.Events = uint64(events)
 	rep.Faults = inj.Snapshot()
 	rep.TotalInjected = inj.TotalFired()
-	rep.Robustness = trace.SnapshotRobustness(k)
+	rep.Robustness = telemetry.SnapshotRobustness(k.Metrics())
 	rep.UnmovableAllocFailures = r.UnmovableAllocFailures
 	rep.Recovered = len(rep.Violations) == 0 && rep.Huge2MAfterRecovery > 0
 	rep.FinalStateHash = k.StateHash()
 	rep.FinalCounters = k.Counters
 	rep.OOMHistory = k.OOMHistory()
-	if rerr := rec.Err(); rerr != nil {
-		return rep, fmt.Errorf("chaos: trace: %w", rerr)
-	}
 	return rep, nil
 }
+
+// eventCount is a kernel.EventSink that counts the kernel's public
+// events without recording them.
+type eventCount uint64
+
+func (n *eventCount) OnAlloc(*kernel.Page, bool) { *n++ }
+func (n *eventCount) OnFree(*kernel.Page)        { *n++ }
+func (n *eventCount) OnPin(*kernel.Page)         { *n++ }
+func (n *eventCount) OnUnpin(*kernel.Page)       { *n++ }
+func (n *eventCount) OnTick()                    { *n++ }
