@@ -147,6 +147,35 @@ func BenchmarkFleetCampaignWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkFleetCampaignWarmDir is one warm-sweep cell on disk: 256
+// one-server shards of tiny short-lived machines, each served from a
+// CTGCACH entry the setup wrote to a resultcache.Dir. Unlike
+// BenchmarkFleetCampaignWarm (the in-process LRU), every shard pays the
+// cache-hit path a fleetscan -sweep over -cache-dir pays: key, file
+// read, frame verification and sample decode.
+func BenchmarkFleetCampaignWarmDir(b *testing.B) {
+	cfg := fleet.DefaultConfig()
+	cfg.Servers, cfg.Shards = 256, 256
+	cfg.MemBytes = 32 << 20
+	cfg.TicksMin, cfg.TicksMax = 1, 2
+	cfg.Seed = 7
+	cache := resultcache.NewDir(b.TempDir(), fleet.CacheSchemaVersion)
+	if _, err := fleet.RunSupervised(context.Background(), fleet.SupervisedConfig{Fleet: cfg, Cache: cache}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := fleet.RunSupervised(context.Background(), fleet.SupervisedConfig{Fleet: cfg, Cache: cache})
+		if err != nil || !res.Report.Complete {
+			b.Fatalf("campaign: %v %v", err, res.Report)
+		}
+		if res.CacheHits != uint64(cfg.Shards) {
+			b.Fatalf("warm run hit %d/%d shards", res.CacheHits, cfg.Shards)
+		}
+	}
+}
+
 // BenchmarkSealedRecords writes and then reads back one record of each
 // on-disk format through its public API: a durable write (temp file,
 // fsync, rename, directory fsync) and a verified read. The CTGSHRD and

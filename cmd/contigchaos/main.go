@@ -15,6 +15,8 @@
 //	contigchaos -resume results/chaos.snap   # continue a killed soak
 //	contigchaos -kill-resume -kill-at 300    # kill/resume equivalence proof
 //
+// -kill-resume runs its own soaks from tick 0 and traces none of them,
+// so it refuses -resume, -trace, -trace-out and -metrics-out (exit 1).
 // The process exits non-zero if any invariant checkpoint fails, the
 // kernel cannot recover contiguity after the faults are disarmed, or (in
 // -kill-resume mode) the resumed run does not land on exactly the golden
@@ -49,6 +51,17 @@ func main() {
 	pressureOn := flag.Bool("pressure", true, "enable the memory-pressure ladder (admission control, throttling, emergency shrink, OOM killer)")
 	observe := cli.ObserveFlags(flag.CommandLine, false)
 	cli.Parse(flag.CommandLine, os.Args[1:])
+	if *killResume {
+		// The experiment runs its own three soaks from tick 0 and traces
+		// none of them: an ignored -resume reads as "resumed fine", an
+		// ignored -trace-out as a trace that was written.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "resume", "trace", "trace-out", "metrics-out":
+				cli.Usagef("contigchaos: -%s cannot be combined with -kill-resume", f.Name)
+			}
+		})
+	}
 
 	handle, stop := observe.Start()
 	defer stop()
@@ -153,7 +166,7 @@ func main() {
 		for _, v := range rep.Violations {
 			fmt.Fprintf(os.Stderr, "  %s\n", v)
 		}
-		os.Exit(cli.CodeVerify)
+		cli.Exit(cli.CodeVerify)
 	}
 	if !rep.Recovered {
 		cli.Verifyf("contigchaos: kernel failed to recover contiguity after faults lifted")
@@ -188,7 +201,7 @@ func runKillResume(opts workload.ChaosOptions, every, killAt uint64, path string
 		fmt.Fprintf(os.Stderr, "contigchaos: FAIL: resumed run diverged from golden\n")
 		fmt.Fprintf(os.Stderr, "  golden counters : %+v\n", res.Golden.FinalCounters)
 		fmt.Fprintf(os.Stderr, "  resumed counters: %+v\n", res.Resumed.FinalCounters)
-		os.Exit(cli.CodeVerify)
+		cli.Exit(cli.CodeVerify)
 	}
 	// Equivalence proven but the state itself may be bad: a mid-soak
 	// invariant break reproduces identically in golden and resumed runs,
@@ -198,7 +211,7 @@ func runKillResume(opts workload.ChaosOptions, every, killAt uint64, path string
 		for _, v := range res.Violations {
 			fmt.Fprintf(os.Stderr, "  %s\n", v)
 		}
-		os.Exit(cli.CodeVerify)
+		cli.Exit(cli.CodeVerify)
 	}
 	if n := len(res.Golden.OOMHistory); n > 0 {
 		fmt.Printf("  oom kills reproduced: %d\n", n)

@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -72,4 +76,77 @@ func TestExitCodes(t *testing.T) {
 				tc.args, code, stderr.String(), tc.code, tc.want)
 		}
 	}
+}
+
+// TestProfileSurvivesFailedRun: a command that fails after its
+// profiles started still completes them. The -resume below exits 3
+// after the CPU profile began; the profile must be a complete pprof
+// file (a gzip stream of well-formed protobuf with at least one
+// sample type), not the empty file os.Create left.
+func TestProfileSurvivesFailedRun(t *testing.T) {
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "p.prof")
+	cmd := exec.Command(os.Args[0], "-cpuprofile", prof, "-trace", "-resume", filepath.Join(dir, "missing.snap"),
+		"-trace-out", "", "-metrics-out", "")
+	cmd.Env = append(os.Environ(), "CONTIGSIM_TEST_MAIN=1")
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != cli.CodeRuntime {
+		t.Fatalf("exit %v, want %d", err, cli.CodeRuntime)
+	}
+	data, err := os.ReadFile(prof)
+	if err != nil || len(data) == 0 {
+		t.Fatalf("profile: %d bytes, %v", len(data), err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sampleTypes, err := protoFields(raw, 1); err != nil || sampleTypes == 0 {
+		t.Fatalf("profile body: %d sample types, %v", sampleTypes, err)
+	}
+}
+
+// protoFields walks a protobuf message's top-level fields and counts
+// those numbered field, refusing a malformed wire encoding.
+func protoFields(b []byte, field uint64) (int, error) {
+	n := 0
+	for len(b) > 0 {
+		key, k := binary.Uvarint(b)
+		if k <= 0 {
+			return n, fmt.Errorf("bad field key")
+		}
+		b = b[k:]
+		if key>>3 == field {
+			n++
+		}
+		switch key & 7 {
+		case 0: // varint
+			if _, k = binary.Uvarint(b); k <= 0 {
+				return n, fmt.Errorf("bad varint")
+			}
+			b = b[k:]
+		case 1, 5: // fixed64, fixed32
+			size := 8
+			if key&7 == 5 {
+				size = 4
+			}
+			if len(b) < size {
+				return n, fmt.Errorf("short fixed field")
+			}
+			b = b[size:]
+		case 2: // length-delimited
+			l, k := binary.Uvarint(b)
+			if k <= 0 || l > uint64(len(b)-k) {
+				return n, fmt.Errorf("bad length")
+			}
+			b = b[k+int(l):]
+		default:
+			return n, fmt.Errorf("wire type %d", key&7)
+		}
+	}
+	return n, nil
 }

@@ -57,7 +57,7 @@ func main() {
 		}
 	default:
 		flag.Usage()
-		os.Exit(cli.CodeUsage)
+		cli.Exit(cli.CodeUsage)
 	}
 }
 

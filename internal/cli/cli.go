@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sync/atomic"
 )
 
 // Exit codes shared by every command.
@@ -46,31 +47,45 @@ func Parse(fs *flag.FlagSet, args []string) {
 	err := fs.Parse(args)
 	switch {
 	case errors.Is(err, flag.ErrHelp):
-		os.Exit(CodeOK)
+		Exit(CodeOK)
 	case err != nil:
-		os.Exit(CodeUsage)
+		Exit(CodeUsage)
 	}
 	if fs.NArg() > 0 {
 		Usagef("%s: unexpected argument %q", fs.Name(), fs.Arg(0))
 	}
 }
 
+// atExit holds the stop of the running Observe.Start, if any.
+var atExit atomic.Pointer[func()]
+
+// Exit runs the stop Observe.Start returned, if it has not run yet, and
+// exits with code: a command that fails after Start still completes its
+// profiles and closes its -serve plane. Every exit in this package goes
+// through it.
+func Exit(code int) {
+	if stop := atExit.Swap(nil); stop != nil {
+		(*stop)()
+	}
+	os.Exit(code)
+}
+
 // Usagef reports a bad invocation and exits CodeUsage.
 func Usagef(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(CodeUsage)
+	Exit(CodeUsage)
 }
 
 // Verifyf reports a verification/invariant failure and exits CodeVerify.
 func Verifyf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(CodeVerify)
+	Exit(CodeVerify)
 }
 
 // Runtimef reports an operational error and exits CodeRuntime.
 func Runtimef(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(CodeRuntime)
+	Exit(CodeRuntime)
 }
 
 // Check exits CodeRuntime if err is non-nil; no-op otherwise.

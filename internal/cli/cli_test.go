@@ -24,6 +24,13 @@ func TestMain(m *testing.M) {
 		Verifyf("invariant broken")
 	case "runtime":
 		Check(os.ErrNotExist)
+	case "usage-after-start":
+		fs := flag.NewFlagSet("fake", flag.ExitOnError)
+		o := ObserveFlags(fs, true)
+		Parse(fs, os.Args[1:])
+		_, stop := o.Start()
+		defer stop() // skipped by the exit below; Usagef must run it
+		Usagef("bad flag combination")
 	}
 }
 
@@ -66,6 +73,21 @@ func TestVerifyAndRuntimeCodes(t *testing.T) {
 	}
 	if got := rerun(t, "runtime"); got != CodeRuntime {
 		t.Errorf("Check(err) exit %d, want %d", got, CodeRuntime)
+	}
+}
+
+// TestExitRunsStop: an exit after Observe.Start completes the profiles
+// the deferred stop would have, so a failed run keeps its profile.
+func TestExitRunsStop(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := dir+"/cpu.prof", dir+"/mem.prof"
+	if got := rerun(t, "usage-after-start", "-cpuprofile", cpu, "-memprofile", mem); got != CodeUsage {
+		t.Fatalf("exit %d, want %d", got, CodeUsage)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Fatalf("%s not completed by the exit: %v", p, err)
+		}
 	}
 }
 

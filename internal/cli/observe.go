@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sync"
 
 	"contiguitas/internal/obsv"
 )
@@ -32,23 +33,15 @@ func ObserveFlags(fs *flag.FlagSet, profiling bool) *Observe {
 
 // Start begins the CPU profile and mounts the -serve plane (a nil
 // handle when the flag is empty); a setup failure exits CodeRuntime.
-// The returned stop closes the plane, then completes the profiles; the
-// caller must run it (normally via defer) for the files to be complete.
+// The returned stop closes the plane, then completes the profiles; it
+// runs once, either when the caller runs it (normally via defer) or
+// when the command exits through Exit, Usagef, Verifyf, Runtimef or
+// Check.
 func (o *Observe) Start() (*obsv.Handle, func()) {
+	var h *obsv.Handle
 	var cpuFile *os.File
-	if o.cpuProfile != "" {
-		f, err := os.Create(o.cpuProfile)
-		if err != nil {
-			Runtimef("prof: %v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			Runtimef("prof: %v", err)
-		}
-		cpuFile = f
-	}
-	h, err := obsv.MountCLI(o.serve)
-	Check(err)
-	return h, func() {
+	stop := sync.OnceFunc(func() {
+		atExit.Store(nil)
 		h.Close()
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
@@ -57,7 +50,23 @@ func (o *Observe) Start() (*obsv.Handle, func()) {
 		if o.memProfile != "" {
 			writeHeapProfile(o.memProfile)
 		}
+	})
+	atExit.Store(&stop)
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
+		if err != nil {
+			Runtimef("prof: %v", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			Runtimef("prof: %v", err)
+		}
+		cpuFile = f
 	}
+	var err error
+	h, err = obsv.MountCLI(o.serve)
+	Check(err)
+	return h, stop
 }
 
 func writeHeapProfile(path string) {

@@ -67,9 +67,10 @@ func resolveShards(cfg Config) int {
 // (stats.ShardSeed — covering Seed and the shard index), and the shard's
 // span in the fleet. Configs that differ only in supervision knobs
 // (workers, backoff, checkpoint cadence, fault plans) map to the same
-// key, because they cannot change a single sample byte.
+// key, because they cannot change a single sample byte. The span is
+// computed in closed form, so keying a cell's shards is linear in them.
 func ShardCacheKey(cfg Config, shard int) uint64 {
-	sp := splitSpans(cfg.Servers, resolveShards(cfg))[shard]
+	sp := shardSpan(cfg.Servers, resolveShards(cfg), shard)
 	return seal.Sum64s(cfg.MemBytes, uint64(cfg.Design), cfg.TicksMin, cfg.TicksMax,
 		math.Float64bits(cfg.JitterFrac), stats.ShardSeed(cfg.Seed, shard), sp.lo, sp.n)
 }
@@ -120,8 +121,7 @@ func (c *campaign) tryCache(sr *shardRun) bool {
 func (c *campaign) loadCached(sr *shardRun, key uint64, count bool) bool {
 	payload, err := c.cache.Get(key)
 	if err == nil {
-		got, derr := DecodeCanonical(payload)
-		if derr != nil || uint64(len(got)) != sr.units {
+		if decodeSamplesInto(sr.samples[:sr.units], payload) != nil {
 			// The envelope verified but the payload is not a shard of the
 			// expected shape — still a lie, still recomputed.
 			if count {
@@ -129,7 +129,6 @@ func (c *campaign) loadCached(sr *shardRun, key uint64, count bool) bool {
 			}
 			return false
 		}
-		copy(sr.samples, got)
 		sr.done = sr.units
 		sr.fromCache = true
 		if count {

@@ -8,7 +8,9 @@ import (
 	"sync"
 	"testing"
 
+	"contiguitas/internal/core"
 	"contiguitas/internal/resultcache"
+	"contiguitas/internal/seal"
 	"contiguitas/internal/telemetry"
 )
 
@@ -48,6 +50,55 @@ func TestCacheWarmRunIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(uncached.Samples, warm.Study.Samples) {
 		t.Fatal("warm study differs from uncached study")
+	}
+}
+
+// TestShardCacheKeyPinned pins every shard's cache key, for grids with
+// and without a remainder, to the keys recorded before the span moved
+// to closed form: each cached entry on disk is addressed by them.
+// first and last are the end shards' keys; all digests every key in
+// shard order.
+func TestShardCacheKeyPinned(t *testing.T) {
+	for _, tc := range []struct {
+		servers, shards  int
+		first, last, all uint64
+	}{
+		{256, 256, 0xb498e7707259e731, 0x1d49255431d104ce, 0xa890874fcb4b6dff},
+		{32, 4, 0x8d7458afbee4ee18, 0x6a0a9df8818fd63b, 0x37057c75627edbd6},
+		{48, 5, 0xcb69e6c1d4c3825a, 0x1bf206b611dbe522, 0xfeed73ccef9dd48b},
+		{7, 3, 0xf28e758288387b73, 0xf95f193d5c1faae2, 0x802d0c40c93b9d39},
+		{120, 16, 0x8d7458afbee4ee18, 0xcd65a90c83fadc1b, 0x240714da9492a5b7},
+	} {
+		cfg := DefaultConfig()
+		cfg.Servers, cfg.Shards = tc.servers, tc.shards
+		cfg.MemBytes = 32 << 20
+		cfg.Design = core.DesignContiguitas
+		cfg.TicksMin, cfg.TicksMax = 1, 2
+		cfg.JitterFrac = 0.1
+		cfg.Seed = 7
+		all := seal.NewDigest()
+		for i := 0; i < tc.shards; i++ {
+			all.Uint64s(ShardCacheKey(cfg, i))
+		}
+		first, last := ShardCacheKey(cfg, 0), ShardCacheKey(cfg, tc.shards-1)
+		if first != tc.first || last != tc.last || all.Sum64() != tc.all {
+			t.Errorf("(%d,%d): keys first %016x last %016x all %016x; want %016x %016x %016x",
+				tc.servers, tc.shards, first, last, all.Sum64(), tc.first, tc.last, tc.all)
+		}
+	}
+}
+
+// TestShardSpanClosedForm: the closed-form span of every shard equals
+// the tiling splitSpans builds.
+func TestShardSpanClosedForm(t *testing.T) {
+	for servers := 1; servers <= 64; servers++ {
+		for shards := 1; shards <= servers; shards++ {
+			for i, want := range splitSpans(servers, shards) {
+				if got := shardSpan(servers, shards, i); got != want {
+					t.Fatalf("shardSpan(%d, %d, %d) = %+v, want %+v", servers, shards, i, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -26,6 +26,12 @@ func CanonicalBytes(s *Study) []byte { return encodeSamples(s.Samples) }
 // payload of result-cache entries and shard checkpoints.
 func encodeSamples(samples []Sample) []byte {
 	var w seal.Writer
+	writeSamples(&w, samples)
+	return w.Body()
+}
+
+// writeSamples writes the canonical encoding of samples to w.
+func writeSamples(w *seal.Writer, samples []Sample) {
 	w.U64(uint64(len(samples)))
 	for i := range samples {
 		smp := &samples[i]
@@ -36,7 +42,6 @@ func encodeSamples(samples []Sample) []byte {
 		}
 		w.U64(smp.SourceBreakdown[:]...)
 	}
-	return w.Body()
 }
 
 // minSampleBytes is the encoded size of a sample with an empty profile.
@@ -47,8 +52,32 @@ var minSampleBytes = 1 + 8*(4+2*len(mem.ScanOrders)+mem.NumSources)
 func DecodeCanonical(data []byte) ([]Sample, error) {
 	r := seal.NewReader(data)
 	samples := make([]Sample, r.Count(minSampleBytes))
-	for i := range samples {
-		smp := &samples[i]
+	if err := readSamples(r, samples); err != nil {
+		return nil, err
+	}
+	return samples, nil
+}
+
+// decodeSamplesInto decodes a canonical encoding of exactly len(dst)
+// samples into dst, refusing any other count as well as everything
+// DecodeCanonical refuses. On a refusal dst holds no decoded sample.
+func decodeSamplesInto(dst []Sample, data []byte) error {
+	r := seal.NewReader(data)
+	if n := r.U64(); n != uint64(len(dst)) {
+		return fmt.Errorf("fleet: canonical samples: %d samples, want %d", n, len(dst))
+	}
+	err := readSamples(r, dst)
+	if err != nil {
+		clear(dst)
+	}
+	return err
+}
+
+// readSamples reads len(dst) samples from r, then requires r to be
+// exhausted.
+func readSamples(r *seal.Reader, dst []Sample) error {
+	for i := range dst {
+		smp := &dst[i]
 		*smp = Sample{Profile: r.CString(), Uptime: r.U64(), FreePages: r.U64(), Free2MBlocks: r.U64(),
 			UnmovFrameFrac: math.Float64frombits(r.U64()),
 			FreeContigFrac: make(map[int]float64, len(mem.ScanOrders)),
@@ -62,11 +91,16 @@ func DecodeCanonical(data []byte) ([]Sample, error) {
 		}
 	}
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("fleet: canonical samples: %w", err)
+		return fmt.Errorf("fleet: canonical samples: %w", err)
 	}
-	return samples, nil
+	return nil
 }
 
 // CanonicalDigest returns the FNV-1a digest of CanonicalBytes — the
-// compact result identity stored in service campaign records.
-func CanonicalDigest(s *Study) uint64 { return seal.Sum64(CanonicalBytes(s)) }
+// compact result identity stored in service campaign records — hashed
+// as it is encoded, without building the bytes.
+func CanonicalDigest(s *Study) uint64 {
+	w := seal.HashWriter()
+	writeSamples(&w, s.Samples)
+	return w.Sum64()
+}

@@ -235,6 +235,18 @@ func campaignFingerprint(cfg Config, shards int) uint64 {
 // span is one shard's slice of the fleet: servers [lo, lo+n).
 type span struct{ lo, n uint64 }
 
+// shardSpan is splitSpans(servers, shards)[i] in closed form: the first
+// servers%shards shards take one server more than the rest.
+func shardSpan(servers, shards, i int) span {
+	base, rem := servers/shards, servers%shards
+	sp := span{lo: uint64(i*base + min(i, rem)), n: uint64(base)}
+	if i < rem {
+		sp.n++
+	}
+	return sp
+}
+
+// splitSpans tiles servers into shards contiguous spans.
 func splitSpans(servers, shards int) []span {
 	out := make([]span, shards)
 	base := servers / shards

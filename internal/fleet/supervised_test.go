@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"contiguitas/internal/core"
+	"contiguitas/internal/seal"
 	"contiguitas/internal/snapshot"
 	"contiguitas/internal/supervise"
 )
@@ -377,5 +378,23 @@ func TestDecodeCanonical(t *testing.T) {
 	noNUL := append([]byte{1, 0, 0, 0, 0, 0, 0, 0}, bytes.Repeat([]byte{'w'}, minSampleBytes)...)
 	if _, err := DecodeCanonical(noNUL); err == nil {
 		t.Fatal("profile name without NUL accepted")
+	}
+
+	// decodeSamplesInto, the cache-hit decode, fills a slice of exactly
+	// the encoded count and leaves nothing behind when it refuses.
+	dst := make([]Sample, len(s.Samples))
+	if err := decodeSamplesInto(dst, data); err != nil || !reflect.DeepEqual(dst, s.Samples) {
+		t.Fatalf("decodeSamplesInto: %v", err)
+	}
+	for _, n := range []int{len(s.Samples) - 1, len(s.Samples) + 1} {
+		if err := decodeSamplesInto(make([]Sample, n), data); err == nil {
+			t.Fatalf("%d samples decoded into a %d-sample slice", len(s.Samples), n)
+		}
+	}
+	if err := decodeSamplesInto(dst, data[:len(data)-1]); err == nil || !reflect.DeepEqual(dst, make([]Sample, len(dst))) {
+		t.Fatalf("truncated payload: %v, slice not cleared", err)
+	}
+	if got, want := CanonicalDigest(s), seal.Sum64(data); got != want {
+		t.Fatalf("CanonicalDigest %016x, digest of CanonicalBytes %016x", got, want)
 	}
 }

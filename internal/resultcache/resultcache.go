@@ -89,18 +89,38 @@ var entryFormat = seal.Format{Magic: "CTGCACH", Version: 3, Err: ErrCorrupt}
 // never torn.
 type Dir struct {
 	dir    string
+	prefix string // filepath.Join(dir, name) minus name
 	schema uint32
 }
+
+// entrySuffix ends every entry file name: 16 lower-case hex digits of
+// the key, then the suffix.
+const entrySuffix = ".ctgcach"
 
 // NewDir returns a disk cache rooted at dir, accepting only entries
 // written under the given cache-schema version.
 func NewDir(dir string, schema uint32) *Dir {
-	return &Dir{dir: dir, schema: schema}
+	// Joining a plain name appends it to the cleaned dir, so the prefix
+	// of one join serves every entry.
+	prefix := strings.TrimSuffix(filepath.Join(dir, "x"), "x")
+	return &Dir{dir: dir, prefix: prefix, schema: schema}
 }
 
-// EntryPath returns the file path an entry for key lives at.
+// EntryPath returns the file path an entry for key lives at:
+// filepath.Join(dir, fmt.Sprintf("%016x.ctgcach", key)), in one
+// allocation.
 func (d *Dir) EntryPath(key uint64) string {
-	return filepath.Join(d.dir, fmt.Sprintf("%016x.ctgcach", key))
+	var b strings.Builder
+	b.Grow(len(d.prefix) + 16 + len(entrySuffix))
+	b.WriteString(d.prefix)
+	var hex [16]byte
+	for i := len(hex) - 1; i >= 0; i-- {
+		hex[i] = "0123456789abcdef"[key&0xf]
+		key >>= 4
+	}
+	b.Write(hex[:])
+	b.WriteString(entrySuffix)
+	return b.String()
 }
 
 // Keys lists the key of every entry file in the directory, in file-name
@@ -112,7 +132,7 @@ func (d *Dir) Keys() ([]uint64, error) {
 	}
 	var keys []uint64
 	for _, e := range ents {
-		hex, ok := strings.CutSuffix(e.Name(), ".ctgcach")
+		hex, ok := strings.CutSuffix(e.Name(), entrySuffix)
 		if key, err := strconv.ParseUint(hex, 16, 64); ok && err == nil && len(hex) == 16 {
 			keys = append(keys, key)
 		}

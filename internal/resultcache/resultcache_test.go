@@ -178,6 +178,19 @@ func TestDirKeys(t *testing.T) {
 	}
 }
 
+// TestDirEntryPath holds EntryPath to the path it has always named,
+// filepath.Join(dir, "%016x.ctgcach"), for dirs that join cleans.
+func TestDirEntryPath(t *testing.T) {
+	for _, dir := range []string{"", ".", "/", "cache", "cache/", "./a//b/../c", "/tmp/x/", ".."} {
+		for _, key := range []uint64{0, 1, 0xabc, 0x0123456789abcdef, ^uint64(0)} {
+			want := filepath.Join(dir, fmt.Sprintf("%016x.ctgcach", key))
+			if got := NewDir(dir, 1).EntryPath(key); got != want {
+				t.Errorf("NewDir(%q).EntryPath(%x) = %q, want %q", dir, key, got, want)
+			}
+		}
+	}
+}
+
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	c := NewLRU(2, 1)
 	for k := uint64(1); k <= 2; k++ {

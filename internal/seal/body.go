@@ -9,10 +9,24 @@ import (
 // Writer builds a flat little-endian body: u64 integers,
 // u64-length-prefixed byte strings and NUL-terminated strings, with no
 // type metadata — the schema is the code that writes and reads it.
-type Writer struct{ buf []byte }
+//
+// A Writer from HashWriter keeps no bytes: it folds each one into a
+// running FNV-1a digest, so a body's Sum64 costs no buffer.
+type Writer struct {
+	buf  []byte
+	hash bool
+	sum  Digest
+}
+
+// HashWriter returns a Writer that only digests what is written.
+func HashWriter() Writer { return Writer{hash: true, sum: NewDigest()} }
 
 // U64 appends each value.
 func (w *Writer) U64(vs ...uint64) {
+	if w.hash {
+		w.sum.Uint64s(vs...)
+		return
+	}
 	for _, v := range vs {
 		w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 	}
@@ -21,14 +35,28 @@ func (w *Writer) U64(vs ...uint64) {
 // Bytes appends p behind its u64 length.
 func (w *Writer) Bytes(p []byte) {
 	w.U64(uint64(len(p)))
+	if w.hash {
+		w.sum.Write(p)
+		return
+	}
 	w.buf = append(w.buf, p...)
 }
 
 // CString appends s and a NUL; s must not contain NUL.
-func (w *Writer) CString(s string) { w.buf = append(append(w.buf, s...), 0) }
+func (w *Writer) CString(s string) {
+	if w.hash {
+		w.sum.WriteString(s)
+		w.sum.WriteString("\x00")
+		return
+	}
+	w.buf = append(append(w.buf, s...), 0)
+}
 
-// Body returns the bytes written so far.
+// Body returns the bytes written so far (nil from a HashWriter).
 func (w *Writer) Body() []byte { return w.buf }
+
+// Sum64 is the FNV-1a 64 digest of the bytes a HashWriter was given.
+func (w *Writer) Sum64() uint64 { return w.sum.Sum64() }
 
 // Reader parses a Writer body. Errors are sticky: after the first
 // failure every read returns a zero value and Done reports the failure,

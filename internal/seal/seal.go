@@ -123,6 +123,13 @@ func (d *Digest) WriteString(s string) {
 	}
 }
 
+// Write hashes the bytes of p.
+func (d *Digest) Write(p []byte) {
+	for _, c := range p {
+		*d = (*d ^ Digest(c)) * prime64
+	}
+}
+
 // Uint64s hashes each value as eight little-endian bytes.
 func (d *Digest) Uint64s(vs ...uint64) {
 	for _, v := range vs {
@@ -138,9 +145,7 @@ func (d Digest) Sum64() uint64 { return uint64(d) }
 // Sum64 is the FNV-1a 64 digest of p.
 func Sum64(p []byte) uint64 {
 	h := NewDigest()
-	for _, c := range p {
-		h = (h ^ Digest(c)) * prime64
-	}
+	h.Write(p)
 	return uint64(h)
 }
 

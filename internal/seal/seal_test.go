@@ -102,6 +102,26 @@ func TestReaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHashWriterMatchesBody: a HashWriter digests exactly the bytes a
+// Writer given the same calls would build, and keeps none of them.
+func TestHashWriterMatchesBody(t *testing.T) {
+	var w Writer
+	h := HashWriter()
+	for _, x := range []*Writer{&w, &h} {
+		x.U64(7, 1<<40)
+		x.Bytes([]byte("payload"))
+		x.Bytes(nil)
+		x.CString("web")
+		x.CString("")
+	}
+	if got, want := h.Sum64(), Sum64(w.Body()); got != want {
+		t.Fatalf("HashWriter digest %016x, want %016x", got, want)
+	}
+	if h.Body() != nil {
+		t.Fatalf("HashWriter kept %d bytes", len(h.Body()))
+	}
+}
+
 // TestReaderRefusals: every malformed body is refused with ErrBody, the
 // first failure sticks, and a Format reader also wraps the sentinel.
 func TestReaderRefusals(t *testing.T) {

@@ -70,17 +70,19 @@ type FS interface {
 	SyncDir(dir string) error
 }
 
-// OS is the passthrough production filesystem.
+// OS is the passthrough production filesystem. Its ReadFile is the
+// lean whole-file read every sealed-record load goes through (see
+// readFile): os.ReadFile's bytes and errors in fewer system calls.
 type OS struct{}
 
-func (OS) Open(path string) (File, error)        { return os.Open(path) }
-func (OS) CreateTemp(d, p string) (File, error)  { return os.CreateTemp(d, p) }
-func (OS) ReadFile(path string) ([]byte, error)  { return os.ReadFile(path) }
-func (OS) Rename(o, n string) error              { return os.Rename(o, n) }
-func (OS) Remove(path string) error              { return os.Remove(path) }
-func (OS) MkdirAll(p string, m fs.FileMode) error { return os.MkdirAll(p, m) }
+func (OS) Open(path string) (File, error)          { return os.Open(path) }
+func (OS) CreateTemp(d, p string) (File, error)    { return os.CreateTemp(d, p) }
+func (OS) ReadFile(path string) ([]byte, error)    { return readFile(path) }
+func (OS) Rename(o, n string) error                { return os.Rename(o, n) }
+func (OS) Remove(path string) error                { return os.Remove(path) }
+func (OS) MkdirAll(p string, m fs.FileMode) error  { return os.MkdirAll(p, m) }
 func (OS) ReadDir(p string) ([]fs.DirEntry, error) { return os.ReadDir(p) }
-func (OS) Stat(p string) (fs.FileInfo, error)    { return os.Stat(p) }
+func (OS) Stat(p string) (fs.FileInfo, error)      { return os.Stat(p) }
 
 func (OS) SyncDir(dir string) error {
 	if dir == "" {

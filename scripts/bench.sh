@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Hot-path benchmark smoke: runs the simulator's key benchmarks —
 # warm/cold physical-memory scans, the Figure 4 fleet study, the
-# cold/warm result-cache campaign pair, one cold contigd cell, buddy
+# cold/warm result-cache campaign pair, one warm-sweep cell served from
+# an on-disk result cache, one cold contigd cell, buddy
 # alloc/free (LIFO, and both PFN orders at 256 MiB and 8 GiB; runs of
 # 512 4 KB pages as single calls and as bulk calls, per policy), a
 # workload tick, the covering-head lookup, and the cycle-level hardware
@@ -13,12 +14,14 @@
 #
 # Usage: scripts/bench.sh [out.json]
 #        scripts/bench.sh -compare baseline.json post.json [out.json]
-# Env:   BENCHTIME (default 3x), COUNT (default 1), NOTE (compare note)
+# Env:   BENCHTIME (default 1s), COUNT (default 1), NOTE (compare note)
 #
 # -compare merges two runs of this script into the BENCH_PR2.json
 # before/after shape: every benchmark present in both files gets a
 # speedup_vs_baseline on its post entry. CI runs the plain mode as a
 # smoke job; for PR-quality numbers use COUNT=3 (medians) and -compare.
+# The default BENCHTIME is time-based: a fixed few iterations of a
+# microsecond row are too short for two runs to be comparable.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,9 +63,9 @@ PYEOF
 fi
 
 out="${1:-BENCH.json}"
-benchtime="${BENCHTIME:-3x}"
+benchtime="${BENCHTIME:-1s}"
 count="${COUNT:-1}"
-pattern='^(BenchmarkFullScan|BenchmarkFullScanCold|BenchmarkFig4ContiguityCDF|BenchmarkFleetCampaignCold|BenchmarkFleetCampaignWarm|BenchmarkBuddyAllocFree4K|BenchmarkBuddyAllocFree4KLowestPFN|BenchmarkBuddyAllocFree4KHighestPFN|BenchmarkBuddyAllocFree4KBulk|BenchmarkColdCell|BenchmarkWorkloadTick|BenchmarkAllocHead|BenchmarkTickTelemetryOff|BenchmarkTickTelemetryOn|BenchmarkMetricsExposition|BenchmarkTickScrapeUnderLoad|BenchmarkServeExec|BenchmarkSec53MigrationImpact|BenchmarkCacheAccess|BenchmarkTLBTranslate|BenchmarkSealedRecords)$'
+pattern='^(BenchmarkFullScan|BenchmarkFullScanCold|BenchmarkFig4ContiguityCDF|BenchmarkFleetCampaignCold|BenchmarkFleetCampaignWarm|BenchmarkFleetCampaignWarmDir|BenchmarkBuddyAllocFree4K|BenchmarkBuddyAllocFree4KLowestPFN|BenchmarkBuddyAllocFree4KHighestPFN|BenchmarkBuddyAllocFree4KBulk|BenchmarkColdCell|BenchmarkWorkloadTick|BenchmarkAllocHead|BenchmarkTickTelemetryOff|BenchmarkTickTelemetryOn|BenchmarkMetricsExposition|BenchmarkTickScrapeUnderLoad|BenchmarkServeExec|BenchmarkSec53MigrationImpact|BenchmarkCacheAccess|BenchmarkTLBTranslate|BenchmarkSealedRecords)$'
 
 raw="$(go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -count "$count" .)"
 printf '%s\n' "$raw"
