@@ -201,10 +201,6 @@ func BenchmarkSealedRecords(b *testing.B) {
 	cache := resultcache.NewDir(filepath.Join(dir, "cache"), fleet.CacheSchemaVersion)
 	check(os.MkdirAll(filepath.Join(dir, "cache"), 0o755))
 	machine := core.NewMachine(core.MachineConfig{Design: core.DesignContiguitas, MemBytes: 32 << 20})
-	man := &snapshot.Manifest{Campaign: 1, Shards: make([]snapshot.ManifestShard, 16)}
-	for i := range man.Shards {
-		man.Shards[i] = snapshot.ManifestShard{Shard: i, Units: 8, Done: 8, Seq: 8, Chain: uint64(i), Attempts: 1}
-	}
 	camp := &service.Campaign{ID: "c0123456789abcdef", Key: "bench", SpecHash: "00000000deadbeef",
 		Spec:  service.Spec{Servers: 32, Designs: []string{"contiguitas"}, MemsMiB: []uint64{32}, Jitters: []float64{0.5}},
 		State: service.StateDone, Attempts: 1, Cells: 1, CellsDone: 1, CellDigests: []string{"0123456789abcdef"}}
@@ -230,12 +226,6 @@ func BenchmarkSealedRecords(b *testing.B) {
 			got, err := snapshot.ReadShard(path)
 			check(err)
 			decodeSamples(got.Payload)
-		}},
-		{"CTGMANI", func() {
-			path := filepath.Join(dir, "campaign.ctgmani")
-			check(snapshot.WriteManifest(path, man))
-			_, err := snapshot.ReadManifest(path)
-			check(err)
 		}},
 		{"CTGCACH", func() {
 			check(cache.Put(42, fleet.CanonicalBytes(study)))

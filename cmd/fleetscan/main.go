@@ -50,7 +50,7 @@ func main() {
 	tr := cli.TraceRunFlags(flag.CommandLine, "results/fleet-trace.json", "results/fleet-metrics.jsonl", "results/fleet.snap")
 	flag.Lookup("resume").Usage = "resume path: a representative-server snapshot with -trace, or a campaign state directory with -soak"
 	soak := flag.Bool("soak", false, "run the kill-heavy supervision soak instead of printing the study")
-	stateDir := flag.String("state-dir", "", "campaign state directory for -soak (manifest + shard checkpoints; empty keeps state in memory)")
+	stateDir := flag.String("state-dir", "", "campaign state directory for -soak (one checkpoint per shard; empty keeps state in memory)")
 	killEvery := flag.Uint64("kill-every", 3, "with -soak, kill a shard on every Nth server it completes (>= 2; 0 disables)")
 	ckptFailProb := flag.Float64("ckpt-fail-prob", 0.2, "with -soak, probability an injected fault fails a shard checkpoint write")
 	killAfter := flag.Uint64("kill-after", 0, "with -soak, exit the whole process after this many shard crashes (0 disables; resume with -soak -resume <dir>)")

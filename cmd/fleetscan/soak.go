@@ -4,7 +4,7 @@
 // run with zero quarantined shards. With -kill-after the process itself
 // dies mid-campaign (simulating a machine crash between atomic state
 // writes), and a second invocation with -resume finishes the study from
-// the on-disk manifest and shard checkpoints.
+// the on-disk shard checkpoints.
 package main
 
 import (
@@ -78,8 +78,8 @@ func runSoak(cfg fleet.Config, opt soakOptions) {
 			crashes++
 			if opt.killAfter > 0 && crashes == opt.killAfter {
 				// Die like a machine, not like a program: no cleanup, no
-				// final manifest write. The atomic rename discipline must
-				// make whatever is on disk resumable.
+				// final write. The atomic rename discipline must make
+				// whatever is on disk resumable.
 				fmt.Printf("killed process mid-campaign after %d shard crashes (resume with -soak -resume %s)\n",
 					crashes, opt.dir)
 				os.Exit(cli.CodeOK)
@@ -127,27 +127,27 @@ func resumeSoak(cfg fleet.Config, opt soakOptions) {
 	onPlane(&scfg, "soak-resume")
 	res, err := fleet.RunSupervised(context.Background(), scfg)
 	if err != nil {
-		if errors.Is(err, snapshot.ErrNoManifest) {
+		if errors.Is(err, snapshot.ErrNoCampaignState) {
 			// Not a campaign state directory at all: a missing or empty
-			// manifest is a bad -resume argument, not a verification
+			// directory is a bad -resume argument, not a verification
 			// verdict — and silently starting a fresh campaign would hide
 			// the typo that got us here.
 			cli.Usagef("fleetscan: resume: %v", err)
 		}
 		// Everything else the resume path can report is an integrity
-		// verdict: tampered manifest, mismatched checkpoint, wrong
-		// campaign configuration.
+		// verdict: a corrupt or misplaced checkpoint, wrong campaign
+		// configuration.
 		cli.Verifyf("fleetscan: resume: %v", err)
 	}
 	publishCampaign()
 	report(res, scfg.Metrics)
 	verifyIdentical(res, referenceBytes(cfg))
-	var priorAttempts uint64
-	for _, s := range res.Manifest.Shards {
-		priorAttempts += s.Attempts
+	attempts := 0
+	for _, st := range res.Report.Shards {
+		attempts += st.Attempts
 	}
-	fmt.Printf("PASS: resumed campaign byte-identical to unfaulted same-seed run (%d attempts across process lifetimes)\n",
-		priorAttempts)
+	fmt.Printf("PASS: resumed campaign byte-identical to unfaulted same-seed run (%d attempts in this process)\n",
+		attempts)
 }
 
 func report(res *fleet.CampaignResult, reg *telemetry.Registry) {

@@ -66,7 +66,7 @@ func resolveShards(cfg Config) int {
 // Config field the samples depend on, the shard's RNG stream seed
 // (stats.ShardSeed — covering Seed and the shard index), and the shard's
 // span in the fleet. Configs that differ only in supervision knobs
-// (workers, backoff, checkpoint cadence, fault plans) map to the same
+// (workers, backoff, state directory, fault plans) map to the same
 // key, because they cannot change a single sample byte. The span is
 // computed in closed form, so keying a cell's shards is linear in them.
 func ShardCacheKey(cfg Config, shard int) uint64 {
@@ -106,7 +106,7 @@ func (c *campaign) tryCache(sr *shardRun) bool {
 	// crashed leader's retry re-joins as leader (ownership is the
 	// campaign, not the attempt).
 	if leader, wait := shardFlight.Join(key, c); !leader {
-		if wait(c.cacheWait) && c.loadCached(sr, key, false) {
+		if wait(defaultCacheWait) && c.loadCached(sr, key, false) {
 			return true
 		}
 	}

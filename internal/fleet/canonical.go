@@ -15,8 +15,8 @@ import (
 	"contiguitas/internal/seal"
 )
 
-// CanonicalBytes serialises every sample field in canonical order (map
-// keys walked via the fixed scan-order list), independent of how the
+// CanonicalBytes serialises every sample field in canonical order (the
+// per-order values in mem.ScanOrders order), independent of how the
 // study was scheduled or resumed.
 func CanonicalBytes(s *Study) []byte { return encodeSamples(s.Samples) }
 
@@ -37,15 +37,15 @@ func writeSamples(w *seal.Writer, samples []Sample) {
 		smp := &samples[i]
 		w.CString(smp.Profile)
 		w.U64(smp.Uptime, smp.FreePages, smp.Free2MBlocks, math.Float64bits(smp.UnmovFrameFrac))
-		for _, o := range mem.ScanOrders {
-			w.U64(math.Float64bits(smp.FreeContigFrac[o]), math.Float64bits(smp.UnmovBlockFrac[o]))
+		for i := range smp.FreeContigFrac {
+			w.U64(math.Float64bits(smp.FreeContigFrac[i]), math.Float64bits(smp.UnmovBlockFrac[i]))
 		}
 		w.U64(smp.SourceBreakdown[:]...)
 	}
 }
 
 // minSampleBytes is the encoded size of a sample with an empty profile.
-var minSampleBytes = 1 + 8*(4+2*len(mem.ScanOrders)+mem.NumSources)
+const minSampleBytes = 1 + 8*(4+2*mem.NumScanOrders+mem.NumSources)
 
 // DecodeCanonical is the inverse of CanonicalBytes. It refuses
 // truncation, a profile name without its NUL, and trailing bytes.
@@ -79,12 +79,10 @@ func readSamples(r *seal.Reader, dst []Sample) error {
 	for i := range dst {
 		smp := &dst[i]
 		*smp = Sample{Profile: r.CString(), Uptime: r.U64(), FreePages: r.U64(), Free2MBlocks: r.U64(),
-			UnmovFrameFrac: math.Float64frombits(r.U64()),
-			FreeContigFrac: make(map[int]float64, len(mem.ScanOrders)),
-			UnmovBlockFrac: make(map[int]float64, len(mem.ScanOrders))}
-		for _, o := range mem.ScanOrders {
-			smp.FreeContigFrac[o] = math.Float64frombits(r.U64())
-			smp.UnmovBlockFrac[o] = math.Float64frombits(r.U64())
+			UnmovFrameFrac: math.Float64frombits(r.U64())}
+		for j := range smp.FreeContigFrac {
+			smp.FreeContigFrac[j] = math.Float64frombits(r.U64())
+			smp.UnmovBlockFrac[j] = math.Float64frombits(r.U64())
 		}
 		for j := range smp.SourceBreakdown {
 			smp.SourceBreakdown[j] = r.U64()

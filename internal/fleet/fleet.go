@@ -15,6 +15,7 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 
 	"contiguitas/internal/core"
 	"contiguitas/internal/mem"
@@ -60,9 +61,11 @@ type Sample struct {
 	Profile string
 	Uptime  uint64
 
-	FreePages       uint64
-	FreeContigFrac  map[int]float64
-	UnmovBlockFrac  map[int]float64
+	FreePages uint64
+	// FreeContigFrac and UnmovBlockFrac hold one value per
+	// mem.ScanOrders entry, at that entry's position.
+	FreeContigFrac  [mem.NumScanOrders]float64
+	UnmovBlockFrac  [mem.NumScanOrders]float64
 	UnmovFrameFrac  float64
 	Free2MBlocks    uint64
 	SourceBreakdown [mem.NumSources]uint64
@@ -73,11 +76,23 @@ type Study struct {
 	Cfg     Config
 	Samples []Sample
 
-	// Lazily-built per-order CDF caches: the CLI evaluates the same CDF
-	// at many x values in nested loops, and rebuilding (copy + sort) per
-	// call dominated study post-processing.
-	contigCDF map[int]*stats.CDF
-	unmovCDF  map[int]*stats.CDF
+	// Lazily-built per-order CDF caches, by scan-order position: the CLI
+	// evaluates the same CDF at many x values in nested loops, and
+	// rebuilding (copy + sort) per call dominated study post-processing.
+	contigCDF [mem.NumScanOrders]*stats.CDF
+	unmovCDF  [mem.NumScanOrders]*stats.CDF
+}
+
+// scanIndex is order's position in mem.ScanOrders, the index into a
+// Sample's per-order arrays. A study holds no other order, so asking
+// for one is a programming error.
+func scanIndex(order int) int {
+	for i, o := range mem.ScanOrders {
+		if o == order {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("fleet: order %d is not a scan order", order))
 }
 
 // serverPlan is one server's pre-drawn randomization, fixed before the
@@ -164,14 +179,12 @@ func runServer(cfg Config, plan serverPlan, st *mem.ContiguityStats) Sample {
 		Profile:        plan.profile.Name,
 		Uptime:         plan.uptime,
 		FreePages:      st.FreePages,
-		FreeContigFrac: map[int]float64{},
-		UnmovBlockFrac: map[int]float64{},
 		UnmovFrameFrac: st.UnmovableFrameFraction(),
 		Free2MBlocks:   st.FreeContigPages[mem.Order2M] / mem.PageblockPages,
 	}
-	for _, o := range mem.ScanOrders {
-		smp.FreeContigFrac[o] = st.FreeContigFraction(o)
-		smp.UnmovBlockFrac[o] = st.UnmovableBlockFraction(o)
+	for i, o := range mem.ScanOrders {
+		smp.FreeContigFrac[i] = st.FreeContigFraction(o)
+		smp.UnmovBlockFrac[i] = st.UnmovableBlockFraction(o)
 	}
 	for i := range smp.SourceBreakdown {
 		smp.SourceBreakdown[i] = st.UnmovableBySource[i]
@@ -194,47 +207,41 @@ func clamp01(x float64) float64 {
 // The CDF is built once per order and cached; Samples are immutable
 // after Run.
 func (s *Study) ContigCDF(order int) *stats.CDF {
-	if c, ok := s.contigCDF[order]; ok {
+	i := scanIndex(order)
+	if c := s.contigCDF[i]; c != nil {
 		return c
 	}
 	vals := make([]float64, 0, len(s.Samples))
 	for _, smp := range s.Samples {
-		vals = append(vals, smp.FreeContigFrac[order])
+		vals = append(vals, smp.FreeContigFrac[i])
 	}
-	c := stats.NewCDFInPlace(vals)
-	if s.contigCDF == nil {
-		s.contigCDF = make(map[int]*stats.CDF)
-	}
-	s.contigCDF[order] = c
-	return c
+	s.contigCDF[i] = stats.NewCDFInPlace(vals)
+	return s.contigCDF[i]
 }
 
 // UnmovCDF is Figure 5: the distribution of the fraction of blocks at
 // the given order containing unmovable memory. Cached per order like
 // ContigCDF.
 func (s *Study) UnmovCDF(order int) *stats.CDF {
-	if c, ok := s.unmovCDF[order]; ok {
+	i := scanIndex(order)
+	if c := s.unmovCDF[i]; c != nil {
 		return c
 	}
 	vals := make([]float64, 0, len(s.Samples))
 	for _, smp := range s.Samples {
-		vals = append(vals, smp.UnmovBlockFrac[order])
+		vals = append(vals, smp.UnmovBlockFrac[i])
 	}
-	c := stats.NewCDFInPlace(vals)
-	if s.unmovCDF == nil {
-		s.unmovCDF = make(map[int]*stats.CDF)
-	}
-	s.unmovCDF[order] = c
-	return c
+	s.unmovCDF[i] = stats.NewCDFInPlace(vals)
+	return s.unmovCDF[i]
 }
 
 // NoContigFraction returns the fraction of servers without a single
 // free block of the order (the paper: 23 % of servers lack even one
 // 2 MB block).
 func (s *Study) NoContigFraction(order int) float64 {
-	n := 0
+	i, n := scanIndex(order), 0
 	for _, smp := range s.Samples {
-		if smp.FreeContigFrac[order] == 0 {
+		if smp.FreeContigFrac[i] == 0 {
 			n++
 		}
 	}
@@ -277,9 +284,10 @@ func (s *Study) UptimeCorrelation() float64 {
 // MedianUnmovBlockFrac returns the fleet median of the unmovable-block
 // fraction at an order (§2.5: 34 % at 2 MB on Linux).
 func (s *Study) MedianUnmovBlockFrac(order int) float64 {
+	i := scanIndex(order)
 	vals := make([]float64, 0, len(s.Samples))
 	for _, smp := range s.Samples {
-		vals = append(vals, smp.UnmovBlockFrac[order])
+		vals = append(vals, smp.UnmovBlockFrac[i])
 	}
 	return stats.Percentile(vals, 50)
 }

@@ -1,7 +1,7 @@
 // Supervised campaign layer: the fleet study partitioned into
 // deterministic shards executed under internal/supervise, with per-shard
-// CTGSHRD checkpoints, a CTGMANI campaign manifest, injected-fault
-// points, and resume-from-disk for killed processes.
+// CTGSHRD checkpoints, injected-fault points, and resume-from-disk for
+// killed processes.
 //
 // Determinism: shard i owns servers [spans[i].lo, spans[i].lo+spans[i].n)
 // and draws their plans from stats.ShardSeed(cfg.Seed, i), so each
@@ -10,13 +10,11 @@
 // order, making the merged study byte-identical across worker counts,
 // schedules, injected kills, retries, and checkpoint/resume cycles.
 //
-// Crash-consistency: a shard checkpoint file is renamed into place
-// before the manifest records it, so a process kill between the two
-// renames leaves the manifest exactly one chain link behind. Resume
-// accepts that torn window iff the checkpoint's PrevChainHash equals the
-// manifest's recorded chain (the chain self-authenticates continuity)
-// and rolls the manifest forward; any other disagreement is rejected
-// with the snapshot package's typed sentinels.
+// Crash-consistency: each shard's checkpoint is the only durable record
+// of its progress, written atomically (temp file, fsync, rename, dir
+// fsync), so a kill at any instant leaves the previous complete link or
+// the new one. A durable file certifies itself; resuming from whichever
+// link survived recomputes the same bytes.
 package fleet
 
 import (
@@ -71,7 +69,7 @@ func DefaultShards(servers int) int {
 }
 
 // FaultPlan arms the campaign's injected faults. Each shard gets its own
-// injector (seeded from stats.ShardSeed over the plan seed), so one
+// injector (seeded from stats.ShardSeed over the study seed), so one
 // shard's crossings never perturb another's fault schedule, and the
 // schedule is reproducible bit-for-bit.
 //
@@ -82,40 +80,28 @@ func DefaultShards(servers int) int {
 // on every crossing can never get past the server it keeps killing and
 // ends in quarantine, which is the correct diagnosis).
 type FaultPlan struct {
-	// Seed separates the fault schedule from the study seed (0 uses the
-	// study seed).
-	Seed uint64
-	// CrashProb / CrashEveryN arm fault.PointFleetShardCrash: the shard
-	// attempt panics at a server boundary, losing work since its last
+	// CrashEveryN arms fault.PointFleetShardCrash: every Nth server
+	// boundary the shard attempt panics, losing work since its last
 	// checkpoint.
-	CrashProb   float64
 	CrashEveryN uint64
-	// CheckpointFailProb / CheckpointFailEveryN arm
-	// fault.PointFleetCheckpointWrite: the checkpoint write fails and the
-	// attempt crashes with an error.
-	CheckpointFailProb   float64
-	CheckpointFailEveryN uint64
+	// CheckpointFailProb arms fault.PointFleetCheckpointWrite: the
+	// checkpoint write fails with this probability and the attempt
+	// crashes with an error.
+	CheckpointFailProb float64
 }
 
-func (p FaultPlan) armed() bool {
-	return p.CrashProb > 0 || p.CrashEveryN > 0 ||
-		p.CheckpointFailProb > 0 || p.CheckpointFailEveryN > 0
-}
+func (p FaultPlan) armed() bool { return p.CrashEveryN > 0 || p.CheckpointFailProb > 0 }
 
 func (p FaultPlan) injector(studySeed uint64, shard int) *fault.Injector {
 	if !p.armed() {
 		return nil
 	}
-	seed := p.Seed
-	if seed == 0 {
-		seed = studySeed
+	in := fault.New(stats.ShardSeed(studySeed^0xfa1107, shard))
+	if p.CrashEveryN > 0 {
+		in.Arm(fault.PointFleetShardCrash, fault.Trigger{EveryN: p.CrashEveryN})
 	}
-	in := fault.New(stats.ShardSeed(seed^0xfa1107, shard))
-	if p.CrashProb > 0 || p.CrashEveryN > 0 {
-		in.Arm(fault.PointFleetShardCrash, fault.Trigger{Prob: p.CrashProb, EveryN: p.CrashEveryN})
-	}
-	if p.CheckpointFailProb > 0 || p.CheckpointFailEveryN > 0 {
-		in.Arm(fault.PointFleetCheckpointWrite, fault.Trigger{Prob: p.CheckpointFailProb, EveryN: p.CheckpointFailEveryN})
+	if p.CheckpointFailProb > 0 {
+		in.Arm(fault.PointFleetCheckpointWrite, fault.Trigger{Prob: p.CheckpointFailProb})
 	}
 	return in
 }
@@ -132,24 +118,22 @@ type SupervisedConfig struct {
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
 	Heartbeat   time.Duration
-	// Dir is the campaign state directory: one manifest plus one
-	// checkpoint file per shard, all written atomically. Empty keeps
-	// checkpoints in memory (retries still resume; process kills lose
-	// everything).
+	// Dir is the campaign state directory: one checkpoint file per
+	// shard, each written atomically. The run reads Dir once, at start:
+	// finished shards replay from their final checkpoint without
+	// recomputing and unfinished shards resume mid-stream, every one
+	// with a fresh attempt budget. Empty keeps checkpoints in memory
+	// (retries still resume; process kills lose everything). A shard
+	// checkpoints after every server whenever Dir is set or faults are
+	// armed.
 	Dir string
-	// Resume loads the manifest in Dir (required) and continues the
-	// campaign: finished shards replay from their final checkpoint
-	// without recomputing, unfinished shards resume mid-stream, and
-	// quarantined shards get a fresh attempt budget (their manifest
-	// attempt count keeps accumulating).
+	// Resume requires Dir to already hold this campaign's state: a run
+	// that finds no checkpoint there fails with
+	// snapshot.ErrNoCampaignState instead of starting fresh.
 	Resume bool
-	// CheckpointEvery is the per-shard checkpoint cadence in completed
-	// servers (0 = every server). Checkpointing is active whenever Dir is
-	// set, faults are armed, or this field is positive.
-	CheckpointEvery int
-	Faults          FaultPlan
-	// OnEvent observes supervision events after the manifest is updated
-	// (called from the supervisor goroutine, in order).
+	Faults FaultPlan
+	// OnEvent observes supervision events (called from the supervisor
+	// goroutine, in order).
 	OnEvent func(supervise.Event)
 	Trace   *telemetry.Ring
 	Metrics *telemetry.Registry
@@ -159,10 +143,6 @@ type SupervisedConfig struct {
 	// entries (corrupt, torn, stale schema) are counted and recomputed —
 	// the cache can only ever cost correctness nothing.
 	Cache resultcache.Cache
-	// CacheWait bounds how long a shard waits for a concurrent identical
-	// computation (singleflight follower) before simulating anyway
-	// (<= 0 picks a default; the wait is always bounded).
-	CacheWait time.Duration
 	// Progress, when set, receives the campaign's live progress: the
 	// supervise.Observer lifecycle stream plus fleet-level unit counts
 	// and cache tallies (nil disables). The obsv campaign board
@@ -198,9 +178,8 @@ type CampaignResult struct {
 	// finished shards' servers, concatenated in canonical shard order —
 	// a statistically valid (if smaller) fleet sample, never silently
 	// padded with zero rows.
-	Study    *Study
-	Report   *supervise.Report
-	Manifest *snapshot.Manifest
+	Study  *Study
+	Report *supervise.Report
 	// MissingShards lists shards excluded from Study (quarantined, or
 	// unfinished at cancellation).
 	MissingShards []int
@@ -216,16 +195,13 @@ type CampaignResult struct {
 	CacheRejects uint64
 }
 
-// ManifestPath locates the campaign manifest inside a state directory.
-func ManifestPath(dir string) string { return filepath.Join(dir, "campaign.ctgmani") }
-
 func shardPath(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d.ctgshrd", shard))
 }
 
 // campaignFingerprint digests every Config field that shapes results,
-// plus the shard count; checkpoints and manifests never resume across a
-// changed fingerprint.
+// plus the shard count; checkpoints never resume across a changed
+// fingerprint.
 func campaignFingerprint(cfg Config, shards int) uint64 {
 	return seal.Sum64s(uint64(cfg.Servers), cfg.MemBytes, uint64(cfg.Design),
 		cfg.TicksMin, cfg.TicksMax, math.Float64bits(cfg.JitterFrac),
@@ -263,76 +239,30 @@ func splitSpans(servers, shards int) []span {
 	return out
 }
 
-// ckptStore abstracts where shard checkpoints live: a directory of
-// CTGSHRD files, or process memory for ephemeral campaigns.
-type ckptStore interface {
-	write(ck *snapshot.ShardCheckpoint) error
-	// read returns the shard's last checkpoint, nil if none exists yet.
-	read(shard int) (*snapshot.ShardCheckpoint, error)
-}
-
-type memStore struct {
-	mu      sync.Mutex
-	byShard map[int]*snapshot.ShardCheckpoint
-}
-
-func newMemStore() *memStore {
-	return &memStore{byShard: make(map[int]*snapshot.ShardCheckpoint)}
-}
-
-func (s *memStore) write(ck *snapshot.ShardCheckpoint) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.byShard[ck.Shard] = ck
-	return nil
-}
-
-func (s *memStore) read(shard int) (*snapshot.ShardCheckpoint, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.byShard[shard], nil
-}
-
-type dirStore struct{ dir string }
-
-func (s dirStore) write(ck *snapshot.ShardCheckpoint) error {
-	return snapshot.WriteShard(shardPath(s.dir, ck.Shard), ck)
-}
-
-func (s dirStore) read(shard int) (*snapshot.ShardCheckpoint, error) {
-	ck, err := snapshot.ReadShard(shardPath(s.dir, shard))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	return ck, err
-}
-
 // campaign is the shared state of one supervised study: the sample merge
-// slots, the checkpoint store, the per-shard injectors, and the manifest
-// mirror guarded by mu (checkpoint notes arrive from worker goroutines,
-// lifecycle notes from the supervisor goroutine).
+// slots, the per-shard injectors, and each shard's last checkpoint
+// guarded by mu (checkpoints arrive from worker goroutines).
 type campaign struct {
 	cfg           SupervisedConfig
 	fp            uint64
 	spans         []span
 	samples       []Sample
-	store         ckptStore
 	checkpointing bool
-	ckptEvery     uint64
 	injectors     []*fault.Injector
 
 	// Result cache (nil disables). cacheKeys holds one content address
-	// per shard; cacheWait bounds singleflight follower waits.
+	// per shard.
 	cache     resultcache.Cache
 	cacheKeys []uint64
-	cacheWait time.Duration
 
-	mu   sync.Mutex
-	man  *snapshot.Manifest
-	base []uint64 // manifest attempt counts inherited from prior processes
-	// Per-shard cache verdicts (guarded by mu; written from worker
-	// goroutines, read by the supervisor goroutine for tracepoints) and
-	// the campaign tallies surfaced in CampaignResult.
+	mu sync.Mutex
+	// last is each shard's newest checkpoint (nil before its first):
+	// loaded from Dir at start, then replaced by every checkpoint this
+	// run writes. A retried attempt resumes from it.
+	last []*snapshot.ShardCheckpoint
+	// Per-shard cache verdicts (written from worker goroutines, read by
+	// the supervisor goroutine for tracepoints) and the campaign tallies
+	// surfaced in CampaignResult.
 	cacheState        []cacheOutcome
 	cacheRejected     []bool
 	cacheRejectReason []uint64
@@ -342,9 +272,9 @@ type campaign struct {
 }
 
 // RunSupervised executes the study as a supervised sharded campaign.
-// Setup and resume failures (bad state directory, tampered manifest,
-// fingerprint mismatch) return an error; execution failures never do —
-// they degrade the CampaignResult's report instead.
+// Setup and resume failures (unreadable or tampered checkpoint,
+// fingerprint mismatch, no state to resume) return an error; execution
+// failures never do — they degrade the CampaignResult's report instead.
 func RunSupervised(ctx context.Context, scfg SupervisedConfig) (*CampaignResult, error) {
 	// A pre-cancelled context is a setup error, not a degraded run: report
 	// the cancellation instead of returning an empty "incomplete" result
@@ -356,6 +286,9 @@ func RunSupervised(ctx context.Context, scfg SupervisedConfig) (*CampaignResult,
 	if fcfg.Servers <= 0 {
 		return nil, fmt.Errorf("fleet: campaign needs at least one server")
 	}
+	if scfg.Resume && scfg.Dir == "" {
+		return nil, fmt.Errorf("fleet: resume requires a state directory")
+	}
 	shards := resolveShards(fcfg)
 
 	c := &campaign{
@@ -363,28 +296,15 @@ func RunSupervised(ctx context.Context, scfg SupervisedConfig) (*CampaignResult,
 		fp:      campaignFingerprint(fcfg, shards),
 		spans:   splitSpans(fcfg.Servers, shards),
 		samples: make([]Sample, fcfg.Servers),
-		base:    make([]uint64, shards),
+		last:    make([]*snapshot.ShardCheckpoint, shards),
 	}
-	c.checkpointing = scfg.Dir != "" || scfg.Faults.armed() || scfg.CheckpointEvery > 0
-	c.ckptEvery = uint64(scfg.CheckpointEvery)
-	if c.ckptEvery == 0 {
-		c.ckptEvery = 1
-	}
-	if scfg.Dir != "" {
-		c.store = dirStore{dir: scfg.Dir}
-	} else {
-		c.store = newMemStore()
-	}
+	c.checkpointing = scfg.Dir != "" || scfg.Faults.armed()
 	c.injectors = make([]*fault.Injector, shards)
 	for i := range c.injectors {
 		c.injectors[i] = scfg.Faults.injector(fcfg.Seed, i)
 	}
 	if scfg.Cache != nil {
 		c.cache = scfg.Cache
-		c.cacheWait = scfg.CacheWait
-		if c.cacheWait <= 0 {
-			c.cacheWait = defaultCacheWait
-		}
 		c.cacheKeys = make([]uint64, shards)
 		for i := range c.cacheKeys {
 			c.cacheKeys[i] = ShardCacheKey(fcfg, i)
@@ -397,54 +317,28 @@ func RunSupervised(ctx context.Context, scfg SupervisedConfig) (*CampaignResult,
 		defer c.releaseFlight()
 	}
 
-	if scfg.Resume {
-		if scfg.Dir == "" {
-			return nil, fmt.Errorf("fleet: resume requires a state directory")
-		}
-		m, err := snapshot.ReadManifest(ManifestPath(scfg.Dir))
+	if scfg.Dir != "" {
+		found, err := c.load(scfg.Dir)
 		if err != nil {
 			return nil, err
 		}
-		if m.Campaign != c.fp {
-			return nil, fmt.Errorf("%w: manifest %016x, configuration %016x",
-				snapshot.ErrCampaignMismatch, m.Campaign, c.fp)
-		}
-		if len(m.Shards) != shards {
-			return nil, fmt.Errorf("%w: manifest has %d shards, configuration %d",
-				snapshot.ErrCampaignMismatch, len(m.Shards), shards)
-		}
-		c.man = m
-		for i := range m.Shards {
-			c.base[i] = m.Shards[i].Attempts
-			// A fresh process grants quarantined shards a fresh budget;
-			// their lifetime attempt count keeps accumulating.
-			if m.Shards[i].Status == snapshot.ShardQuarantined {
-				m.Shards[i].Status = snapshot.ShardPending
-			}
-		}
-	} else {
-		c.man = &snapshot.Manifest{Campaign: c.fp, Shards: make([]snapshot.ManifestShard, shards)}
-		for i := range c.man.Shards {
-			c.man.Shards[i] = snapshot.ManifestShard{Shard: i, Units: c.spans[i].n}
-		}
-		if scfg.Dir != "" {
-			c.mu.Lock()
-			err := c.persistLocked()
-			c.mu.Unlock()
-			if err != nil {
-				return nil, err
-			}
+		if scfg.Resume && found == 0 {
+			return nil, fmt.Errorf("%w: %s holds no shard checkpoint", snapshot.ErrNoCampaignState, scfg.Dir)
 		}
 	}
 
-	// Seed the progress board with every shard's span (and, on resume,
-	// the units the manifest already credits) before the first attempt
-	// dispatches, so totals never appear as zero mid-flight.
+	// Seed the progress board with every shard's span and the units its
+	// checkpoint already holds before the first attempt dispatches, so
+	// totals never appear as zero mid-flight.
 	var observer supervise.Observer
 	if scfg.Progress != nil {
 		observer = scfg.Progress
-		for i := range c.spans {
-			scfg.Progress.ObserveUnits(i, c.man.Shards[i].Done, c.spans[i].n)
+		for i, ck := range c.last {
+			var done uint64
+			if ck != nil {
+				done = ck.Done
+			}
+			scfg.Progress.ObserveUnits(i, done, c.spans[i].n)
 		}
 	}
 
@@ -462,7 +356,7 @@ func RunSupervised(ctx context.Context, scfg SupervisedConfig) (*CampaignResult,
 		Metrics:     scfg.Metrics,
 	})
 
-	res := &CampaignResult{Report: rep, Manifest: c.man}
+	res := &CampaignResult{Report: rep}
 	for _, in := range c.injectors {
 		res.KillsInjected += in.Fired(fault.PointFleetShardCrash)
 		res.CheckpointFaultsInjected += in.Fired(fault.PointFleetCheckpointWrite)
@@ -505,14 +399,58 @@ func RunSupervised(ctx context.Context, scfg SupervisedConfig) (*CampaignResult,
 	return res, nil
 }
 
+// load reads every shard's checkpoint from dir into c.last, returning
+// how many it found. Each must pass its seal and chain, carry this
+// campaign's fingerprint, name its own shard, and hold a payload of the
+// samples it claims; anything else is a typed setup error.
+func (c *campaign) load(dir string) (found int, err error) {
+	for i, sp := range c.spans {
+		ck, err := snapshot.ReadShard(shardPath(dir, i))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return 0, err
+		}
+		if ck.Campaign != c.fp {
+			return 0, fmt.Errorf("%w: shard %d checkpoint campaign %016x, configuration %016x",
+				snapshot.ErrCampaignMismatch, i, ck.Campaign, c.fp)
+		}
+		if ck.Shard != i {
+			return 0, fmt.Errorf("%w: shard %d's file holds shard %d's checkpoint",
+				snapshot.ErrShardCheckpoint, i, ck.Shard)
+		}
+		if _, err := restore(ck, sp.n); err != nil {
+			return 0, err
+		}
+		c.last[i] = ck
+		found++
+	}
+	return found, nil
+}
+
+// restore decodes a checkpoint's samples, refusing a payload that does
+// not hold exactly the Done samples its header claims, or more than the
+// shard's units.
+func restore(ck *snapshot.ShardCheckpoint, units uint64) ([]Sample, error) {
+	done, err := DecodeCanonical(ck.Payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: shard %d payload: %v", snapshot.ErrShardCheckpoint, ck.Shard, err)
+	}
+	if uint64(len(done)) != ck.Done || ck.Done > units {
+		return nil, fmt.Errorf("%w: shard %d payload holds %d samples, header says %d of %d",
+			snapshot.ErrShardCheckpoint, ck.Shard, len(done), ck.Done, units)
+	}
+	return done, nil
+}
+
 // open creates or resumes one shard attempt. The result cache is
 // consulted first (a trusted whole-shard entry finishes the shard before
 // its first Step — no plans, no checkpoint restore); otherwise plans are
 // redrawn from the shard's seed (cheap, deterministic) and progress is
-// restored from the shard's last checkpoint after verifying it against
-// the manifest. Open runs on a worker goroutine before the heartbeat
-// watchdog arms, so the bounded singleflight wait inside tryCache is
-// safe here.
+// restored from the shard's last checkpoint. Open runs on a worker
+// goroutine before the heartbeat watchdog arms, so the bounded
+// singleflight wait inside tryCache is safe here.
 func (c *campaign) open(shard, attempt int) (supervise.Shard, error) {
 	sp := c.spans[shard]
 	sr := &shardRun{c: c, shard: shard, units: sp.n, inj: c.injectors[shard]}
@@ -522,120 +460,48 @@ func (c *campaign) open(shard, attempt int) (supervise.Shard, error) {
 	}
 	rng := stats.NewRNG(stats.ShardSeed(c.cfg.Fleet.Seed, shard))
 	sr.plans = drawPlans(c.cfg.Fleet, rng, int(sp.n))
-	if !c.checkpointing {
+	c.mu.Lock()
+	ck := c.last[shard]
+	c.mu.Unlock()
+	if ck == nil {
 		return sr, nil
 	}
-	ck, err := c.store.read(shard)
-	if err != nil || ck == nil {
-		return sr, err
-	}
-	if err := c.adoptCheckpoint(ck); err != nil {
+	done, err := restore(ck, sp.n)
+	if err != nil {
 		return nil, err
 	}
-	done, err := DecodeCanonical(ck.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("%w: shard %d payload: %v", snapshot.ErrShardCheckpoint, shard, err)
-	}
-	if uint64(len(done)) != ck.Done || ck.Done > sp.n {
-		return nil, fmt.Errorf("%w: shard %d payload holds %d samples, header says %d of %d",
-			snapshot.ErrShardCheckpoint, shard, len(done), ck.Done, sp.n)
-	}
 	copy(sr.samples, done)
-	sr.done = ck.Done
-	sr.seq = ck.Seq
-	sr.chain = ck.ChainHash
+	sr.done, sr.seq, sr.chain = ck.Done, ck.Seq, ck.ChainHash
 	return sr, nil
 }
 
-// adoptCheckpoint verifies a loaded checkpoint against the manifest.
-// The one disagreement it forgives is the crash-consistency window: the
-// checkpoint is exactly one sealed link ahead of the manifest record
-// (its PrevChainHash equals the recorded chain), in which case the
-// manifest rolls forward.
-func (c *campaign) adoptCheckpoint(ck *snapshot.ShardCheckpoint) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	err := snapshot.VerifyShardAgainstManifest(c.man, ck)
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, snapshot.ErrShardMismatch) && ck.Shard >= 0 && ck.Shard < len(c.man.Shards) {
-		rec := &c.man.Shards[ck.Shard]
-		if ck.Seq == rec.Seq+1 && ck.PrevChainHash == rec.Chain && ck.Done >= rec.Done {
-			rec.Seq, rec.Chain, rec.Done = ck.Seq, ck.ChainHash, ck.Done
-			return c.persistLocked()
-		}
-	}
-	return err
-}
-
-// noteCheckpoint records a freshly written checkpoint in the manifest.
-// Called from worker goroutines, hence the lock.
-func (c *campaign) noteCheckpoint(ck *snapshot.ShardCheckpoint) error {
-	c.mu.Lock()
-	rec := &c.man.Shards[ck.Shard]
-	rec.Seq, rec.Chain, rec.Done = ck.Seq, ck.ChainHash, ck.Done
-	err := c.persistLocked()
-	c.mu.Unlock()
-	if p := c.cfg.Progress; p != nil {
-		p.ObserveUnits(ck.Shard, ck.Done, c.spans[ck.Shard].n)
-	}
-	return err
-}
-
-// persistLocked seals and atomically rewrites the manifest when the
-// campaign is durable. Callers hold c.mu.
-func (c *campaign) persistLocked() error {
-	if c.cfg.Dir == "" {
-		return nil
-	}
-	return snapshot.WriteManifest(ManifestPath(c.cfg.Dir), c.man)
-}
-
-// onEvent folds supervision decisions into the manifest (attempt counts,
-// terminal statuses) before forwarding to the owner's callback. Runs on
-// the supervisor goroutine only.
+// onEvent emits the cache tracepoints a finished shard earned before
+// forwarding to the owner's callback. Runs on the supervisor goroutine
+// only (the Ring's single-writer contract).
 func (c *campaign) onEvent(ev supervise.Event) {
-	c.mu.Lock()
-	rec := &c.man.Shards[ev.Shard]
-	if a := c.base[ev.Shard] + uint64(ev.Attempt); a > rec.Attempts {
-		rec.Attempts = a
-	}
-	switch ev.Kind {
-	case supervise.EventDone:
-		rec.Status = snapshot.ShardDone
-		// Cache tracepoints ride the done event so they are emitted from
-		// the supervisor goroutine (the Ring's single-writer contract).
-		if c.cache != nil && c.cfg.Trace.Enabled() {
-			key := c.cacheKeys[ev.Shard]
-			if c.cacheRejected[ev.Shard] {
-				c.cfg.Trace.Emit(uint64(ev.Attempt), telemetry.EvCacheReject,
-					uint64(ev.Shard), key, c.cacheRejectReason[ev.Shard])
-			}
-			switch c.cacheState[ev.Shard] {
-			case cacheHit:
-				c.cfg.Trace.Emit(uint64(ev.Attempt), telemetry.EvCacheHit,
-					uint64(ev.Shard), key, c.spans[ev.Shard].n)
-			case cacheMiss:
-				c.cfg.Trace.Emit(uint64(ev.Attempt), telemetry.EvCacheMiss,
-					uint64(ev.Shard), key, c.spans[ev.Shard].n)
-			}
+	if ev.Kind == supervise.EventDone && c.cache != nil && c.cfg.Trace.Enabled() {
+		c.mu.Lock()
+		rejected, reason, state := c.cacheRejected[ev.Shard], c.cacheRejectReason[ev.Shard], c.cacheState[ev.Shard]
+		c.mu.Unlock()
+		key := c.cacheKeys[ev.Shard]
+		if rejected {
+			c.cfg.Trace.Emit(uint64(ev.Attempt), telemetry.EvCacheReject, uint64(ev.Shard), key, reason)
 		}
-	case supervise.EventQuarantine:
-		rec.Status = snapshot.ShardQuarantined
+		switch state {
+		case cacheHit:
+			c.cfg.Trace.Emit(uint64(ev.Attempt), telemetry.EvCacheHit, uint64(ev.Shard), key, c.spans[ev.Shard].n)
+		case cacheMiss:
+			c.cfg.Trace.Emit(uint64(ev.Attempt), telemetry.EvCacheMiss, uint64(ev.Shard), key, c.spans[ev.Shard].n)
+		}
 	}
-	// Best-effort: a lost lifecycle write self-heals on resume (the
-	// checkpoint chain carries progress; attempts only ever undercount).
-	_ = c.persistLocked()
-	c.mu.Unlock()
 	if c.cfg.OnEvent != nil {
 		c.cfg.OnEvent(ev)
 	}
 }
 
 // shardRun is one shard attempt: a supervise.Shard stepping one server
-// at a time, checkpointing on its cadence, and crossing the injected
-// fault points at server boundaries.
+// at a time, checkpointing after each, and crossing the injected fault
+// points at server boundaries.
 type shardRun struct {
 	c          *campaign
 	shard      int
@@ -667,7 +533,7 @@ func (sr *shardRun) Step() (bool, error) {
 		panic(fmt.Sprintf("fleet: injected shard crash (shard %d, %d/%d servers)",
 			sr.shard, sr.done, sr.units))
 	}
-	if sr.c.checkpointing && (sr.done == sr.units || sr.done%sr.c.ckptEvery == 0) {
+	if sr.c.checkpointing {
 		if err := sr.checkpoint(); err != nil {
 			return false, err
 		}
@@ -696,7 +562,8 @@ func (sr *shardRun) finish() {
 }
 
 // checkpoint seals the next chain link over the completed samples,
-// writes it, and records it in the manifest.
+// writes it to Dir when the campaign is durable, and keeps it as the
+// shard's resume point.
 func (sr *shardRun) checkpoint() error {
 	if sr.inj.Should(fault.PointFleetCheckpointWrite) {
 		return fmt.Errorf("fleet: injected checkpoint write failure (shard %d, seq %d)",
@@ -710,11 +577,16 @@ func (sr *shardRun) checkpoint() error {
 		Payload:  encodeSamples(sr.samples[:sr.done]),
 	}
 	chain := ck.Seal(sr.chain)
-	if err := sr.c.store.write(ck); err != nil {
-		return fmt.Errorf("fleet: write shard %d checkpoint: %w", sr.shard, err)
+	if dir := sr.c.cfg.Dir; dir != "" {
+		if err := snapshot.WriteShard(shardPath(dir, sr.shard), ck); err != nil {
+			return fmt.Errorf("fleet: write shard %d checkpoint: %w", sr.shard, err)
+		}
 	}
-	if err := sr.c.noteCheckpoint(ck); err != nil {
-		return fmt.Errorf("fleet: record shard %d checkpoint: %w", sr.shard, err)
+	sr.c.mu.Lock()
+	sr.c.last[sr.shard] = ck
+	sr.c.mu.Unlock()
+	if p := sr.c.cfg.Progress; p != nil {
+		p.ObserveUnits(sr.shard, ck.Done, sr.units)
 	}
 	sr.seq, sr.chain = ck.Seq, chain
 	return nil

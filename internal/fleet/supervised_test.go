@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"contiguitas/internal/core"
+	"contiguitas/internal/fault"
 	"contiguitas/internal/seal"
 	"contiguitas/internal/snapshot"
 	"contiguitas/internal/supervise"
+	"contiguitas/internal/vfs"
 )
 
 // tinyConfig is sized for supervision tests: enough servers for several
@@ -185,93 +189,14 @@ func TestResumeFromDiskCompletesIdentically(t *testing.T) {
 	if !reflect.DeepEqual(res.Study.Samples, want.Samples) {
 		t.Fatal("resumed study diverged from uninterrupted run")
 	}
-	for _, s := range res.Manifest.Shards {
-		if s.Status != snapshot.ShardDone {
-			t.Fatalf("manifest shard %d not done after resume: %+v", s.Shard, s)
+	for i := 0; i < cfg.Shards; i++ {
+		ck, err := snapshot.ReadShard(shardPath(dir, i))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestManifestTamperRejectedOnResume pins the typed sentinels: editing
-// the manifest's bytes on disk — a flipped chain digest, a rolled-back
-// attempt count — must fail resume with ErrManifestTamper before any
-// shard state is trusted.
-func TestManifestTamperRejectedOnResume(t *testing.T) {
-	// Byte offset of shard 0's field f in a CTGMANI file: the 11-byte
-	// frame header, campaign and record count, then the record's u64s
-	// (Shard, Units, Done, Seq, Chain, Attempts, Status).
-	field := func(f int) int { return 11 + 8 + 8 + 8*f }
-	tamper := []struct {
-		name string
-		edit func(data []byte)
-	}{
-		{"flipped chain digest", func(data []byte) { data[field(4)] ^= 1 }},
-		{"stale attempt count", func(data []byte) { clear(data[field(5) : field(5)+8]) }},
-	}
-	for _, tc := range tamper {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := tinyConfig()
-			dir := t.TempDir()
-			if _, err := RunSupervised(context.Background(), SupervisedConfig{Fleet: cfg, Dir: dir}); err != nil {
-				t.Fatal(err)
-			}
-			data, err := os.ReadFile(ManifestPath(dir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			orig := bytes.Clone(data)
-			tc.edit(data)
-			if bytes.Equal(data, orig) {
-				t.Fatal("edit left the manifest unchanged")
-			}
-			if err := os.WriteFile(ManifestPath(dir), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, err = RunSupervised(context.Background(), SupervisedConfig{Fleet: cfg, Dir: dir, Resume: true})
-			if !errors.Is(err, snapshot.ErrManifestTamper) {
-				t.Fatalf("resume returned %v, want ErrManifestTamper", err)
-			}
-		})
-	}
-}
-
-// TestResealedTamperQuarantinesShard covers the adversary who edits the
-// manifest and rewrites it through the real writer: the frame verifies,
-// but the shard checkpoint no longer matches the manifest record, so the
-// shard's every attempt fails verification and it is quarantined — its
-// data never enters the study.
-func TestResealedTamperQuarantinesShard(t *testing.T) {
-	cfg := tinyConfig()
-	dir := t.TempDir()
-	if _, err := RunSupervised(context.Background(), SupervisedConfig{Fleet: cfg, Dir: dir}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := snapshot.ReadManifest(ManifestPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Shards[1].Chain ^= 0xdead
-	if err := snapshot.WriteManifest(ManifestPath(dir), m); err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunSupervised(context.Background(), SupervisedConfig{
-		Fleet:       cfg,
-		Dir:         dir,
-		Resume:      true,
-		MaxAttempts: 2,
-		BackoffBase: time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.Complete || res.Report.Quarantined != 1 {
-		t.Fatalf("report = %s, want exactly shard 1 quarantined", res.Report)
-	}
-	if len(res.MissingShards) != 1 || res.MissingShards[0] != 1 {
-		t.Fatalf("missing shards %v, want [1]", res.MissingShards)
-	}
-	if len(res.Study.Samples) != cfg.Servers-3 {
-		t.Fatalf("partial study has %d samples, want %d", len(res.Study.Samples), cfg.Servers-3)
+		if n := shardSpan(cfg.Servers, cfg.Shards, i).n; ck.Done != n {
+			t.Fatalf("shard %d's final checkpoint holds %d of %d servers", i, ck.Done, n)
+		}
 	}
 }
 
@@ -291,29 +216,191 @@ func TestResumeWrongConfigRejected(t *testing.T) {
 	}
 }
 
-// TestResumeMissingManifestTyped: resuming from a directory that never
-// held a campaign (or whose manifest is a zero-byte torn file) must
-// return the typed ErrNoManifest, not silently start fresh and not
-// surface a generic decode error — callers route this to a usage exit.
-func TestResumeMissingManifestTyped(t *testing.T) {
+// copyDir copies every file of src into dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestResumeStateDir pins what a resume accepts from a state directory
+// whose shard checkpoints are the only durable record: any intact link
+// of this campaign's own chain resumes byte-identical, even one older
+// than the last written, and every other file is a typed setup error.
+func TestResumeStateDir(t *testing.T) {
 	cfg := tinyConfig()
-
-	_, err := RunSupervised(context.Background(), SupervisedConfig{
-		Fleet: cfg, Dir: t.TempDir(), Resume: true,
-	})
-	if !errors.Is(err, snapshot.ErrNoManifest) {
-		t.Fatalf("resume from empty dir returned %v, want ErrNoManifest", err)
+	want := Run(cfg)
+	full := t.TempDir()
+	if _, err := RunSupervised(context.Background(), SupervisedConfig{Fleet: cfg, Dir: full}); err != nil {
+		t.Fatal(err)
+	}
+	other := cfg
+	other.Seed++
+	otherDir := t.TempDir()
+	if _, err := RunSupervised(context.Background(), SupervisedConfig{Fleet: other, Dir: otherDir}); err != nil {
+		t.Fatal(err)
+	}
+	copyFile := func(src, dst string) {
+		data, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dst, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	dir := t.TempDir()
-	if werr := os.WriteFile(ManifestPath(dir), nil, 0o644); werr != nil {
-		t.Fatal(werr)
+	for _, tc := range []struct {
+		name string
+		edit func(dir string)
+		want error // nil: the resume completes byte-identical
+	}{
+		{"intact", func(string) {}, nil},
+		{"checkpoint rolled back to an older seq", func(dir string) {
+			sp := shardSpan(cfg.Servers, cfg.Shards, 1)
+			ck := &snapshot.ShardCheckpoint{Campaign: campaignFingerprint(cfg, cfg.Shards), Shard: 1,
+				Seq: 1, Done: 1, Payload: encodeSamples(want.Samples[sp.lo : sp.lo+1])}
+			ck.Seal(0)
+			if err := snapshot.WriteShard(shardPath(dir, 1), ck); err != nil {
+				t.Fatal(err)
+			}
+		}, nil},
+		{"shard never checkpointed", func(dir string) {
+			if err := os.Remove(shardPath(dir, 2)); err != nil {
+				t.Fatal(err)
+			}
+		}, nil},
+		{"checkpoint copied onto another shard", func(dir string) {
+			copyFile(shardPath(dir, 0), shardPath(dir, 1))
+		}, snapshot.ErrShardCheckpoint},
+		{"checkpoint of another campaign", func(dir string) {
+			copyFile(shardPath(otherDir, 2), shardPath(dir, 2))
+		}, snapshot.ErrCampaignMismatch},
+		{"flipped checkpoint byte", func(dir string) {
+			data, err := os.ReadFile(shardPath(dir, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0xff
+			if err := os.WriteFile(shardPath(dir, 3), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, snapshot.ErrShardCheckpoint},
+		{"empty directory", func(dir string) {
+			for i := 0; i < cfg.Shards; i++ {
+				if err := os.Remove(shardPath(dir, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, snapshot.ErrNoCampaignState},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			copyDir(t, full, dir)
+			tc.edit(dir)
+			res, err := RunSupervised(context.Background(), SupervisedConfig{Fleet: cfg, Dir: dir, Resume: true})
+			if tc.want != nil {
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("resume returned %v, want %v", err, tc.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Report.Complete || !bytes.Equal(CanonicalBytes(res.Study), CanonicalBytes(want)) {
+				t.Fatalf("resume did not reproduce the uninterrupted study: %s", res.Report)
+			}
+		})
 	}
-	_, err = RunSupervised(context.Background(), SupervisedConfig{
-		Fleet: cfg, Dir: dir, Resume: true,
-	})
-	if !errors.Is(err, snapshot.ErrNoManifest) {
-		t.Fatalf("resume from empty manifest returned %v, want ErrNoManifest", err)
+}
+
+// deadFS is an InjectFS whose Remove fails too once a fault has fired:
+// a process that died at op k runs no cleanup either, so a torn file a
+// writer would delete on its error path stays on disk.
+type deadFS struct{ *vfs.InjectFS }
+
+func (d deadFS) Remove(path string) error {
+	in := d.Injector()
+	if in.Fired(fault.PointFSWrite)+in.Fired(fault.PointFSFsync)+in.Fired(fault.PointFSRename) > 0 {
+		return fmt.Errorf("remove %s: %w", path, vfs.ErrInjected)
+	}
+	return d.InjectFS.Remove(path)
+}
+
+// TestCrashPointEnumeration kills a durable campaign at every storage
+// operation it makes. From op k on, every write, fsync, rename and
+// remove fails: that is what the disk keeps of a process that died at k.
+// Resuming on the real filesystem must then reproduce the uninterrupted
+// study byte for byte or, when no checkpoint became durable, refuse with
+// ErrNoCampaignState. Any other error, a panic or different bytes fail.
+func TestCrashPointEnumeration(t *testing.T) {
+	cfg := tinyConfig()
+	want := CanonicalBytes(Run(cfg))
+	// run drives one single-worker campaign on an InjectFS over the real
+	// filesystem and returns the storage ops it crossed. The first crash
+	// ends it: past the dead op nothing reaches the disk anyway.
+	run := func(dir string, in *fault.Injector) uint64 {
+		inj := vfs.NewInjectFS(vfs.Active(), in, vfs.InjectConfig{})
+		defer vfs.SetDefault(deadFS{inj})()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		_, err := RunSupervised(ctx, SupervisedConfig{
+			Fleet: cfg, Workers: 1, Dir: dir, MaxAttempts: 1,
+			OnEvent: func(ev supervise.Event) {
+				if ev.Kind == supervise.EventCrash {
+					cancel()
+				}
+			},
+		})
+		if err != nil {
+			t.Fatalf("campaign setup failed: %v", err)
+		}
+		return inj.Ops()
+	}
+	// A clean run reads each shard's file once at start, then makes one
+	// write, two fsyncs (file and directory) and one rename per server.
+	ops := run(t.TempDir(), fault.New(1))
+	if wantOps := uint64(cfg.Shards + 4*cfg.Servers); ops != wantOps {
+		t.Fatalf("clean run crossed %d storage ops, want %d", ops, wantOps)
+	}
+	var empty, resumed int
+	for k := uint64(1); k <= ops; k++ {
+		dir := t.TempDir()
+		in := fault.New(k)
+		for _, p := range []string{fault.PointFSWrite, fault.PointFSFsync, fault.PointFSRename} {
+			in.Arm(p, fault.Trigger{EveryN: 1, From: k})
+		}
+		run(dir, in)
+		res, err := RunSupervised(context.Background(), SupervisedConfig{Fleet: cfg, Dir: dir, Resume: true})
+		if errors.Is(err, snapshot.ErrNoCampaignState) {
+			if files, _ := filepath.Glob(filepath.Join(dir, "*.ctgshrd")); len(files) > 0 {
+				t.Fatalf("k=%d: resume found no state beside %v", k, files)
+			}
+			empty++
+			continue
+		}
+		if err != nil {
+			t.Fatalf("k=%d: resume: %v", k, err)
+		}
+		if !res.Report.Complete || !bytes.Equal(CanonicalBytes(res.Study), want) {
+			t.Fatalf("k=%d: resumed study differs from the uninterrupted one: %s", k, res.Report)
+		}
+		resumed++
+	}
+	if empty == 0 || resumed == 0 {
+		t.Fatalf("%d crash points left no state and %d resumed; want both kinds", empty, resumed)
 	}
 }
 

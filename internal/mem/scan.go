@@ -107,7 +107,13 @@ func (st *ContiguityStats) reset(totalPages uint64, orders []int) {
 }
 
 // ScanOrders are the block sizes the paper reports: 2 MB, 4 MB, 32 MB, 1 GB.
-var ScanOrders = []int{Order2M, Order4M, Order32M, Order1G}
+var ScanOrders = scanOrders[:]
+
+var scanOrders = [...]int{Order2M, Order4M, Order32M, Order1G}
+
+// NumScanOrders is len(ScanOrders) as a constant, the length of arrays
+// that hold one value per scan order by position.
+const NumScanOrders = len(scanOrders)
 
 // Scan performs a scan of physical memory at the given block orders,
 // revisiting only pageblocks whose state changed since the last scan and

@@ -22,7 +22,7 @@ import (
 	"contiguitas/internal/workload"
 )
 
-// sealedFormat is one of the five on-disk formats, seen through its
+// sealedFormat is one of the four on-disk formats, seen through its
 // public write and read API.
 type sealedFormat struct {
 	name string
@@ -58,7 +58,7 @@ func isAny(err error, sentinels ...error) bool {
 	return false
 }
 
-// sealedFormats returns the five formats with a small valid file each.
+// sealedFormats returns the four formats with a small valid file each.
 func sealedFormats(tb testing.TB) []sealedFormat {
 	scratch := filepath.Join(tb.TempDir(), "record")
 	writeRead := func(write func(path string) error) []byte { return readBack(scratch, write) }
@@ -70,11 +70,6 @@ func sealedFormats(tb testing.TB) []sealedFormat {
 
 	shard := &snapshot.ShardCheckpoint{Campaign: 7, Shard: 2, Seq: 4, Done: 3, Payload: []byte("three servers")}
 	shard.Seal(0xbeef)
-
-	man := &snapshot.Manifest{Campaign: 7, Shards: []snapshot.ManifestShard{
-		{Shard: 0, Units: 4, Done: 4, Seq: 2, Chain: 11, Attempts: 1, Status: snapshot.ShardDone},
-		{Shard: 1, Units: 4, Done: 1, Seq: 1, Chain: 12, Attempts: 3},
-	}}
 
 	const cacheKey = 0xabc
 	cacheDir := resultcache.NewDir(tb.TempDir(), 1)
@@ -127,18 +122,6 @@ func sealedFormats(tb testing.TB) []sealedFormat {
 			family: func(err error) bool { return errors.Is(err, snapshot.ErrShardCheckpoint) },
 		},
 		{
-			name: "CTGMANI",
-			file: writeRead(func(p string) error { return snapshot.WriteManifest(p, man) }),
-			decode: func(data []byte) ([]byte, error) {
-				m, err := snapshot.DecodeManifest(data)
-				if err != nil {
-					return nil, err
-				}
-				return writeRead(func(p string) error { return snapshot.WriteManifest(p, m) }), nil
-			},
-			family: func(err error) bool { return errors.Is(err, snapshot.ErrManifestTamper) },
-		},
-		{
 			name: "CTGCACH",
 			file: writeRead(func(p string) error { return putCache(p, []byte("payload-a")) }),
 			decode: func(data []byte) ([]byte, error) {
@@ -165,7 +148,7 @@ func sealedFormats(tb testing.TB) []sealedFormat {
 	}
 }
 
-// TestSealedRecordsRejectEveryEdit holds all five formats to the frame
+// TestSealedRecordsRejectEveryEdit holds all four formats to the frame
 // contract: every single-bit flip, one appended byte and one truncated
 // byte is refused with the format's own sentinel, and the untouched
 // file decodes and re-encodes to itself.
@@ -209,7 +192,7 @@ func (sf sealedFormat) reseal(body []byte) []byte {
 	return seal.Format{Magic: string(header[:7]), Version: binary.LittleEndian.Uint32(header[7:])}.Seal(body)
 }
 
-// FuzzSealedRecords throws arbitrary bytes at all five decoders. Each
+// FuzzSealedRecords throws arbitrary bytes at all four decoders. Each
 // must refuse with its own sentinel or accept, never panic; an accepted
 // record must re-encode to the same bytes. With reseal unset the input
 // is a whole file, and the frame check refuses nearly every edit before
@@ -217,17 +200,27 @@ func (sf sealedFormat) reseal(body []byte) []byte {
 // each format's magic, version and a correct digest, so the fuzzer
 // drives the body decoders themselves. The corpus seeds a valid file and
 // body of each format plus a truncated and a bit-flipped copy of each,
-// so mutation starts inside every frame and every body.
+// so mutation starts inside every frame and every body. A shard's first
+// checkpoint (Seq 1, no previous chain) is seeded the same way, so the
+// CTGSHRD decoder is also driven from the head of a chain.
 func FuzzSealedRecords(f *testing.F) {
 	formats := sealedFormats(f)
+	files := make([][]byte, 0, len(formats)+1)
+	for _, sf := range formats {
+		files = append(files, sf.file)
+	}
+	first := &snapshot.ShardCheckpoint{Campaign: 7, Seq: 1, Done: 1, Payload: []byte("one server")}
+	first.Seal(0)
+	files = append(files, readBack(filepath.Join(f.TempDir(), "first"),
+		func(p string) error { return snapshot.WriteShard(p, first) }))
 	f.Add(false, []byte{})
 	f.Add(true, []byte{})
-	for _, sf := range formats {
-		body := sf.file[11 : len(sf.file)-8]
+	for _, file := range files {
+		body := file[11 : len(file)-8]
 		for _, seed := range []struct {
 			reseal bool
 			data   []byte
-		}{{false, sf.file}, {true, body}} {
+		}{{false, file}, {true, body}} {
 			f.Add(seed.reseal, seed.data)
 			f.Add(seed.reseal, seed.data[:len(seed.data)-1])
 			flipped := bytes.Clone(seed.data)

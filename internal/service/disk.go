@@ -1,12 +1,11 @@
 // The durable store: one directory per campaign holding a CTGCAMP
-// sealed record, the fleet's own CTGMANI/CTGSHRD checkpoint files, the
-// per-cell canonical result journal, and the merged result.
+// sealed record, the fleet's own CTGSHRD checkpoint files, the per-cell
+// canonical result journal, and the merged result.
 //
 //	<root>/campaigns/<id>/
 //	    record.ctgjob        CTGCAMP sealed record (campaign JSON)
-//	    cell-000/            fleet state dir for grid cell 0
-//	        campaign.ctgmani
-//	        shard-000.ctgshrd ...
+//	    cell-000/            fleet state dir for grid cell 0: one
+//	        shard-000.ctgshrd ... self-certifying checkpoint per shard
 //	    cell-000.bin         cell 0's canonical study bytes (durable ⇒ done)
 //	    result.bin           merged result (durable ⇒ campaign done)
 //	<root>/.quarantine/      scrubber-quarantined corrupt files, mirrored

@@ -19,8 +19,9 @@
 // Kill-safety argument, phase by phase: a SIGKILL before the queued Put
 // means the client never got an acknowledgement (nothing to lose);
 // between Put and completion the record is non-terminal and recovery
-// re-runs it, resuming each cell from its fleet manifest (at most one
-// shard's current attempt — never a checkpointed server — is redone);
+// re-runs it, resuming each cell from its fleet shard checkpoints (at
+// most one shard's current attempt — never a checkpointed server — is
+// redone);
 // after result.bin's rename the campaign re-enters only to rewrite
 // byte-identical state. The result bytes are fleet.CanonicalBytes per
 // cell, so every replay converges on the same merged file.
@@ -31,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -672,12 +672,6 @@ func (s *Scheduler) runCell(ctx context.Context, c *Campaign, idx int, cell Cell
 				return nil, err
 			}
 		}
-		resume := false
-		if dir != "" {
-			if _, err := os.Stat(fleet.ManifestPath(dir)); err == nil {
-				resume = true
-			}
-		}
 		res, err := fleet.RunSupervised(ctx, fleet.SupervisedConfig{
 			Fleet:       fcfg,
 			Workers:     s.cfg.ShardWorkers,
@@ -686,7 +680,6 @@ func (s *Scheduler) runCell(ctx context.Context, c *Campaign, idx int, cell Cell
 			BackoffCap:  s.cfg.BackoffCap / 10,
 			Heartbeat:   30 * time.Second,
 			Dir:         dir,
-			Resume:      resume,
 			Faults:      s.cfg.Faults,
 			Progress:    prog,
 			Trace:       ring,
@@ -703,21 +696,19 @@ func (s *Scheduler) runCell(ctx context.Context, c *Campaign, idx int, cell Cell
 		if res.Report.Complete {
 			return fleet.CanonicalBytes(res.Study), nil
 		}
-		// Incomplete without error: quarantined shards. Retrying with
-		// Resume grants them a fresh attempt budget.
+		// Incomplete without error: quarantined shards. The retry
+		// resumes them from their checkpoints with a fresh attempt
+		// budget.
 	}
 	return nil, fmt.Errorf("incomplete after %d attempts (retry budget exhausted)", attempts)
 }
 
 // permanent reports whether an error from the fleet/checkpoint layers
-// can never be fixed by retrying: the on-disk state itself has been
-// judged corrupt, mismatched, or tampered with.
+// can never be fixed by retrying: a shard checkpoint on disk has been
+// judged corrupt or written by another campaign.
 func permanent(err error) bool {
-	return errors.Is(err, snapshot.ErrManifestTamper) ||
-		errors.Is(err, snapshot.ErrShardCheckpoint) ||
-		errors.Is(err, snapshot.ErrShardMismatch) ||
-		errors.Is(err, snapshot.ErrCampaignMismatch) ||
-		errors.Is(err, snapshot.ErrNoManifest)
+	return errors.Is(err, snapshot.ErrShardCheckpoint) ||
+		errors.Is(err, snapshot.ErrCampaignMismatch)
 }
 
 func backoff(base, ceil time.Duration, attempt int) time.Duration {

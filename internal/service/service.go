@@ -15,7 +15,7 @@
 //	Store (store.go)              campaign records + results; memory.go
 //	                              and disk.go backends
 //	fleet.RunSupervised           the actual computation, checkpointed
-//	                              per server through CTGMANI/CTGSHRD
+//	                              per server through CTGSHRD
 //
 // Durability invariant: the disk store acknowledges a submission only
 // after the sealed CTGCAMP record is on stable storage (temp file,
@@ -310,7 +310,7 @@ type Campaign struct {
 	// Error holds the terminal failure reason when State is failed.
 	Error string `json:"error,omitempty"`
 	// Attempts counts scheduler-level run attempts (across process
-	// lifetimes; shard-level retries are counted by the fleet manifest).
+	// lifetimes; shard-level retries live in the fleet run's report).
 	Attempts uint64 `json:"attempts"`
 	// Cells is the grid size; CellsDone of them have durable results.
 	Cells     int `json:"cells"`

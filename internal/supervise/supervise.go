@@ -145,10 +145,10 @@ type Config struct {
 	Open func(shard, attempt int) (Shard, error)
 	// OnEvent, when set, observes every supervision event from the
 	// supervisor goroutine (single-threaded, ordered). Campaign owners
-	// use it to persist attempt counts into their manifest.
+	// use it to act on lifecycle events in order.
 	OnEvent func(Event)
 	// Observer is the read-side progress hook: unlike OnEvent (the
-	// campaign owner's write path into its manifest) it exists so an
+	// campaign owner's own hook) it exists so an
 	// observability plane can mirror the campaign live without joining
 	// its ownership. All four methods are invoked from the supervisor
 	// goroutine, in order; see the Observer contract.

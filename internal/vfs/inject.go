@@ -13,7 +13,7 @@
 //     succeeds and returns data with exactly one deterministically
 //     chosen bit flipped. Nothing in the error channel announces it;
 //     only digest verification can. This is the adversary the CTGSNAP /
-//     CTGSHRD / CTGMANI / CTGCAMP / CTGCACH envelopes exist for.
+//     CTGSHRD / CTGCAMP / CTGCACH envelopes exist for.
 //
 // The injector's virtual clock is bound to the total op count, so
 // window triggers (From/Until) express "the disk goes bad between op N
