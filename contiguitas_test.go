@@ -52,7 +52,7 @@ func TestPublicKernelHandles(t *testing.T) {
 	if err := m.K.Pin(p); err != nil {
 		t.Fatal(err)
 	}
-	if p.PFN >= m.K.Boundary() {
+	if m.K.PFN(p) >= m.K.Boundary() {
 		t.Fatal("pin must confine the page")
 	}
 	m.K.Unpin(p)
@@ -89,7 +89,7 @@ func ExampleNewMachine() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("confined:", p.PFN < m.K.Boundary())
+	fmt.Println("confined:", m.K.PFN(p) < m.K.Boundary())
 	// Output: confined: true
 }
 

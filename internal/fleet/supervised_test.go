@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -326,22 +325,10 @@ func TestResumeStateDir(t *testing.T) {
 	}
 }
 
-// deadFS is an InjectFS whose Remove fails too once a fault has fired:
-// a process that died at op k runs no cleanup either, so a torn file a
-// writer would delete on its error path stays on disk.
-type deadFS struct{ *vfs.InjectFS }
-
-func (d deadFS) Remove(path string) error {
-	in := d.Injector()
-	if in.Fired(fault.PointFSWrite)+in.Fired(fault.PointFSFsync)+in.Fired(fault.PointFSRename) > 0 {
-		return fmt.Errorf("remove %s: %w", path, vfs.ErrInjected)
-	}
-	return d.InjectFS.Remove(path)
-}
-
 // TestCrashPointEnumeration kills a durable campaign at every storage
 // operation it makes. From op k on, every write, fsync, rename and
-// remove fails: that is what the disk keeps of a process that died at k.
+// remove fails (vfs.DeadFS): that is what the disk keeps of a process
+// that died at k.
 // Resuming on the real filesystem must then reproduce the uninterrupted
 // study byte for byte or, when no checkpoint became durable, refuse with
 // ErrNoCampaignState. Any other error, a panic or different bytes fail.
@@ -353,7 +340,7 @@ func TestCrashPointEnumeration(t *testing.T) {
 	// ends it: past the dead op nothing reaches the disk anyway.
 	run := func(dir string, in *fault.Injector) uint64 {
 		inj := vfs.NewInjectFS(vfs.Active(), in, vfs.InjectConfig{})
-		defer vfs.SetDefault(deadFS{inj})()
+		defer vfs.SetDefault(vfs.DeadFS{InjectFS: inj})()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		_, err := RunSupervised(ctx, SupervisedConfig{

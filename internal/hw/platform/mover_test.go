@@ -43,7 +43,7 @@ func TestSimMoverDrivesKernel(t *testing.T) {
 
 	// Pin a page near the top of the unmovable region, then shrink the
 	// region past it: the simulated hardware must carry the migration.
-	var pages []*kernel.Page
+	var pages []kernel.Page
 	for i := 0; i < 2000; i++ {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateUnmovable, mem.SrcNetworking)
 		if err != nil {
@@ -51,9 +51,9 @@ func TestSimMoverDrivesKernel(t *testing.T) {
 		}
 		pages = append(pages, p)
 	}
-	var top *kernel.Page
+	var top kernel.Page
 	for _, p := range pages {
-		if top == nil || p.PFN > top.PFN {
+		if top == (kernel.Page{}) || k.PFN(p) > k.PFN(top) {
 			top = p
 		}
 	}
@@ -73,7 +73,7 @@ func TestSimMoverDrivesKernel(t *testing.T) {
 	if sim.Migrated == 0 {
 		t.Fatal("the simulated hardware never ran")
 	}
-	if top.PFN >= k.Boundary() {
+	if k.PFN(top) >= k.Boundary() {
 		t.Fatal("pinned page not relocated below the new boundary")
 	}
 }

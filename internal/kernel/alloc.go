@@ -29,7 +29,7 @@ const (
 // allocation in the class's region; the slow path mirrors the kernel:
 // direct reclaim, then compaction for high-order movable requests, then
 // (ModeContiguitas, unmovable classes) an urgent boundary expansion.
-func (k *Kernel) Alloc(order int, mt mem.MigrateType, src mem.Source) (*Page, error) {
+func (k *Kernel) Alloc(order int, mt mem.MigrateType, src mem.Source) (Page, error) {
 	if k.shedAllocation(mt) {
 		// Admission control: fail fast with no stall and no reclaim —
 		// shedding exists precisely to stop failing requests from adding
@@ -40,7 +40,7 @@ func (k *Kernel) Alloc(order int, mt mem.MigrateType, src mem.Source) (*Page, er
 			k.tp.Emit(k.tick, telemetry.EvAllocShed,
 				uint64(order), uint64(mt), uint64(k.gatePSI.Pressure()*1000))
 		}
-		return nil, k.errAllocShed()
+		return Page{}, k.errAllocShed()
 	}
 	b := k.buddyFor(mt)
 	region := k.regionFor(mt)
@@ -97,92 +97,70 @@ func (k *Kernel) Alloc(order int, mt mem.MigrateType, src mem.Source) (*Page, er
 			k.tp.Emit(k.tick, telemetry.EvAllocFail, uint64(order), uint64(mt), uint64(region))
 		}
 		if k.pcfg != nil {
-			return nil, k.pressureErr(order, mt, &lt)
+			return Page{}, k.pressureErr(order, mt, &lt)
 		}
-		return nil, k.errNoMemory(order, mt)
+		return Page{}, k.errNoMemory(order, mt)
 	}
 	return k.finishAlloc(pfn, order, mt, src, k.inCacheAlloc), nil
 }
 
-// finishAlloc accounts a served allocation and creates its handle. A
+// finishAlloc accounts a served allocation and files its handle. A
 // page-cache allocation is reported to the sink by registerCache, once
 // it is on the reclaimable FIFO.
-func (k *Kernel) finishAlloc(pfn uint64, order int, mt mem.MigrateType, src mem.Source, pageCache bool) *Page {
-	p := &k.newPages(1)[0]
-	k.initHandle(p, pfn, order, mt, src, pageCache)
-	return p
-}
-
-// initHandle is finishAlloc on a freshly carved handle.
-func (k *Kernel) initHandle(p *Page, pfn uint64, order int, mt mem.MigrateType, src mem.Source, pageCache bool) {
+func (k *Kernel) finishAlloc(pfn uint64, order int, mt mem.MigrateType, src mem.Source, pageCache bool) Page {
 	k.AllocOK++
 	if k.tp.Enabled() {
 		k.tp.Emit(k.tick, telemetry.EvAlloc, pfn, uint64(order), uint64(mt))
 	}
-	*p = Page{PFN: pfn, Order: int8(order), MT: mt, Src: src, cacheIdx: -1}
-	k.live.set(pfn, p)
+	p := k.pt.add(pfn, order, mt, src)
 	if k.sink != nil && !pageCache {
 		k.sink.OnAlloc(p, false)
 	}
+	return p
 }
 
 // Free releases an allocation. Pinned pages must be unpinned first.
-// Misuse is reported, not fatal: freeing nil, a pinned page, or a stale
-// handle (double free, reclaimed page-cache handle) returns a typed
+// Misuse is reported, not fatal: freeing the nil handle, a pinned page,
+// or a stale handle (double free, reclaimed page-cache handle, or a
+// handle whose row or frames were since reallocated) returns a typed
 // error and leaves the kernel untouched.
-func (k *Kernel) Free(p *Page) error {
-	if err := k.releaseHandle(p); err != nil {
+func (k *Kernel) Free(p Page) error {
+	pfn, err := k.releaseHandle(p)
+	if err != nil {
 		return err
 	}
-	mustFree(k.owningBuddy(p.PFN), p.PFN)
+	mustFree(k.owningBuddy(pfn), pfn)
 	return nil
 }
 
 // releaseHandle does everything Free does except the buddy free: it
 // refuses misuse, reports the free, and detaches the handle from the
-// live table and the reclaimable FIFO.
-func (k *Kernel) releaseHandle(p *Page) error {
-	if p == nil {
-		return ErrNilHandle
+// page table and the reclaimable FIFO. It returns the block head.
+func (k *Kernel) releaseHandle(p Page) (uint64, error) {
+	if p == (Page{}) {
+		return 0, ErrNilHandle
 	}
-	if p.Pinned {
-		return fmt.Errorf("%w: Free of pfn %d; Unpin first", ErrPagePinned, p.PFN)
+	r := k.pt.lookup(p)
+	if r == nil {
+		return 0, fmt.Errorf("%w: Free", ErrStaleHandle)
 	}
-	if k.live.get(p.PFN) != p {
-		return fmt.Errorf("%w: Free of pfn %d", ErrStaleHandle, p.PFN)
+	pfn := uint64(r.pfn)
+	if r.pinned {
+		return 0, fmt.Errorf("%w: Free of pfn %d; Unpin first", ErrPagePinned, pfn)
 	}
 	if k.tp.Enabled() {
-		k.tp.Emit(k.tick, telemetry.EvFree, p.PFN, uint64(p.Order), uint64(p.MT))
+		k.tp.Emit(k.tick, telemetry.EvFree, pfn, uint64(r.order), uint64(r.mt))
 	}
 	if k.sink != nil {
 		k.sink.OnFree(p)
 	}
-	if p.cacheIdx >= 0 {
+	if r.cacheIdx >= 0 {
 		// Lazily detach from the reclaimable FIFO.
-		k.reclaimable[p.cacheIdx] = noCacheEntry
-		k.reclaimablePages -= p.Pages()
-		p.cacheIdx = -1
+		k.reclaimable[r.cacheIdx] = noCacheEntry
+		k.reclaimablePages -= r.pages()
 	}
-	k.live.del(p.PFN)
-	return nil
-}
-
-// pageArenaChunk is the handle-arena batch size: large enough to take
-// the chunk malloc off the allocation hot path, small enough that a
-// chunk pinned by one long-lived handle wastes little.
-const pageArenaChunk = 2048
-
-// newPages carves the next handles from the arena: n of them, or fewer
-// where the current chunk ends. Every handle is a distinct, never-reused
-// object (see the pageArena field comment).
-func (k *Kernel) newPages(n int) []Page {
-	if len(k.pageArena) == 0 {
-		k.pageArena = make([]Page, pageArenaChunk)
-	}
-	n = min(n, len(k.pageArena))
-	hs := k.pageArena[:n:n]
-	k.pageArena = k.pageArena[n:]
-	return hs
+	k.pt.release(p.slot)
+	return pfn, nil
 }
 
 // errNoMemory returns the memoized allocation-failure error for the
@@ -213,12 +191,12 @@ func (k *Kernel) owningBuddy(pfn uint64) *mem.Buddy {
 // time under pressure, so holders must treat the handle as advisory and
 // check Live. Unmovable filesystem buffers are ordinary unmovable
 // allocations, not page cache.
-func (k *Kernel) AllocPageCache(order int, src mem.Source) (*Page, error) {
+func (k *Kernel) AllocPageCache(order int, src mem.Source) (Page, error) {
 	k.inCacheAlloc = true
 	p, err := k.Alloc(order, mem.MigrateMovable, src)
 	k.inCacheAlloc = false
 	if err != nil {
-		return nil, err
+		return Page{}, err
 	}
 	k.registerCache(p)
 	return p, nil
@@ -226,10 +204,11 @@ func (k *Kernel) AllocPageCache(order int, src mem.Source) (*Page, error) {
 
 // registerCache appends a fresh page-cache allocation to the
 // reclaimable FIFO and reports it to the sink.
-func (k *Kernel) registerCache(p *Page) {
-	p.cacheIdx = int32(len(k.reclaimable))
-	k.reclaimable = append(k.reclaimable, uint32(p.PFN))
-	k.reclaimablePages += p.Pages()
+func (k *Kernel) registerCache(p Page) {
+	r := &k.pt.rows[p.slot]
+	r.cacheIdx = int32(len(k.reclaimable))
+	k.reclaimable = append(k.reclaimable, r.pfn)
+	k.reclaimablePages += r.pages()
 	if k.sink != nil {
 		k.sink.OnAlloc(p, true)
 	}
@@ -237,7 +216,30 @@ func (k *Kernel) registerCache(p *Page) {
 
 // Live reports whether the handle still owns memory (page-cache handles
 // can be reclaimed behind the holder's back).
-func (k *Kernel) Live(p *Page) bool { return k.live.get(p.PFN) == p }
+func (k *Kernel) Live(p Page) bool { return k.pt.lookup(p) != nil }
+
+// Info describes the block a live handle owns; a nil or stale handle
+// yields the zero PageInfo.
+func (k *Kernel) Info(p Page) PageInfo {
+	r := k.pt.lookup(p)
+	if r == nil {
+		return PageInfo{}
+	}
+	return PageInfo{PFN: uint64(r.pfn), Order: int(r.order), MT: r.mt, Src: r.src, Pinned: r.pinned}
+}
+
+// PFN returns the head frame of a live handle's block (0 for a nil or
+// stale handle).
+func (k *Kernel) PFN(p Page) uint64 { return k.Info(p).PFN }
+
+// PageAt returns the live handle whose block starts at pfn, and whether
+// there is one. Restore callers use it to rehydrate handles they held
+// before the checkpoint: handle values do not survive a restore, block
+// contents do.
+func (k *Kernel) PageAt(pfn uint64) (Page, bool) {
+	p := k.pt.handle(pfn)
+	return p, p != (Page{})
+}
 
 // Pin marks an allocation unmovable-in-place (DMA registration, RDMA,
 // zero-copy send). Under ModeContiguitas, a movable-region page is first
@@ -245,33 +247,38 @@ func (k *Kernel) Live(p *Page) bool { return k.live.get(p.PFN) == p }
 // them to the unmovable region and then marks them as unmovable"),
 // avoiding dynamic pollution of the movable region. The migration is a
 // software one — the page is not yet pinned, so access can be blocked.
-func (k *Kernel) Pin(p *Page) error {
-	if p.Pinned {
+// A nil or stale handle is refused with ErrStaleHandle.
+func (k *Kernel) Pin(p Page) error {
+	r := k.pt.lookup(p)
+	if r == nil {
+		return fmt.Errorf("%w: Pin", ErrStaleHandle)
+	}
+	if r.pinned {
 		return nil
 	}
-	if k.cfg.Mode == ModeContiguitas && p.PFN >= k.boundary {
+	if k.cfg.Mode == ModeContiguitas && uint64(r.pfn) >= k.boundary {
 		// Allocate a landing block in the unmovable region and move.
 		// No direct reclaim: page cache lives in the movable region, so
 		// the unmovable one has nothing to reclaim.
-		dst, ok := k.unmov.Alloc(int(p.Order), mem.MigrateUnmovable, p.Src)
+		dst, ok := k.unmov.Alloc(int(r.order), mem.MigrateUnmovable, r.src)
 		if !ok {
-			if k.ExpandUnmovable(p.Pages()*2) > 0 {
-				dst, ok = k.unmov.Alloc(int(p.Order), mem.MigrateUnmovable, p.Src)
+			if k.ExpandUnmovable(r.pages()*2) > 0 {
+				dst, ok = k.unmov.Alloc(int(r.order), mem.MigrateUnmovable, r.src)
 			}
 		}
 		if !ok {
 			k.psi.AddStall(psi.RegionUnmovable, stallFailure)
-			return fmt.Errorf("%w: pin migration target order=%d", ErrNoMemory, p.Order)
+			return fmt.Errorf("%w: pin migration target order=%d", ErrNoMemory, r.order)
 		}
-		if err := k.softwareMigrateTo(p, dst); err != nil {
+		if err := k.softwareMigrateTo(p.slot, dst); err != nil {
 			mustFree(k.unmov, dst)
-			return fmt.Errorf("pin migration of pfn %d: %w", p.PFN, err)
+			return fmt.Errorf("pin migration of pfn %d: %w", r.pfn, err)
 		}
-		p.MT = mem.MigrateUnmovable
+		r.mt = mem.MigrateUnmovable
 		k.PinMigrations++
 	}
-	p.Pinned = true
-	k.pm.SetPinned(p.PFN, true)
+	r.pinned = true
+	k.pm.SetPinned(uint64(r.pfn), true)
 	if k.sink != nil {
 		k.sink.OnPin(p)
 	}
@@ -279,13 +286,15 @@ func (k *Kernel) Pin(p *Page) error {
 }
 
 // Unpin clears the pinned state. The page stays where it is; under
-// ModeContiguitas it remains in the unmovable region until freed.
-func (k *Kernel) Unpin(p *Page) {
-	if !p.Pinned {
+// ModeContiguitas it remains in the unmovable region until freed. A
+// nil, stale or unpinned handle is left alone.
+func (k *Kernel) Unpin(p Page) {
+	r := k.pt.lookup(p)
+	if r == nil || !r.pinned {
 		return
 	}
-	p.Pinned = false
-	k.pm.SetPinned(p.PFN, false)
+	r.pinned = false
+	k.pm.SetPinned(uint64(r.pfn), false)
 	if k.sink != nil {
 		k.sink.OnUnpin(p)
 	}

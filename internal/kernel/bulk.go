@@ -40,7 +40,7 @@ func (k *Kernel) SetSingleCalls(on bool) { k.singleCalls = on }
 // where the next single call would shed, steal, compact, expand,
 // enter the pressure ladder or fail; the caller continues with a
 // single Alloc there.
-func (k *Kernel) AllocBulk4K(dst []*Page, n int, mt mem.MigrateType, src mem.Source) []*Page {
+func (k *Kernel) AllocBulk4K(dst []Page, n int, mt mem.MigrateType, src mem.Source) []Page {
 	k.allocFast4K(n, mt, src, false, &dst)
 	return dst
 }
@@ -57,7 +57,7 @@ func (k *Kernel) AllocPageCacheBulk4K(n int, src mem.Source) (int, error) {
 // would, stopping at the first failure.
 func (k *Kernel) allocUser4K(m *Mapping, n int) error {
 	got, err := k.allocN4K(n, mem.MigrateMovable, mem.SrcUser, false, &m.Blocks)
-	m.n4K += got
+	m.byOrder[mem.Order4K] += int32(got)
 	return err
 }
 
@@ -66,14 +66,14 @@ func (k *Kernel) allocUser4K(m *Mapping, n int) error {
 // one single call wherever they stop. It returns how many it served and
 // the first failure. Only callers whose handles no OOM kill can reach
 // mid-batch may use it; see fillSmall in the workload package.
-func (k *Kernel) allocN4K(n int, mt mem.MigrateType, src mem.Source, pageCache bool, dst *[]*Page) (int, error) {
+func (k *Kernel) allocN4K(n int, mt mem.MigrateType, src mem.Source, pageCache bool, dst *[]Page) (int, error) {
 	got := 0
 	for {
 		got += k.allocFast4K(n-got, mt, src, pageCache, dst)
 		if got >= n {
 			return got, nil
 		}
-		var p *Page
+		var p Page
 		var err error
 		if pageCache {
 			p, err = k.AllocPageCache(mem.Order4K, src)
@@ -103,7 +103,7 @@ func (k *Kernel) allocN4K(n int, mt mem.MigrateType, src mem.Source, pageCache b
 //     frees exactly that page, it cannot merge, and the retry gets it
 //     back: recycleOldest restamps it in place and keeps every other
 //     effect of that call.
-func (k *Kernel) allocFast4K(n int, mt mem.MigrateType, src mem.Source, pageCache bool, dst *[]*Page) int {
+func (k *Kernel) allocFast4K(n int, mt mem.MigrateType, src mem.Source, pageCache bool, dst *[]Page) int {
 	if n <= 0 || k.singleCalls || k.shedAllocation(mt) {
 		return 0
 	}
@@ -120,14 +120,8 @@ func (k *Kernel) allocFast4K(n int, mt mem.MigrateType, src mem.Source, pageCach
 			pfns := b.AllocBulk4K(k.bulkPFNs[:0], min(n-got, bulkChunk), mt, src)
 			got += len(pfns)
 			k.bulkPFNs = pfns[:0]
-			// Handles are carved a run at a time, not one per page.
-			for len(pfns) > 0 {
-				hs := k.newPages(len(pfns))
-				for i := range hs {
-					k.initHandle(&hs[i], pfns[i], mem.Order4K, mt, src, pageCache)
-					k.keepFast(&hs[i], pageCache, dst)
-				}
-				pfns = pfns[len(hs):]
+			for _, pfn := range pfns {
+				k.keepFast(k.finishAlloc(pfn, mem.Order4K, mt, src, pageCache), pageCache, dst)
 			}
 			continue
 		}
@@ -145,7 +139,7 @@ func (k *Kernel) allocFast4K(n int, mt mem.MigrateType, src mem.Source, pageCach
 }
 
 // keepFast files a fast-path allocation with its owner.
-func (k *Kernel) keepFast(p *Page, pageCache bool, dst *[]*Page) {
+func (k *Kernel) keepFast(p Page, pageCache bool, dst *[]Page) {
 	if pageCache {
 		k.registerCache(p)
 	}
@@ -172,7 +166,7 @@ func (k *Kernel) recycleOldest(b *mem.Buddy, mt mem.MigrateType, src mem.Source)
 		return 0, false
 	}
 	pfn := uint64(k.reclaimable[i])
-	if k.live.get(pfn).Order != mem.Order4K || k.pm.PageblockMT(pfn) != mt {
+	if k.pt.rows[k.pt.heads[pfn]].order != mem.Order4K || k.pm.PageblockMT(pfn) != mt {
 		return 0, false
 	}
 	region := k.regionFor(mt)
@@ -196,16 +190,17 @@ func (k *Kernel) recycleOldest(b *mem.Buddy, mt mem.MigrateType, src mem.Source)
 // calls would; a handle Free would refuse is skipped and the first such
 // error returned. The buddy frees are queued per region and released
 // with mem.Buddy.FreeBatch.
-func (k *Kernel) FreeBatch(ps []*Page) error {
+func (k *Kernel) FreeBatch(ps []Page) error {
 	var first error
 	for _, p := range ps {
-		if err := k.releaseHandle(p); err != nil {
+		pfn, err := k.releaseHandle(p)
+		if err != nil {
 			if first == nil {
 				first = err
 			}
 			continue
 		}
-		k.queueFree(p.PFN)
+		k.queueFree(pfn)
 	}
 	k.flushFrees()
 	return first

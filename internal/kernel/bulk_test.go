@@ -16,29 +16,33 @@ import (
 type sinkEvent struct {
 	kind   byte
 	pfn    uint64
-	order  int8
+	order  int
 	mt     mem.MigrateType
 	src    mem.Source
 	pinned bool
 }
 
 // recordingSink keeps every callback in order.
-type recordingSink struct{ evs []sinkEvent }
-
-func (s *recordingSink) add(kind byte, p *Page) {
-	s.evs = append(s.evs, sinkEvent{kind, p.PFN, p.Order, p.MT, p.Src, p.Pinned})
+type recordingSink struct {
+	k   *Kernel
+	evs []sinkEvent
 }
-func (s *recordingSink) OnAlloc(p *Page, cache bool) {
+
+func (s *recordingSink) add(kind byte, p Page) {
+	i := s.k.Info(p)
+	s.evs = append(s.evs, sinkEvent{kind, i.PFN, i.Order, i.MT, i.Src, i.Pinned})
+}
+func (s *recordingSink) OnAlloc(p Page, cache bool) {
 	if cache {
 		s.add('c', p)
 	} else {
 		s.add('a', p)
 	}
 }
-func (s *recordingSink) OnFree(p *Page)  { s.add('f', p) }
-func (s *recordingSink) OnPin(p *Page)   { s.add('p', p) }
-func (s *recordingSink) OnUnpin(p *Page) { s.add('u', p) }
-func (s *recordingSink) OnTick()         { s.evs = append(s.evs, sinkEvent{kind: 't'}) }
+func (s *recordingSink) OnFree(p Page)  { s.add('f', p) }
+func (s *recordingSink) OnPin(p Page)   { s.add('p', p) }
+func (s *recordingSink) OnUnpin(p Page) { s.add('u', p) }
+func (s *recordingSink) OnTick()        { s.evs = append(s.evs, sinkEvent{kind: 't'}) }
 
 // diffTwin is one side of the differential test: a kernel with its
 // own fault injector, tracepoint stream, sink, and handle pools.
@@ -47,7 +51,7 @@ type diffTwin struct {
 	faults   *fault.Injector
 	trace    []telemetry.Record
 	sink     recordingSink
-	pages    []*Page
+	pages    []Page
 	mappings []*Mapping
 }
 
@@ -76,6 +80,7 @@ func newDiffTwin(mode Mode, noBias, reclaimFault, single bool) *diffTwin {
 	ring := telemetry.NewRing(64)
 	ring.SetSink(func(r telemetry.Record) { tw.trace = append(tw.trace, r) })
 	tw.k.SetTracer(ring)
+	tw.sink.k = tw.k
 	tw.k.SetEventSink(&tw.sink)
 	return tw
 }
@@ -137,14 +142,14 @@ func runDiffStream(t *testing.T, bulk, single *diffTwin, ticks int) {
 					if len(bulk.pages) == want {
 						break
 					}
-					var p *Page
+					var p Page
 					if p, berr = bulk.k.Alloc(mem.Order4K, mt, mem.SrcUser); berr != nil {
 						break
 					}
 					bulk.pages = append(bulk.pages, p)
 				}
 				for len(single.pages) < want {
-					var p *Page
+					var p Page
 					if p, serr = single.k.Alloc(mem.Order4K, mt, mem.SrcUser); serr != nil {
 						break
 					}
@@ -171,14 +176,14 @@ func runDiffStream(t *testing.T, bulk, single *diffTwin, ticks int) {
 				if len(bulk.pages) == 0 {
 					break
 				}
-				var bb, sb []*Page
+				var bb, sb []Page
 				for m := 1 + rng.Intn(300); m > 0 && len(bulk.pages) > 0; m-- {
 					j := rng.Intn(len(bulk.pages))
 					bb, sb = append(bb, bulk.pages[j]), append(sb, single.pages[j])
 					bulk.pages = swapRemove(bulk.pages, j)
 					single.pages = swapRemove(single.pages, j)
 				}
-				bb, sb = append(bb, bb[0], nil), append(sb, sb[0], nil)
+				bb, sb = append(bb, bb[0], Page{}), append(sb, sb[0], Page{})
 				berr := bulk.k.FreeBatch(bb)
 				var serr error
 				for _, p := range sb {
@@ -194,7 +199,7 @@ func runDiffStream(t *testing.T, bulk, single *diffTwin, ticks int) {
 				sm, serr := single.k.AllocUser(bytes, thp)
 				requireSameErr(t, tick, "AllocUser", berr, serr)
 				if berr == nil {
-					requireSamePFNs(t, tick, "AllocUser", bm.Blocks, sm.Blocks)
+					requireSamePages(t, tick, "AllocUser", bulk, single, bm.Blocks, sm.Blocks)
 					bulk.mappings, single.mappings = append(bulk.mappings, bm), append(single.mappings, sm)
 				}
 			case 5:
@@ -215,13 +220,13 @@ func runDiffStream(t *testing.T, bulk, single *diffTwin, ticks int) {
 				if b, s := bulk.k.Promote(bulk.mappings[j], budget), single.k.Promote(single.mappings[j], budget); b != s {
 					t.Fatalf("tick %d: Promote collapsed %d vs %d", tick, b, s)
 				}
-				requireSamePFNs(t, tick, "Promote", bulk.mappings[j].Blocks, single.mappings[j].Blocks)
+				requireSamePages(t, tick, "Promote", bulk, single, bulk.mappings[j].Blocks, single.mappings[j].Blocks)
 			case 7:
 				if len(bulk.pages) == 0 {
 					break
 				}
 				j := rng.Intn(len(bulk.pages))
-				if bulk.pages[j].Pinned {
+				if bulk.k.Info(bulk.pages[j]).Pinned {
 					bulk.k.Unpin(bulk.pages[j])
 					single.k.Unpin(single.pages[j])
 				} else {
@@ -237,7 +242,7 @@ func runDiffStream(t *testing.T, bulk, single *diffTwin, ticks int) {
 				}
 			}
 		}
-		requireSamePFNs(t, tick, "pool", bulk.pages, single.pages)
+		requireSamePages(t, tick, "pool", bulk, single, bulk.pages, single.pages)
 		bulk.k.EndTick()
 		single.k.EndTick()
 		requireSameTwins(t, tick, bulk, single)
@@ -261,14 +266,14 @@ func requireSameErr(t *testing.T, tick int, what string, b, s error) {
 	}
 }
 
-func requireSamePFNs(t *testing.T, tick int, what string, b, s []*Page) {
+func requireSamePages(t *testing.T, tick int, what string, bulk, single *diffTwin, b, s []Page) {
 	t.Helper()
 	if len(b) != len(s) {
 		t.Fatalf("tick %d: %s: %d handles vs %d", tick, what, len(b), len(s))
 	}
 	for i := range b {
-		if *b[i] != *s[i] {
-			t.Fatalf("tick %d: %s: handle %d is %+v vs %+v", tick, what, i, *b[i], *s[i])
+		if bi, si := bulk.k.Info(b[i]), single.k.Info(s[i]); bi != si {
+			t.Fatalf("tick %d: %s: handle %d is %+v vs %+v", tick, what, i, bi, si)
 		}
 	}
 }

@@ -328,12 +328,12 @@ func (k *Kernel) evacuate(b *mem.Buddy, start, end uint64, allowHW bool) error {
 			p++
 			continue
 		}
-		handle := k.live.get(p)
-		if handle == nil {
+		s := k.pt.heads[p]
+		if s == 0 {
 			return fmt.Errorf("%w: allocated block at %d without a live handle", ErrEvacIncomplete, p)
 		}
-		next := p + handle.Pages()
-		if err := k.clearAllocation(b, handle, start, end, allowHW); err != nil {
+		next := p + k.pt.rows[s].pages()
+		if err := k.clearAllocation(b, s, start, end, allowHW); err != nil {
 			return err
 		}
 		p = next
@@ -373,30 +373,30 @@ func (k *Kernel) coveringHead(p uint64) uint64 {
 // allocations cannot land back inside the range. Migration failures and
 // carve failures surface as errors; the allocation either moved intact
 // or stayed where it was, so the kernel remains consistent either way.
-func (k *Kernel) clearAllocation(b *mem.Buddy, handle *Page, start, end uint64, allowHW bool) error {
-	src := handle.PFN
-	size := handle.Pages()
+func (k *Kernel) clearAllocation(b *mem.Buddy, s uint32, start, end uint64, allowHW bool) error {
+	handle := k.pt.rows[s]
+	src := uint64(handle.pfn)
+	size := handle.pages()
 
 	switch {
-	case handle.MT == mem.MigrateReclaimable && !handle.Pinned:
+	case handle.mt == mem.MigrateReclaimable && !handle.pinned:
 		if handle.cacheIdx >= 0 {
 			k.reclaimable[handle.cacheIdx] = noCacheEntry
 			k.reclaimablePages -= size
-			handle.cacheIdx = -1
 		}
-		k.live.del(src)
+		k.pt.release(s)
 		mustFree(b, src)
 		k.ReclaimedPages += size
 
-	case handle.MT == mem.MigrateMovable && !handle.Pinned:
-		dst, ok := k.allocOutside(b, handle, start, end)
+	case handle.mt == mem.MigrateMovable && !handle.pinned:
+		dst, ok := k.allocOutside(b, &handle, start, end)
 		if !ok {
 			return fmt.Errorf("%w: no replacement block for movable pfn %d", ErrEvacIncomplete, src)
 		}
 		// The hardware path is preferred whenever a mover is attached —
 		// the page stays accessible and there is no shootdown — with
 		// software migration as the graceful fallback.
-		if err := k.migrateTo(handle, dst, k.cfg.HWMover != nil); err != nil {
+		if err := k.migrateTo(s, dst, k.cfg.HWMover != nil); err != nil {
 			mustFree(b, dst)
 			return fmt.Errorf("%w: %v", ErrEvacIncomplete, err)
 		}
@@ -405,11 +405,11 @@ func (k *Kernel) clearAllocation(b *mem.Buddy, handle *Page, start, end uint64, 
 		if !allowHW || k.cfg.HWMover == nil {
 			return fmt.Errorf("%w: unmovable pfn %d without hardware assist", ErrEvacIncomplete, src)
 		}
-		dst, ok := k.allocOutside(b, handle, start, end)
+		dst, ok := k.allocOutside(b, &handle, start, end)
 		if !ok {
 			return fmt.Errorf("%w: no replacement block for unmovable pfn %d", ErrEvacIncomplete, src)
 		}
-		if err := k.migrateTo(handle, dst, true); err != nil {
+		if err := k.migrateTo(s, dst, true); err != nil {
 			mustFree(b, dst)
 			return fmt.Errorf("%w: %v", ErrEvacIncomplete, err)
 		}
@@ -430,7 +430,7 @@ func (k *Kernel) clearAllocation(b *mem.Buddy, handle *Page, start, end uint64, 
 // allocOutside allocates a replacement block for handle from b that does
 // not overlap [start, end). Rejected in-range blocks are parked and freed
 // afterwards.
-func (k *Kernel) allocOutside(b *mem.Buddy, handle *Page, start, end uint64) (uint64, bool) {
+func (k *Kernel) allocOutside(b *mem.Buddy, handle *pageRow, start, end uint64) (uint64, bool) {
 	var parked []uint64
 	defer func() {
 		for _, pfn := range parked {
@@ -438,11 +438,11 @@ func (k *Kernel) allocOutside(b *mem.Buddy, handle *Page, start, end uint64) (ui
 		}
 	}()
 	for attempt := 0; attempt < 64; attempt++ {
-		pfn, ok := b.Alloc(int(handle.Order), handle.MT, handle.Src)
+		pfn, ok := b.Alloc(int(handle.order), handle.mt, handle.src)
 		if !ok {
 			return 0, false
 		}
-		if pfn+handle.Pages() <= start || pfn >= end {
+		if pfn+handle.pages() <= start || pfn >= end {
 			return pfn, true
 		}
 		parked = append(parked, pfn)

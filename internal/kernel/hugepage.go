@@ -14,38 +14,40 @@ import (
 // RestoreMapping are the only writers, so the counters below stay exact.
 type Mapping struct {
 	Bytes  uint64
-	Blocks []*Page
+	Blocks []Page
 
-	// n4K counts the 4 KB blocks in Blocks. interleaved is set when some
-	// larger block follows a 4 KB one; when clear, Blocks is already in
-	// the order a khugepaged pass leaves it (larger blocks first), so a
-	// pass that cannot collapse (n4K < 512) would rewrite it unchanged.
-	n4K         int
+	// byOrder counts the blocks in Blocks per order (a mapping's blocks
+	// are user memory: they migrate but are never reclaimed or
+	// resized). interleaved is set when some larger block follows a
+	// 4 KB one; when clear, Blocks is already in the order a khugepaged
+	// pass leaves it (larger blocks first), so a pass that cannot
+	// collapse (fewer than 512 4 KB blocks) would rewrite it unchanged.
+	byOrder     [mem.MaxOrder + 1]int32
 	interleaved bool
 }
 
-// appendBlock adds p to the end of the block list, keeping the 4 KB
-// count and the partition bit current.
-func (m *Mapping) appendBlock(p *Page) {
-	if p.Order == mem.Order4K {
-		m.n4K++
-	} else if m.n4K > 0 {
+// appendBlock adds p, a block of the given order, to the end of the
+// block list, keeping the per-order counts and the partition bit
+// current.
+func (m *Mapping) appendBlock(p Page, order int) {
+	if order != mem.Order4K && m.byOrder[mem.Order4K] > 0 {
 		m.interleaved = true
 	}
+	m.byOrder[order]++
 	m.Blocks = append(m.Blocks, p)
 }
 
-// CheckCounters recomputes the 4 KB count and the partition bit from
-// Blocks and reports any disagreement with the maintained values. It is
-// O(len(Blocks)) and intended for tests.
-func (m *Mapping) CheckCounters() error {
+// CheckCounters recomputes the per-order counts and the partition bit
+// from Blocks and reports any disagreement with the maintained values.
+// It is O(len(Blocks)) and intended for tests.
+func (m *Mapping) CheckCounters(k *Kernel) error {
 	var want Mapping
 	for _, p := range m.Blocks {
-		want.appendBlock(p)
+		want.appendBlock(p, k.Info(p).Order)
 	}
-	if want.n4K != m.n4K || want.interleaved != m.interleaved {
-		return fmt.Errorf("kernel: mapping counters n4K=%d interleaved=%v, blocks give n4K=%d interleaved=%v",
-			m.n4K, m.interleaved, want.n4K, want.interleaved)
+	if want.byOrder != m.byOrder || want.interleaved != m.interleaved {
+		return fmt.Errorf("kernel: mapping counters %v interleaved=%v, blocks give %v interleaved=%v",
+			m.byOrder, m.interleaved, want.byOrder, want.interleaved)
 	}
 	return nil
 }
@@ -53,25 +55,32 @@ func (m *Mapping) CheckCounters() error {
 // RestoreMapping rebuilds a mapping of the given size over live handles
 // in their serialized order (workload snapshot restore). The mapping
 // takes ownership of blocks.
-func RestoreMapping(bytes uint64, blocks []*Page) *Mapping {
+func (k *Kernel) RestoreMapping(bytes uint64, blocks []Page) *Mapping {
 	m := &Mapping{Bytes: bytes, Blocks: blocks[:0]}
 	for _, p := range blocks {
-		m.appendBlock(p)
+		m.appendBlock(p, int(k.pt.rows[p.slot].order))
 	}
 	return m
+}
+
+// Frames returns the frames backing the mapping, and those of them in
+// blocks of at least the given order.
+func (m *Mapping) Frames(order int) (total, covered uint64) {
+	for o, n := range m.byOrder {
+		pages := uint64(n) * mem.OrderPages(o)
+		total += pages
+		if o >= order {
+			covered += pages
+		}
+	}
+	return total, covered
 }
 
 // Coverage returns the fraction of the mapping's frames backed by blocks
 // of at least the given order — the huge-page coverage that drives the
 // address-translation model.
 func (m *Mapping) Coverage(order int) float64 {
-	var total, covered uint64
-	for _, b := range m.Blocks {
-		total += b.Pages()
-		if int(b.Order) >= order {
-			covered += b.Pages()
-		}
-	}
+	total, covered := m.Frames(order)
 	if total == 0 {
 		return 0
 	}
@@ -80,15 +89,7 @@ func (m *Mapping) Coverage(order int) float64 {
 
 // BlockCount returns how many blocks of exactly the given order back the
 // mapping.
-func (m *Mapping) BlockCount(order int) int {
-	n := 0
-	for _, b := range m.Blocks {
-		if int(b.Order) == order {
-			n++
-		}
-	}
-	return n
-}
+func (m *Mapping) BlockCount(order int) int { return int(m.byOrder[order]) }
 
 // AllocUser allocates user anonymous memory. With thp enabled it
 // attempts 2 MB blocks first (Transparent Huge Pages with THP=always,
@@ -114,18 +115,18 @@ func (k *Kernel) AllocUserTHP(bytes uint64, thp, thp1G bool) (*Mapping, error) {
 			blocks = remaining/per1G + remaining%per1G/mem.PageblockPages + remaining%mem.PageblockPages
 		}
 	}
-	m := &Mapping{Bytes: bytes, Blocks: make([]*Page, 0, blocks)}
+	m := &Mapping{Bytes: bytes, Blocks: k.blockList(blocks)}
 	for remaining > 0 {
 		if thp1G && remaining >= mem.OrderPages(mem.Order1G) {
 			if p, err := k.Alloc(mem.Order1G, mem.MigrateMovable, mem.SrcUser); err == nil {
-				m.appendBlock(p)
+				m.appendBlock(p, mem.Order1G)
 				remaining -= mem.OrderPages(mem.Order1G)
 				continue
 			}
 		}
 		if thp && remaining >= mem.PageblockPages {
 			if p, err := k.Alloc(mem.Order2M, mem.MigrateMovable, mem.SrcUser); err == nil {
-				m.appendBlock(p)
+				m.appendBlock(p, mem.Order2M)
 				remaining -= mem.PageblockPages
 				continue
 			}
@@ -159,11 +160,28 @@ func (k *Kernel) AllocUserTHP(bytes uint64, thp, thp1G bool) (*Mapping, error) {
 	return m, nil
 }
 
-// FreeMapping releases every live block of the mapping, in order.
+// blockList returns an empty block list of capacity at least n, reusing
+// the list of the most recently freed mapping when it is large enough.
+func (k *Kernel) blockList(n uint64) []Page {
+	if last := len(k.spareBlocks) - 1; last >= 0 {
+		b := k.spareBlocks[last]
+		k.spareBlocks = k.spareBlocks[:last]
+		if uint64(cap(b)) >= n {
+			return b
+		}
+	}
+	return make([]Page, 0, n)
+}
+
+// FreeMapping releases every live block of the mapping, in order. The
+// mapping gives up its block list, which a later AllocUser may reuse.
 func (k *Kernel) FreeMapping(m *Mapping) {
 	k.FreeBatch(m.Blocks)
+	if cap(m.Blocks) > 0 {
+		k.spareBlocks = append(k.spareBlocks, m.Blocks[:0])
+	}
 	m.Blocks = nil
-	m.n4K = 0
+	m.byOrder = [mem.MaxOrder + 1]int32{}
 	m.interleaved = false
 }
 
@@ -174,7 +192,7 @@ func (k *Kernel) FreeMapping(m *Mapping) {
 // The pass leaves the larger blocks first and the remaining base pages
 // after them, both in their previous relative order.
 func (k *Kernel) Promote(m *Mapping, maxCollapses int) int {
-	if !m.interleaved && m.n4K < mem.PageblockPages {
+	if !m.interleaved && m.byOrder[mem.Order4K] < mem.PageblockPages {
 		// Already partitioned with no group to collapse: the pass would
 		// rewrite Blocks unchanged.
 		return 0
@@ -186,7 +204,7 @@ func (k *Kernel) Promote(m *Mapping, maxCollapses int) int {
 	small := k.promoteSmall[:0]
 	rest := k.promoteRest[:0]
 	for _, b := range m.Blocks {
-		if b.Order == mem.Order4K {
+		if k.pt.rows[b.slot].order == mem.Order4K {
 			small = append(small, b)
 		} else {
 			rest = append(rest, b)
@@ -218,7 +236,8 @@ func (k *Kernel) Promote(m *Mapping, maxCollapses int) int {
 	}
 	m.Blocks = append(m.Blocks[:0], rest...)
 	m.Blocks = append(m.Blocks, small[next:]...)
-	m.n4K = len(small) - next
+	m.byOrder[mem.Order4K] = int32(len(small) - next)
+	m.byOrder[mem.Order2M] += int32(collapses)
 	m.interleaved = false
 	k.promoteSmall = small[:0]
 	k.promoteRest = rest[:0]
@@ -229,7 +248,7 @@ func (k *Kernel) Promote(m *Mapping, maxCollapses int) int {
 type HugeTLBResult struct {
 	Requested int
 	Allocated int
-	Pages     []*Page
+	Pages     []Page
 }
 
 // AllocHugeTLB dynamically reserves count huge pages of the given order

@@ -38,6 +38,7 @@ func (k *Kernel) CheckInvariants() error {
 	// live allocations — no limbo frames, no overlap, no orphans.
 	pm := k.pm
 	allocatedBlocks := 0
+	liveRows := make([]bool, len(k.pt.rows))
 	var freeFrames uint64
 	for p := uint64(0); p < pm.NPages; {
 		if !pm.IsHead(p) {
@@ -49,8 +50,11 @@ func (k *Kernel) CheckInvariants() error {
 		}
 		n := mem.OrderPages(order)
 		if pm.IsFree(p) {
-			for i := uint64(1); i < n; i++ {
-				if !pm.IsFree(p+i) || pm.IsHead(p+i) {
+			for i := uint64(0); i < n; i++ {
+				if k.pt.heads[p+i] != 0 {
+					return fmt.Errorf("free block %d: frame %d heads a live handle", p, p+i)
+				}
+				if i > 0 && (!pm.IsFree(p+i) || pm.IsHead(p+i)) {
 					return fmt.Errorf("free block %d: tail frame %d inconsistently marked", p, p+i)
 				}
 			}
@@ -58,32 +62,43 @@ func (k *Kernel) CheckInvariants() error {
 			p += n
 			continue
 		}
-		handle := k.live.get(p)
-		if handle == nil {
+		s := k.pt.heads[p]
+		if s == 0 {
 			return fmt.Errorf("allocated block at %d has no live handle", p)
 		}
-		if handle.PFN != p {
-			return fmt.Errorf("handle for block %d records pfn %d", p, handle.PFN)
+		if int(s) >= len(liveRows) || liveRows[s] {
+			return fmt.Errorf("block %d: handle row is out of range or heads a second block", p)
 		}
-		if int(handle.Order) != order {
-			return fmt.Errorf("block %d: frame order %d, handle order %d", p, order, handle.Order)
+		liveRows[s] = true
+		handle := &k.pt.rows[s]
+		if uint64(handle.pfn) != p {
+			return fmt.Errorf("handle for block %d records pfn %d", p, handle.pfn)
 		}
-		if handle.Pinned != pm.IsPinned(p) {
-			return fmt.Errorf("block %d: handle pinned=%v, frame pinned=%v", p, handle.Pinned, pm.IsPinned(p))
+		if int(handle.order) != order {
+			return fmt.Errorf("block %d: frame order %d, handle order %d", p, order, handle.order)
+		}
+		if handle.pinned != pm.IsPinned(p) {
+			return fmt.Errorf("block %d: handle pinned=%v, frame pinned=%v", p, handle.pinned, pm.IsPinned(p))
 		}
 		for i := uint64(1); i < n; i++ {
 			if pm.IsFree(p+i) || pm.IsHead(p+i) {
 				return fmt.Errorf("allocated block %d: tail frame %d inconsistently marked", p, p+i)
 			}
-			if pm.IsPinned(p+i) != handle.Pinned {
+			if k.pt.heads[p+i] != 0 {
+				return fmt.Errorf("allocated block %d: tail frame %d heads a live handle", p, p+i)
+			}
+			if pm.IsPinned(p+i) != handle.pinned {
 				return fmt.Errorf("block %d: pin flag differs across frames at %d", p, p+i)
 			}
 		}
 		allocatedBlocks++
 		p += n
 	}
-	if allocatedBlocks != k.live.len() {
-		return fmt.Errorf("%d allocated blocks in the frame table, %d live handles", allocatedBlocks, k.live.len())
+	if allocatedBlocks != k.pt.n {
+		return fmt.Errorf("%d allocated blocks in the frame table, %d live handles", allocatedBlocks, k.pt.n)
+	}
+	if err := k.pt.checkRows(liveRows); err != nil {
+		return err
 	}
 	if freeFrames != k.FreePages() {
 		return fmt.Errorf("frame table holds %d free frames, allocators report %d", freeFrames, k.FreePages())
@@ -96,17 +111,15 @@ func (k *Kernel) CheckInvariants() error {
 		if e == noCacheEntry {
 			continue
 		}
-		p := k.live.get(uint64(e))
-		if p == nil {
+		s := k.pt.heads[e]
+		if s == 0 {
 			return fmt.Errorf("reclaimable entry %d (pfn %d) is not live", i, e)
 		}
+		p := &k.pt.rows[s]
 		if p.cacheIdx != int32(i) {
 			return fmt.Errorf("reclaimable entry %d records index %d", i, p.cacheIdx)
 		}
-		if p.PFN != uint64(e) {
-			return fmt.Errorf("reclaimable entry %d holds pfn %d, handle says %d", i, e, p.PFN)
-		}
-		cachePages += p.Pages()
+		cachePages += p.pages()
 	}
 	if cachePages != k.reclaimablePages {
 		return fmt.Errorf("reclaimable FIFO holds %d pages, counter says %d", cachePages, k.reclaimablePages)

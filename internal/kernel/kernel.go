@@ -55,10 +55,10 @@ func (m Mode) String() string {
 // trigger that machinery in the replaying kernel, not duplicate it.
 // The trace package's Recorder is the canonical implementation.
 type EventSink interface {
-	OnAlloc(p *Page, pageCache bool)
-	OnFree(p *Page)
-	OnPin(p *Page)
-	OnUnpin(p *Page)
+	OnAlloc(p Page, pageCache bool)
+	OnFree(p Page)
+	OnPin(p Page)
+	OnUnpin(p Page)
 	OnTick()
 }
 
@@ -184,29 +184,6 @@ func DefaultConfig(mode Mode) Config {
 	}
 }
 
-// Page is the handle for one allocated block. The kernel may relocate the
-// block (compaction, region resizing, Contiguitas-HW migration); PFN is
-// updated in place so holders always observe the current frame, the way
-// page tables would after a migration.
-type Page struct {
-	PFN uint64
-
-	// cacheIdx is the allocation's index in the reclaimable FIFO, or -1.
-	// int32 (with the byte-wide fields below) keeps the struct at 16
-	// bytes; handles dominate the simulator's heap churn, so size
-	// matters here.
-	cacheIdx int32
-
-	// Order is int8 (orders are 0..MaxOrder=18) for the same reason.
-	Order  int8
-	MT     mem.MigrateType
-	Src    mem.Source
-	Pinned bool
-}
-
-// Pages returns the number of 4 KB frames in the block.
-func (p *Page) Pages() uint64 { return mem.OrderPages(int(p.Order)) }
-
 // Counters aggregates the kernel's observable behaviour.
 type Counters struct {
 	AllocOK        uint64
@@ -284,13 +261,13 @@ type Kernel struct {
 	tick uint64
 	rng  *stats.RNG
 
-	// live maps block-head PFN to its handle so relocations can update
-	// holders transparently.
-	live *liveTable
+	// pt is the page table: one row per live allocation, reached from
+	// handles by row and from frames by block head, so relocations
+	// update holders transparently.
+	pt pageTable
 
 	// reclaimable is a FIFO of droppable (page-cache-like) allocations,
-	// stored as head PFNs rather than handles so the slice is pointer-free
-	// (no write barrier per append/detach, nothing for the GC to scan);
+	// stored as head PFNs, which reclaim tests for region ownership;
 	// consumed or detached entries hold noCacheEntry. reclaimHead is the
 	// consume cursor and reclaimablePages tracks the live total.
 	reclaimable      []uint32
@@ -323,8 +300,11 @@ type Kernel struct {
 
 	// promoteSmall/promoteRest are scratch buffers reused across Promote
 	// calls (khugepaged runs per mapping per tick).
-	promoteSmall []*Page
-	promoteRest  []*Page
+	promoteSmall []Page
+	promoteRest  []Page
+	// spareBlocks holds the block lists of freed mappings for reuse:
+	// churned and redeployed mappings otherwise allocate one per fill.
+	spareBlocks [][]Page
 
 	// bulkPFNs and freeQ are the bounded scratch of the bulk 4 KB paths
 	// (bulk.go): one allocation step's PFNs, and the queued buddy frees
@@ -334,12 +314,6 @@ type Kernel struct {
 	freeQ       [2][]uint64
 	singleCalls bool
 
-	// pageArena batches handle allocation: Pages are carved from chunks
-	// so the hot path pays one heap allocation per chunk instead of one
-	// per Alloc. Handles are never recycled, so the identity-based
-	// stale-handle detection keeps its exact semantics; a chunk is only
-	// collected once every handle carved from it is unreachable.
-	pageArena []Page
 	// noMemErr memoizes the per-(order, migratetype) ErrNoMemory values:
 	// overcommitted studies fail millions of allocations, and formatting
 	// a fresh error per failure dominated their allocation profiles.
@@ -372,9 +346,9 @@ type Kernel struct {
 	// single predictable branch. reg is the lazily-built metric registry
 	// binding the Counters fields; sampler snapshots it each EndTick. The
 	// histograms record per-migration latencies once the registry exists.
-	tp      *telemetry.Ring
-	reg     *telemetry.Registry
-	sampler *telemetry.Sampler
+	tp                                          *telemetry.Ring
+	reg                                         *telemetry.Registry
+	sampler                                     *telemetry.Sampler
 	histSW, histHW, histBackoff, histAllocStall *telemetry.Histogram
 
 	Counters
@@ -396,7 +370,7 @@ func New(cfg Config) *Kernel {
 		pm:      pm,
 		psi:     psi.NewPerRegion(halfLifeOr(cfg.PSIHalfLifeTicks)),
 		rng:     stats.NewRNG(cfg.Seed),
-		live:    newLiveTable(pm.NPages),
+		pt:      newPageTable(pm.NPages),
 		migCost: DefaultMigrationCostModel(),
 	}
 	switch cfg.Mode {
@@ -517,7 +491,7 @@ func (k *Kernel) ZoneSteals() StealStats {
 func (k *Kernel) ReclaimablePages() uint64 { return k.reclaimablePages }
 
 // LiveAllocations returns the number of live allocation handles.
-func (k *Kernel) LiveAllocations() int { return k.live.len() }
+func (k *Kernel) LiveAllocations() int { return k.pt.n }
 
 // buddyFor routes an allocation class to its region.
 func (k *Kernel) buddyFor(mt mem.MigrateType) *mem.Buddy {
@@ -540,5 +514,5 @@ func (k *Kernel) regionFor(mt mem.MigrateType) psi.Region {
 // String summarises the machine.
 func (k *Kernel) String() string {
 	return fmt.Sprintf("kernel{%s mem=%dMB free=%d live=%d tick=%d}",
-		k.cfg.Mode, k.cfg.MemBytes>>20, k.FreePages(), k.live.len(), k.tick)
+		k.cfg.Mode, k.cfg.MemBytes>>20, k.FreePages(), k.pt.n, k.tick)
 }

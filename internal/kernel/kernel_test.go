@@ -57,15 +57,15 @@ func TestAllocRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.PFN >= k.Boundary() {
-		t.Fatalf("unmovable alloc at %d beyond boundary %d", u.PFN, k.Boundary())
+	if k.Info(u).PFN >= k.Boundary() {
+		t.Fatalf("unmovable alloc at %d beyond boundary %d", k.Info(u).PFN, k.Boundary())
 	}
 	m, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.PFN < k.Boundary() {
-		t.Fatalf("movable alloc at %d below boundary %d", m.PFN, k.Boundary())
+	if k.Info(m).PFN < k.Boundary() {
+		t.Fatalf("movable alloc at %d below boundary %d", k.Info(m).PFN, k.Boundary())
 	}
 	k.Free(u)
 	k.Free(m)
@@ -83,8 +83,8 @@ func TestFreeMisuseReturnsTypedErrors(t *testing.T) {
 	if err := k.Free(p); !errors.Is(err, ErrStaleHandle) {
 		t.Fatalf("double free: got %v, want ErrStaleHandle", err)
 	}
-	if err := k.Free(nil); !errors.Is(err, ErrNilHandle) {
-		t.Fatalf("Free(nil): got %v, want ErrNilHandle", err)
+	if err := k.Free(Page{}); !errors.Is(err, ErrNilHandle) {
+		t.Fatalf("Free(Page{}): got %v, want ErrNilHandle", err)
 	}
 	q, _ := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 	if err := k.Pin(q); err != nil {
@@ -108,19 +108,19 @@ func TestPinMigratesToUnmovableRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.PFN < k.Boundary() {
+	if k.Info(p).PFN < k.Boundary() {
 		t.Fatal("movable alloc must start in movable region")
 	}
 	if err := k.Pin(p); err != nil {
 		t.Fatal(err)
 	}
-	if p.PFN >= k.Boundary() {
-		t.Fatalf("pinned page at %d must have moved below boundary %d", p.PFN, k.Boundary())
+	if k.Info(p).PFN >= k.Boundary() {
+		t.Fatalf("pinned page at %d must have moved below boundary %d", k.Info(p).PFN, k.Boundary())
 	}
-	if !p.Pinned || !k.PM().IsPinned(p.PFN) {
+	if !k.Info(p).Pinned || !k.PM().IsPinned(k.Info(p).PFN) {
 		t.Fatal("page not marked pinned")
 	}
-	if p.MT != mem.MigrateUnmovable {
+	if k.Info(p).MT != mem.MigrateUnmovable {
 		t.Fatal("pinned page must become unmovable")
 	}
 	if k.PinMigrations != 1 {
@@ -133,11 +133,11 @@ func TestPinMigratesToUnmovableRegion(t *testing.T) {
 func TestPinInLinuxModeStaysPut(t *testing.T) {
 	k := New(testConfig(ModeLinux, 64*mb))
 	p, _ := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcNetworking)
-	before := p.PFN
+	before := k.Info(p).PFN
 	if err := k.Pin(p); err != nil {
 		t.Fatal(err)
 	}
-	if p.PFN != before {
+	if k.Info(p).PFN != before {
 		t.Fatal("linux pin must not migrate")
 	}
 	// The scatter: a pinned page now sits wherever it was.
@@ -149,7 +149,7 @@ func TestPinInLinuxModeStaysPut(t *testing.T) {
 
 func TestPageCacheReclaim(t *testing.T) {
 	k := New(testConfig(ModeLinux, 64*mb))
-	var pages []*Page
+	var pages []Page
 	for i := 0; i < 100; i++ {
 		p, err := k.AllocPageCache(mem.Order4K, mem.SrcFilesystem)
 		if err != nil {
@@ -227,7 +227,7 @@ func TestCompactionCreatesHugePage(t *testing.T) {
 	k := New(cfg)
 	rng := stats.NewRNG(7)
 	// Fragment: fill with 4KB movable pages, free ~40% randomly.
-	var pages []*Page
+	var pages []Page
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
@@ -250,7 +250,7 @@ func TestCompactionCreatesHugePage(t *testing.T) {
 	if k.CompactSuccess == 0 {
 		t.Fatal("compaction must have produced the block")
 	}
-	if p.Order != mem.Order2M {
+	if k.Info(p).Order != mem.Order2M {
 		t.Fatal("wrong order")
 	}
 	if err := k.zone.CheckInvariants(); err != nil {
@@ -263,7 +263,7 @@ func TestCompactionBudgetDefers(t *testing.T) {
 	cfg.CompactBudgetPerTick = 64 // far below any candidate's cost
 	k := New(cfg)
 	rng := stats.NewRNG(7)
-	var pages []*Page
+	var pages []Page
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
@@ -296,13 +296,13 @@ func TestCompactionBlockedByScatteredUnmovable(t *testing.T) {
 	// can no longer form any huge page — the paper's core observation.
 	nblocks := k.PM().NumPageblocks()
 	placed := uint64(0)
-	var fill []*Page
+	var fill []Page
 	for placed < nblocks {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateUnmovable, mem.SrcSlab)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blk := k.PM().PageblockOf(p.PFN)
+		blk := k.PM().PageblockOf(k.Info(p).PFN)
 		if blk == placed {
 			placed++
 			continue
@@ -350,7 +350,7 @@ func TestUrgentExpandOnUnmovablePressure(t *testing.T) {
 	before := k.Boundary()
 	// Exhaust the unmovable region; the next allocation must trigger an
 	// urgent expansion rather than failing.
-	var pages []*Page
+	var pages []Page
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateUnmovable, mem.SrcSlab)
 		if err != nil {
@@ -378,7 +378,7 @@ func TestExpandEvacuatesMovablePages(t *testing.T) {
 	// Occupy the bottom of the movable region so expansion must migrate.
 	// Movable allocations are highest-first, so grab everything, then
 	// free the top half.
-	var pages []*Page
+	var pages []Page
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
@@ -390,7 +390,7 @@ func TestExpandEvacuatesMovablePages(t *testing.T) {
 	for i, p := range pages {
 		if i%4 != 3 {
 			k.Free(p)
-			pages[i] = nil
+			pages[i] = Page{}
 		}
 	}
 	moved := k.ExpandUnmovable(16 * mb / mem.PageSize)
@@ -403,11 +403,11 @@ func TestExpandEvacuatesMovablePages(t *testing.T) {
 	// All surviving handles must still point at valid allocated frames
 	// in the movable region.
 	for _, p := range pages {
-		if p == nil {
+		if p == (Page{}) {
 			continue
 		}
-		if p.PFN < k.Boundary() {
-			t.Fatalf("movable handle at %d below boundary %d", p.PFN, k.Boundary())
+		if k.Info(p).PFN < k.Boundary() {
+			t.Fatalf("movable handle at %d below boundary %d", k.Info(p).PFN, k.Boundary())
 		}
 		if !k.Live(p) {
 			t.Fatal("handle lost")
@@ -427,7 +427,7 @@ func TestShrinkWithoutHWStopsAtUnmovable(t *testing.T) {
 	k := New(cfg)
 	// Place an unmovable allocation near the top of the unmovable region
 	// by filling the region and freeing all but the top block.
-	var pages []*Page
+	var pages []Page
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateUnmovable, mem.SrcSlab)
 		if err != nil {
@@ -439,9 +439,9 @@ func TestShrinkWithoutHWStopsAtUnmovable(t *testing.T) {
 		}
 		pages = append(pages, p)
 	}
-	var top *Page
+	var top Page
 	for _, p := range pages {
-		if top == nil || p.PFN > top.PFN {
+		if top == (Page{}) || k.Info(p).PFN > k.Info(top).PFN {
 			top = p
 		}
 	}
@@ -452,8 +452,8 @@ func TestShrinkWithoutHWStopsAtUnmovable(t *testing.T) {
 	}
 	got := k.ShrinkUnmovable(k.Boundary())
 	// Shrink must stop above the obstacle.
-	if k.Boundary() <= top.PFN {
-		t.Fatalf("boundary %d fell below the unmovable page %d", k.Boundary(), top.PFN)
+	if k.Boundary() <= k.Info(top).PFN {
+		t.Fatalf("boundary %d fell below the unmovable page %d", k.Boundary(), k.Info(top).PFN)
 	}
 	_ = got
 	if err := k.unmov.CheckInvariants(); err != nil {
@@ -468,7 +468,7 @@ func TestShrinkWithHWMovesUnmovable(t *testing.T) {
 	k := New(cfg)
 	// Same obstacle as before, but with Contiguitas-HW the page is
 	// live-migrated downward and the shrink proceeds.
-	var pages []*Page
+	var pages []Page
 	for uint64(len(pages)) < k.Boundary()/2 {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateUnmovable, mem.SrcNetworking)
 		if err != nil {
@@ -479,9 +479,9 @@ func TestShrinkWithHWMovesUnmovable(t *testing.T) {
 		}
 		pages = append(pages, p)
 	}
-	var top *Page
+	var top Page
 	for _, p := range pages {
-		if top == nil || p.PFN > top.PFN {
+		if top == (Page{}) || k.Info(p).PFN > k.Info(top).PFN {
 			top = p
 		}
 	}
@@ -499,10 +499,10 @@ func TestShrinkWithHWMovesUnmovable(t *testing.T) {
 	if k.HWMigrations == 0 {
 		t.Fatal("the pinned page must have been HW-migrated")
 	}
-	if top.PFN >= k.Boundary() {
-		t.Fatalf("pinned page at %d outside new unmovable region %d", top.PFN, k.Boundary())
+	if k.Info(top).PFN >= k.Boundary() {
+		t.Fatalf("pinned page at %d outside new unmovable region %d", k.Info(top).PFN, k.Boundary())
 	}
-	if !k.PM().IsPinned(top.PFN) {
+	if !k.PM().IsPinned(k.Info(top).PFN) {
 		t.Fatal("pin flag lost across HW migration")
 	}
 	if err := k.unmov.CheckInvariants(); err != nil {
@@ -576,7 +576,7 @@ func TestHugeTLB1GFailsOnFragmentedLinux(t *testing.T) {
 	k := New(cfg)
 	// Scatter unmovable pages across the space.
 	rng := stats.NewRNG(3)
-	var movable []*Page
+	var movable []Page
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
@@ -587,7 +587,7 @@ func TestHugeTLB1GFailsOnFragmentedLinux(t *testing.T) {
 	for i, p := range movable {
 		if rng.Bool(0.5) {
 			k.Free(p)
-			movable[i] = nil
+			movable[i] = Page{}
 		}
 	}
 	for i := 0; i < 200; i++ {
@@ -610,7 +610,7 @@ func TestHugeTLB1GSucceedsOnContiguitas(t *testing.T) {
 		}
 	}
 	rng := stats.NewRNG(3)
-	var movable []*Page
+	var movable []Page
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
@@ -621,7 +621,7 @@ func TestHugeTLB1GSucceedsOnContiguitas(t *testing.T) {
 	for i, p := range movable {
 		if rng.Bool(0.6) {
 			k.Free(p)
-			movable[i] = nil
+			movable[i] = Page{}
 		}
 	}
 	res := k.AllocHugeTLB(mem.Order1G, 1)
@@ -682,7 +682,7 @@ func TestAnalyticMoverScalesWithOrder(t *testing.T) {
 func TestErrNoMemoryWrapped(t *testing.T) {
 	cfg := testConfig(ModeLinux, 16*mb)
 	k := New(cfg)
-	var pages []*Page
+	var pages []Page
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
@@ -724,7 +724,7 @@ func TestKernelRandomisedWorkload(t *testing.T) {
 		cfg.HWMover = NewAnalyticMover()
 		k := New(cfg)
 		rng := stats.NewRNG(99)
-		var live []*Page
+		var live []Page
 		for step := 0; step < 8000; step++ {
 			r := rng.Float64()
 			switch {
@@ -746,15 +746,15 @@ func TestKernelRandomisedWorkload(t *testing.T) {
 			case r < 0.60:
 				i := rng.Intn(len(live))
 				p := live[i]
-				if p.MT == mem.MigrateMovable && !p.Pinned && rng.Bool(0.5) {
-					if err := k.Pin(p); err == nil && mode == ModeContiguitas && p.PFN >= k.Boundary() {
+				if k.Info(p).MT == mem.MigrateMovable && !k.Info(p).Pinned && rng.Bool(0.5) {
+					if err := k.Pin(p); err == nil && mode == ModeContiguitas && k.Info(p).PFN >= k.Boundary() {
 						t.Fatal("pinned page outside unmovable region")
 					}
 				}
 			default:
 				i := rng.Intn(len(live))
 				p := live[i]
-				if p.Pinned {
+				if k.Info(p).Pinned {
 					k.Unpin(p)
 				}
 				k.Free(p)
@@ -770,7 +770,7 @@ func TestKernelRandomisedWorkload(t *testing.T) {
 					if !k.Live(p) {
 						t.Fatal("lost a live handle")
 					}
-					if k.PM().BlockOrder(p.PFN) != int(p.Order) {
+					if k.PM().BlockOrder(k.Info(p).PFN) != int(k.Info(p).Order) {
 						t.Fatal("handle order mismatch")
 					}
 				}
@@ -806,7 +806,7 @@ func TestDefragUnmovableUnblocksShrink(t *testing.T) {
 	k := New(cfg)
 	// Scatter unmovable allocations across the region by allocating a
 	// lot and freeing every other one.
-	var pages []*Page
+	var pages []Page
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateUnmovable, mem.SrcSlab)
 		if err != nil || k.Boundary() > mem.BytesToPages(cfg.InitialUnmovableBytes) {
@@ -820,7 +820,7 @@ func TestDefragUnmovableUnblocksShrink(t *testing.T) {
 	for i, p := range pages {
 		if i%2 == 0 {
 			k.Free(p)
-			pages[i] = nil
+			pages[i] = Page{}
 		}
 	}
 	moved := k.DefragUnmovable()
@@ -860,7 +860,7 @@ func TestResizerExpandsUnderSustainedPressure(t *testing.T) {
 	// pressure builds; the periodic resizer (not just the urgent path)
 	// must expand. Use MaxUnmovableBytes low enough that urgent
 	// expansion stops, then raise pressure.
-	var pages []*Page
+	var pages []Page
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateUnmovable, mem.SrcSlab)
 		if err != nil {
@@ -907,11 +907,11 @@ func TestCompactionDeferBacksOffExponentially(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		covered[k.PM().PageblockOf(p.PFN)] = true
+		covered[k.PM().PageblockOf(k.Info(p).PFN)] = true
 	}
 	// Free scattered movable singles so memory exists but never 2MB.
 	rng := stats.NewRNG(5)
-	var movable []*Page
+	var movable []Page
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
@@ -975,7 +975,7 @@ func TestUnpinIdempotent(t *testing.T) {
 	k := New(testConfig(ModeLinux, 64*mb))
 	p, _ := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcNetworking)
 	k.Unpin(p) // not pinned: no-op
-	if p.Pinned {
+	if k.Info(p).Pinned {
 		t.Fatal("unpin of unpinned page")
 	}
 	k.Pin(p)
@@ -1048,17 +1048,17 @@ type countingSink struct {
 	allocs, cacheAllocs, frees, pins, unpins, ticks int
 }
 
-func (s *countingSink) OnAlloc(p *Page, cache bool) {
+func (s *countingSink) OnAlloc(p Page, cache bool) {
 	if cache {
 		s.cacheAllocs++
 	} else {
 		s.allocs++
 	}
 }
-func (s *countingSink) OnFree(p *Page)  { s.frees++ }
-func (s *countingSink) OnPin(p *Page)   { s.pins++ }
-func (s *countingSink) OnUnpin(p *Page) { s.unpins++ }
-func (s *countingSink) OnTick()         { s.ticks++ }
+func (s *countingSink) OnFree(p Page)  { s.frees++ }
+func (s *countingSink) OnPin(p Page)   { s.pins++ }
+func (s *countingSink) OnUnpin(p Page) { s.unpins++ }
+func (s *countingSink) OnTick()        { s.ticks++ }
 
 func TestExpandFailsWhenMovableFull(t *testing.T) {
 	cfg := testConfig(ModeContiguitas, 64*mb)
@@ -1066,7 +1066,7 @@ func TestExpandFailsWhenMovableFull(t *testing.T) {
 	// Fill the movable region completely; expansion then cannot
 	// evacuate the takeover range and must fail cleanly (donating any
 	// carved frames back).
-	var pages []*Page
+	var pages []Page
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {

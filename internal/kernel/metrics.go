@@ -76,7 +76,7 @@ func (k *Kernel) Metrics() *telemetry.Registry {
 	reg.GaugeFunc("psi_unmovable", func() float64 { return k.psi.Pressure(psi.RegionUnmovable) })
 	reg.GaugeFunc("psi_movable", func() float64 { return k.psi.Pressure(psi.RegionMovable) })
 	reg.GaugeFunc("reclaimable_pages", func() float64 { return float64(k.reclaimablePages) })
-	reg.GaugeFunc("live_allocations", func() float64 { return float64(k.live.len()) })
+	reg.GaugeFunc("live_allocations", func() float64 { return float64(k.pt.n) })
 
 	// The Fig. 13 latency breakdown: per-migration unavailable (software)
 	// or busy (hardware) cycles, and retry-backoff prices.

@@ -64,34 +64,37 @@ func (m MigrationCostModel) BlockUnavailableCycles(victims, order int) uint64 {
 	return base + extra
 }
 
-// softwareMigrateTo copies allocation p onto the pre-allocated
-// destination block dst (same order), frees the old frames, and updates
-// the handle — the software path of Figure 1, usable only when access to
-// the page can be blocked. A migration aborted mid-copy (the page was
-// re-faulted by a racing access; modelled by the fault injector) is
-// retried with cycle-priced exponential backoff; after the retry budget
-// it fails with ErrMigrationFailed and p is untouched. On any error the
-// caller still owns the dst block.
-func (k *Kernel) softwareMigrateTo(p *Page, dst uint64) error {
-	if p.Pinned {
-		return fmt.Errorf("%w: software migration of pfn %d", ErrPagePinned, p.PFN)
+// softwareMigrateTo copies the allocation in page-table row s onto the
+// pre-allocated destination block dst (same order), frees the old
+// frames, and rehomes the row — the software path of Figure 1, usable
+// only when access to the page can be blocked. A migration aborted
+// mid-copy (the page was re-faulted by a racing access; modelled by the
+// fault injector) is retried with cycle-priced exponential backoff;
+// after the retry budget it fails with ErrMigrationFailed and the
+// allocation is untouched. On any error the caller still owns the dst
+// block.
+func (k *Kernel) softwareMigrateTo(s uint32, dst uint64) error {
+	p := &k.pt.rows[s]
+	src := uint64(p.pfn)
+	if p.pinned {
+		return fmt.Errorf("%w: software migration of pfn %d", ErrPagePinned, src)
 	}
 	// The region boundary must not move while a copy is in flight;
 	// EmergencyShrink defers itself while this count is non-zero.
 	k.migInFlight++
 	defer func() { k.migInFlight-- }()
 	if k.tp.Enabled() {
-		k.tp.Emit(k.tick, telemetry.EvMigrateStart, p.PFN, uint64(p.Order), pathSW)
+		k.tp.Emit(k.tick, telemetry.EvMigrateStart, src, uint64(p.order), pathSW)
 	}
 	for attempt := 0; k.faults().Should(fault.PointSWMigrate); attempt++ {
 		// Each aborted attempt still paid the shootdown and partial copy.
-		k.SWMigrationCycles += k.migCost.BlockUnavailableCycles(k.cfg.Victims, int(p.Order))
+		k.SWMigrationCycles += k.migCost.BlockUnavailableCycles(k.cfg.Victims, int(p.order))
 		if attempt >= k.retryLimit() {
 			k.MigrationFailures++
 			if k.tp.Enabled() {
-				k.tp.Emit(k.tick, telemetry.EvMigrateFail, p.PFN, uint64(attempt+1), pathSW)
+				k.tp.Emit(k.tick, telemetry.EvMigrateFail, src, uint64(attempt+1), pathSW)
 			}
-			return fmt.Errorf("%w: pfn %d after %d attempts", ErrMigrationFailed, p.PFN, attempt+1)
+			return fmt.Errorf("%w: pfn %d after %d attempts", ErrMigrationFailed, src, attempt+1)
 		}
 		k.MigrationRetries++
 		backoff := k.backoffCycles(attempt)
@@ -100,20 +103,19 @@ func (k *Kernel) softwareMigrateTo(p *Page, dst uint64) error {
 			k.histBackoff.Observe(backoff)
 		}
 		if k.tp.Enabled() {
-			k.tp.Emit(k.tick, telemetry.EvMigrateRetry, p.PFN, uint64(attempt+1), backoff)
+			k.tp.Emit(k.tick, telemetry.EvMigrateRetry, src, uint64(attempt+1), backoff)
 		}
-		if k.noteMigStall(p.PFN, backoff) {
+		if k.noteMigStall(src, backoff) {
 			k.MigrationFailures++
 			if k.tp.Enabled() {
-				k.tp.Emit(k.tick, telemetry.EvMigrateFail, p.PFN, uint64(attempt+1), pathSW)
+				k.tp.Emit(k.tick, telemetry.EvMigrateFail, src, uint64(attempt+1), pathSW)
 			}
-			return k.errLivelock(p.PFN)
+			return k.errLivelock(src)
 		}
 	}
-	src := p.PFN
 	k.SWMigrations++
 	k.noteMigProgress()
-	cycles := k.migCost.BlockUnavailableCycles(k.cfg.Victims, int(p.Order))
+	cycles := k.migCost.BlockUnavailableCycles(k.cfg.Victims, int(p.order))
 	k.SWMigrationCycles += cycles
 	if k.histSW != nil {
 		k.histSW.Observe(cycles)
@@ -122,51 +124,52 @@ func (k *Kernel) softwareMigrateTo(p *Page, dst uint64) error {
 		k.tp.Emit(k.tick, telemetry.EvTLBShootdown, src, uint64(k.cfg.Victims), cycles)
 		k.tp.Emit(k.tick, telemetry.EvMigrateComplete, src, dst, cycles)
 	}
-	k.live.del(src)
 	mustFree(k.owningBuddy(src), src)
-	k.rehome(p, dst)
 	// The destination block was allocated by the caller with matching
 	// order; re-stamp source metadata for scanners.
-	k.restamp(dst, p)
+	k.rehome(s, dst)
 	return nil
 }
 
-// rehome points handle p at its new block head, keeping the PFN-keyed
-// reclaimable-FIFO entry (if any) in step with the move.
-func (k *Kernel) rehome(p *Page, dst uint64) {
-	p.PFN = dst
+// rehome points row s at its new block head, keeping the PFN-keyed
+// reclaimable-FIFO entry (if any) in step with the move, and re-stamps
+// the frames' source metadata for scanners.
+func (k *Kernel) rehome(s uint32, dst uint64) {
+	k.pt.move(s, dst)
+	p := &k.pt.rows[s]
 	if p.cacheIdx >= 0 {
 		k.reclaimable[p.cacheIdx] = uint32(dst)
 	}
-	k.live.set(dst, p)
+	k.restamp(dst, p)
 }
 
-// hwMigrateTo relocates allocation p using Contiguitas-HW: the page stays
-// accessible throughout; only copy-engine busy cycles accrue. Valid for
-// pinned and unmovable pages — the whole point of the hardware (§3.3).
-// Engine aborts are retried with backoff; after the retry budget the
-// migration fails with ErrMoverFailed, p is untouched, and the caller
-// still owns dst (it degrades or defers).
-func (k *Kernel) hwMigrateTo(p *Page, dst uint64) error {
+// hwMigrateTo relocates the allocation in row s using Contiguitas-HW:
+// the page stays accessible throughout; only copy-engine busy cycles
+// accrue. Valid for pinned and unmovable pages — the whole point of the
+// hardware (§3.3). Engine aborts are retried with backoff; after the
+// retry budget the migration fails with ErrMoverFailed, the allocation
+// is untouched, and the caller still owns dst (it degrades or defers).
+func (k *Kernel) hwMigrateTo(s uint32, dst uint64) error {
 	if k.cfg.HWMover == nil {
 		return fmt.Errorf("%w: no Mover attached", ErrMoverFailed)
 	}
 	k.migInFlight++
 	defer func() { k.migInFlight-- }()
-	src := p.PFN
+	p := &k.pt.rows[s]
+	src, order := uint64(p.pfn), int(p.order)
 	if k.tp.Enabled() {
-		k.tp.Emit(k.tick, telemetry.EvMigrateStart, src, uint64(p.Order), pathHW)
+		k.tp.Emit(k.tick, telemetry.EvMigrateStart, src, uint64(order), pathHW)
 	}
 	var busy uint64
 	for attempt := 0; ; attempt++ {
 		var err error
 		if k.tp.Enabled() {
-			k.tp.Emit(k.tick, telemetry.EvMoverBegin, src, dst, uint64(p.Order))
+			k.tp.Emit(k.tick, telemetry.EvMoverBegin, src, dst, uint64(order))
 		}
 		if k.faults().Should(fault.PointHWMover) {
 			err = fmt.Errorf("%w: injected engine abort at pfn %d", ErrMoverFailed, src)
 		} else {
-			busy, err = k.cfg.HWMover.Migrate(src, dst, int(p.Order))
+			busy, err = k.cfg.HWMover.Migrate(src, dst, order)
 			if err != nil {
 				err = fmt.Errorf("%w: %v", ErrMoverFailed, err)
 			}
@@ -215,63 +218,63 @@ func (k *Kernel) hwMigrateTo(p *Page, dst uint64) error {
 		k.tp.Emit(k.tick, telemetry.EvShootdownFree, src, uint64(k.cfg.Victims), busy)
 		k.tp.Emit(k.tick, telemetry.EvMigrateComplete, src, dst, busy)
 	}
-	wasPinned := p.Pinned
+	wasPinned := k.pt.rows[s].pinned
 	if wasPinned {
 		k.pm.SetPinned(src, false)
 	}
-	k.live.del(src)
 	mustFree(k.owningBuddy(src), src)
-	k.rehome(p, dst)
-	k.restamp(dst, p)
+	k.rehome(s, dst)
 	if wasPinned {
 		k.pm.SetPinned(dst, true)
 	}
 	return nil
 }
 
-// migrateTo relocates p onto dst with graceful degradation: when the
-// hardware path is available it is preferred (the page stays accessible,
-// no shootdown), and an exhausted hardware retry budget falls back to
-// software migration when access to the page can be blocked (movable,
-// not pinned). Unmovable and pinned pages have no software fallback —
-// the caller defers and retries later. On error the caller owns dst.
-func (k *Kernel) migrateTo(p *Page, dst uint64, allowHW bool) error {
-	swOK := p.MT == mem.MigrateMovable && !p.Pinned
+// migrateTo relocates the allocation in row s onto dst with graceful
+// degradation: when the hardware path is available it is preferred (the
+// page stays accessible, no shootdown), and an exhausted hardware retry
+// budget falls back to software migration when access to the page can
+// be blocked (movable, not pinned). Unmovable and pinned pages have no
+// software fallback — the caller defers and retries later. On error the
+// caller owns dst.
+func (k *Kernel) migrateTo(s uint32, dst uint64, allowHW bool) error {
+	p := k.pt.rows[s]
+	swOK := p.mt == mem.MigrateMovable && !p.pinned
 	if allowHW && k.cfg.HWMover != nil {
-		err := k.hwMigrateTo(p, dst)
+		err := k.hwMigrateTo(s, dst)
 		if err == nil {
 			return nil
 		}
 		if !swOK {
 			k.MigrationDeferred++
 			if k.tp.Enabled() {
-				k.tp.Emit(k.tick, telemetry.EvMigrateDefer, p.PFN, uint64(p.Order), 0)
+				k.tp.Emit(k.tick, telemetry.EvMigrateDefer, uint64(p.pfn), uint64(p.order), 0)
 			}
 			return err
 		}
 		k.SWFallbacks++
 		if k.tp.Enabled() {
-			k.tp.Emit(k.tick, telemetry.EvMigrateFallback, p.PFN, uint64(p.Order), 0)
+			k.tp.Emit(k.tick, telemetry.EvMigrateFallback, uint64(p.pfn), uint64(p.order), 0)
 		}
 	} else if !swOK {
 		k.MigrationDeferred++
 		if k.tp.Enabled() {
-			k.tp.Emit(k.tick, telemetry.EvMigrateDefer, p.PFN, uint64(p.Order), 0)
+			k.tp.Emit(k.tick, telemetry.EvMigrateDefer, uint64(p.pfn), uint64(p.order), 0)
 		}
-		return fmt.Errorf("%w: unmovable pfn %d without hardware assist", ErrMigrationFailed, p.PFN)
+		return fmt.Errorf("%w: unmovable pfn %d without hardware assist", ErrMigrationFailed, p.pfn)
 	}
-	return k.softwareMigrateTo(p, dst)
+	return k.softwareMigrateTo(s, dst)
 }
 
 // restamp rewrites per-frame source/migratetype metadata after a move so
 // physical scans attribute the block correctly.
-func (k *Kernel) restamp(pfn uint64, p *Page) {
+func (k *Kernel) restamp(pfn uint64, p *pageRow) {
 	pm := k.pm
-	if pm.BlockOrder(pfn) != int(p.Order) {
+	if pm.BlockOrder(pfn) != int(p.order) {
 		panic(fmt.Sprintf("kernel: restamp order mismatch at %d: block=%d handle=%d",
-			pfn, pm.BlockOrder(pfn), p.Order))
+			pfn, pm.BlockOrder(pfn), p.order))
 	}
-	pm.Restamp(pfn, int(p.Order), p.MT, p.Src)
+	pm.Restamp(pfn, int(p.order), p.mt, p.src)
 }
 
 // AnalyticMover is a Mover priced by constants derived from the

@@ -4,7 +4,7 @@ import "contiguitas/internal/mem"
 
 // The buddy allocator's Free/Donate/AdjustBounds return typed errors so
 // external callers can misuse them safely, but every kernel-internal
-// call operates on state the kernel just validated (a live-table handle,
+// call operates on state the kernel just validated (a live page-table row,
 // a block it allocated moments ago, bounds it computed from the frame
 // table). A failure here means kernel bookkeeping is already corrupt —
 // continuing would silently lose memory — so these wrappers treat it as

@@ -60,14 +60,14 @@ func TestEmergencyShrinkDefersDuringMigration(t *testing.T) {
 // pageblock, but the hardware mover relocates it and drains the region
 // to the floor — with the pinned handle still live and pinned after.
 func TestEmergencyShrinkDrainsPinnedPageblock(t *testing.T) {
-	build := func(withMover bool) (*Kernel, *Page) {
+	build := func(withMover bool) (*Kernel, Page) {
 		cfg := testConfig(ModeContiguitas, 128*mb)
 		cfg.MaxUnmovableBytes = cfg.InitialUnmovableBytes // no expansion escape
 		if withMover {
 			cfg.HWMover = NewAnalyticMover()
 		}
 		k := New(cfg)
-		var pages []*Page
+		var pages []Page
 		for {
 			p, err := k.Alloc(mem.Order4K, mem.MigrateUnmovable, mem.SrcSlab)
 			if err != nil {
@@ -79,7 +79,7 @@ func TestEmergencyShrinkDrainsPinnedPageblock(t *testing.T) {
 		// stands between the shrink and an empty region.
 		top := pages[0]
 		for _, p := range pages[1:] {
-			if p.PFN > top.PFN {
+			if k.Info(p).PFN > k.Info(top).PFN {
 				top = p
 			}
 		}
@@ -93,8 +93,8 @@ func TestEmergencyShrinkDrainsPinnedPageblock(t *testing.T) {
 				}
 			}
 		}
-		if top.PFN < k.Boundary()-mem.PageblockPages {
-			t.Fatalf("pinned page %d not in the top pageblock (boundary %d)", top.PFN, k.Boundary())
+		if k.Info(top).PFN < k.Boundary()-mem.PageblockPages {
+			t.Fatalf("pinned page %d not in the top pageblock (boundary %d)", k.Info(top).PFN, k.Boundary())
 		}
 		return k, top
 	}
@@ -116,11 +116,11 @@ func TestEmergencyShrinkDrainsPinnedPageblock(t *testing.T) {
 	if k.Boundary() >= before {
 		t.Fatalf("boundary did not move: %d", k.Boundary())
 	}
-	if !k.Live(top) || !top.Pinned {
+	if !k.Live(top) || !k.Info(top).Pinned {
 		t.Fatal("pinned allocation lost across the drain")
 	}
-	if top.PFN >= k.Boundary() {
-		t.Fatalf("pinned page %d left outside the shrunk region (boundary %d)", top.PFN, k.Boundary())
+	if k.Info(top).PFN >= k.Boundary() {
+		t.Fatalf("pinned page %d left outside the shrunk region (boundary %d)", k.Info(top).PFN, k.Boundary())
 	}
 	if k.EmergencyShrinks == 0 || k.EmergencyShrinkPages == 0 {
 		t.Fatal("drain did not record emergency-shrink counters")

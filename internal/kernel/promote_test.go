@@ -12,9 +12,9 @@ import (
 // blocks then base pages and rewrites the list. It is the reference
 // Promote must agree with; it ignores the mapping's counters.
 func promoteFullPass(k *Kernel, m *Mapping, maxCollapses int) int {
-	var small, rest []*Page
+	var small, rest []Page
 	for _, b := range m.Blocks {
-		if b.Order == mem.Order4K {
+		if k.Info(b).Order == mem.Order4K {
 			small = append(small, b)
 		} else {
 			rest = append(rest, b)
@@ -52,7 +52,7 @@ type promoteRig struct {
 	k       *Kernel
 	rng     *stats.RNG
 	maps    []*Mapping
-	filler  []*Page
+	filler  []Page
 	promote func(k *Kernel, m *Mapping, maxCollapses int) int
 	passes  int // Promote calls
 	skipped int // calls on a partitioned mapping with < 512 base pages
@@ -90,7 +90,7 @@ func (r *promoteRig) step(t *testing.T) (op int, collapses int) {
 		}
 	case op < 9 && len(r.maps) > 0:
 		m := r.maps[r.rng.Intn(len(r.maps))]
-		if m.n4K < mem.PageblockPages {
+		if m.byOrder[mem.Order4K] < mem.PageblockPages {
 			if m.interleaved {
 				r.reordered++
 			} else {
@@ -107,7 +107,7 @@ func (r *promoteRig) step(t *testing.T) (op int, collapses int) {
 		// Adopt a hand-ordered mapping, as snapshot restore may: a few
 		// hundred base pages with huge blocks shuffled among them, so
 		// the mapping is interleaved yet has no group to collapse.
-		var blocks []*Page
+		var blocks []Page
 		for i := 0; i < 1+r.rng.Intn(2); i++ {
 			if p, err := r.k.Alloc(mem.Order2M, mem.MigrateMovable, mem.SrcUser); err == nil {
 				blocks = append(blocks, p)
@@ -124,9 +124,9 @@ func (r *promoteRig) step(t *testing.T) (op int, collapses int) {
 		}
 		var bytes uint64
 		for _, p := range blocks {
-			bytes += p.Pages() * mem.PageSize
+			bytes += r.k.Info(p).Pages() * mem.PageSize
 		}
-		r.maps = append(r.maps, RestoreMapping(bytes, blocks))
+		r.maps = append(r.maps, r.k.RestoreMapping(bytes, blocks))
 	default:
 		if len(r.maps) > 0 {
 			i := r.rng.Intn(len(r.maps))
@@ -158,7 +158,7 @@ func TestPromoteMatchesFullPass(t *testing.T) {
 				t.Fatalf("%v step %d: %d mappings vs %d", mode, step, len(fast.maps), len(ref.maps))
 			}
 			for i, m := range fast.maps {
-				if err := m.CheckCounters(); err != nil {
+				if err := m.CheckCounters(fast.k); err != nil {
 					t.Fatalf("%v step %d mapping %d: %v", mode, step, i, err)
 				}
 				rm := ref.maps[i]
@@ -166,9 +166,9 @@ func TestPromoteMatchesFullPass(t *testing.T) {
 					t.Fatalf("%v step %d mapping %d: %d blocks vs %d", mode, step, i, len(m.Blocks), len(rm.Blocks))
 				}
 				for j := range m.Blocks {
-					if m.Blocks[j].PFN != rm.Blocks[j].PFN || m.Blocks[j].Order != rm.Blocks[j].Order {
+					if fi, ri := fast.k.Info(m.Blocks[j]), ref.k.Info(rm.Blocks[j]); fi.PFN != ri.PFN || fi.Order != ri.Order {
 						t.Fatalf("%v step %d mapping %d block %d: pfn %d order %d vs pfn %d order %d",
-							mode, step, i, j, m.Blocks[j].PFN, m.Blocks[j].Order, rm.Blocks[j].PFN, rm.Blocks[j].Order)
+							mode, step, i, j, fi.PFN, fi.Order, ri.PFN, ri.Order)
 					}
 				}
 			}

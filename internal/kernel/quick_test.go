@@ -18,7 +18,7 @@ func TestQuickAllocFreeConservation(t *testing.T) {
 		k := New(cfg)
 		total := k.FreePages()
 		rng := stats.NewRNG(seed)
-		var live []*Page
+		var live []Page
 		ops := int(nOps%600) + 50
 		for i := 0; i < ops; i++ {
 			if rng.Bool(0.6) || len(live) == 0 {
@@ -39,7 +39,7 @@ func TestQuickAllocFreeConservation(t *testing.T) {
 		}
 		var held uint64
 		for _, p := range live {
-			held += p.Pages()
+			held += k.Info(p).Pages()
 			k.Free(p)
 		}
 		// Conservation: everything allocated was either freed or held.
@@ -60,7 +60,7 @@ func TestQuickHandleStability(t *testing.T) {
 		cfg.Seed = seed
 		k := New(cfg)
 		rng := stats.NewRNG(seed ^ 0xabc)
-		var live []*Page
+		var live []Page
 		for i := 0; i < 400; i++ {
 			switch {
 			case rng.Bool(0.5) || len(live) == 0:
@@ -69,13 +69,13 @@ func TestQuickHandleStability(t *testing.T) {
 				}
 			case rng.Bool(0.3):
 				p := live[rng.Intn(len(live))]
-				if !p.Pinned {
+				if !k.Info(p).Pinned {
 					k.Pin(p)
 				}
 			default:
 				j := rng.Intn(len(live))
 				p := live[j]
-				if p.Pinned {
+				if k.Info(p).Pinned {
 					k.Unpin(p)
 				}
 				k.Free(p)
@@ -87,10 +87,10 @@ func TestQuickHandleStability(t *testing.T) {
 			}
 		}
 		for _, p := range live {
-			if !k.Live(p) || k.PM().BlockOrder(p.PFN) != int(p.Order) {
+			if !k.Live(p) || k.PM().BlockOrder(k.Info(p).PFN) != int(k.Info(p).Order) {
 				return false
 			}
-			if p.Pinned && p.PFN >= k.Boundary() {
+			if k.Info(p).Pinned && k.Info(p).PFN >= k.Boundary() {
 				return false
 			}
 		}

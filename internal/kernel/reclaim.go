@@ -41,7 +41,7 @@ func (k *Kernel) reclaim(b *mem.Buddy, target uint64) uint64 {
 		if !b.Owns(pfn) {
 			continue
 		}
-		freed += k.dropReclaimable(i).Pages()
+		freed += k.dropReclaimable(i)
 		k.queueFree(pfn)
 	}
 	k.flushFrees()
@@ -49,19 +49,19 @@ func (k *Kernel) reclaim(b *mem.Buddy, target uint64) uint64 {
 	return freed
 }
 
-// dropReclaimable consumes FIFO slot i as reclaimed: the handle leaves
-// the live table and the FIFO, and the caller releases its frames. A
-// live FIFO entry always resolves: the slot is stamped with the sentinel
-// whenever its page is freed, detached, or reclaimed.
-func (k *Kernel) dropReclaimable(i int) *Page {
-	pfn := uint64(k.reclaimable[i])
-	p := k.live.get(pfn)
-	k.live.del(pfn)
+// dropReclaimable consumes FIFO entry i as reclaimed: the handle leaves
+// the page table and the FIFO, and the caller releases its frames, whose
+// count it returns. A live FIFO entry always resolves: the entry is
+// stamped with the sentinel whenever its page is freed, detached, or
+// reclaimed.
+func (k *Kernel) dropReclaimable(i int) uint64 {
+	s := k.pt.heads[k.reclaimable[i]]
+	n := k.pt.rows[s].pages()
+	k.pt.release(s)
 	k.reclaimable[i] = noCacheEntry
-	p.cacheIdx = -1
-	k.ReclaimedPages += p.Pages()
-	k.reclaimablePages -= p.Pages()
-	return p
+	k.ReclaimedPages += n
+	k.reclaimablePages -= n
+	return n
 }
 
 // settleReclaimHead ends a reclaim pass: it advances the head past the
@@ -81,7 +81,7 @@ func (k *Kernel) compactReclaimable() {
 	out := k.reclaimable[:0]
 	for _, e := range k.reclaimable {
 		if e != noCacheEntry {
-			k.live.get(uint64(e)).cacheIdx = int32(len(out))
+			k.pt.rows[k.pt.heads[e]].cacheIdx = int32(len(out))
 			out = append(out, e)
 		}
 	}

@@ -184,7 +184,7 @@ func (k *Kernel) highestImmovable(start, end uint64) uint64 {
 	p := end
 	for p > start {
 		if p&(mem.PageblockPages-1) == 0 && p-start >= mem.PageblockPages {
-			if pm.PageblockInfoAt(p - mem.PageblockPages).UnmovFrames == 0 {
+			if pm.PageblockInfoAt(p-mem.PageblockPages).UnmovFrames == 0 {
 				p -= mem.PageblockPages
 				continue
 			}
@@ -227,12 +227,13 @@ func (k *Kernel) DefragUnmovable() int {
 			p--
 			continue
 		}
-		handle := k.live.get(h)
-		if handle == nil {
+		s := k.pt.heads[h]
+		if s == 0 {
 			p = h
 			continue
 		}
-		dst, ok := k.unmov.Alloc(int(handle.Order), handle.MT, handle.Src)
+		handle := k.pt.rows[s]
+		dst, ok := k.unmov.Alloc(int(handle.order), handle.mt, handle.src)
 		if !ok {
 			p = h
 			continue
@@ -243,12 +244,12 @@ func (k *Kernel) DefragUnmovable() int {
 			p = h
 			continue
 		}
-		if err := k.hwMigrateTo(handle, dst); err != nil {
+		if err := k.hwMigrateTo(s, dst); err != nil {
 			// Engine abort: skip this allocation, defragment the rest.
 			mustFree(k.unmov, dst)
 			k.MigrationDeferred++
 			if k.tp.Enabled() {
-				k.tp.Emit(k.tick, telemetry.EvMigrateDefer, handle.PFN, uint64(handle.Order), 0)
+				k.tp.Emit(k.tick, telemetry.EvMigrateDefer, h, uint64(handle.order), 0)
 			}
 			p = h
 			continue

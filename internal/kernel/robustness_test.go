@@ -30,7 +30,7 @@ func TestHWFaultFallsBackToSoftware(t *testing.T) {
 
 	// Movable allocations are highest-first: grab everything, then free
 	// 75% so live pages remain just above the boundary.
-	var pages []*Page
+	var pages []Page
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
@@ -41,7 +41,7 @@ func TestHWFaultFallsBackToSoftware(t *testing.T) {
 	for i, p := range pages {
 		if i%4 != 3 {
 			k.Free(p)
-			pages[i] = nil
+			pages[i] = Page{}
 		}
 	}
 	moved := k.ExpandUnmovable(16 * mb / mem.PageSize)
@@ -62,11 +62,11 @@ func TestHWFaultFallsBackToSoftware(t *testing.T) {
 			k.MigrationRetries, k.MigrationFailures)
 	}
 	for _, p := range pages {
-		if p == nil {
+		if p == (Page{}) {
 			continue
 		}
-		if p.PFN < k.Boundary() || !k.Live(p) {
-			t.Fatalf("handle at %d lost or below boundary %d", p.PFN, k.Boundary())
+		if k.Info(p).PFN < k.Boundary() || !k.Live(p) {
+			t.Fatalf("handle at %d lost or below boundary %d", k.Info(p).PFN, k.Boundary())
 		}
 	}
 	if err := k.CheckInvariants(); err != nil {
@@ -85,7 +85,7 @@ func TestHWFaultDefersPinnedShrink(t *testing.T) {
 	inj.Arm(fault.PointHWMover, fault.Trigger{Prob: 1})
 	k := New(cfg)
 
-	var pages []*Page
+	var pages []Page
 	for i := 0; i < 2000; i++ {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateUnmovable, mem.SrcNetworking)
 		if err != nil {
@@ -93,9 +93,9 @@ func TestHWFaultDefersPinnedShrink(t *testing.T) {
 		}
 		pages = append(pages, p)
 	}
-	var top *Page
+	var top Page
 	for _, p := range pages {
-		if top == nil || p.PFN > top.PFN {
+		if top == (Page{}) || k.Info(p).PFN > k.Info(top).PFN {
 			top = p
 		}
 	}
@@ -109,7 +109,7 @@ func TestHWFaultDefersPinnedShrink(t *testing.T) {
 	}
 
 	before := k.Boundary()
-	pfnBefore := top.PFN
+	pfnBefore := k.Info(top).PFN
 	if moved := k.ShrinkUnmovable(before); moved != 0 {
 		t.Fatalf("shrink must fail while the mover is down, moved %d", moved)
 	}
@@ -120,7 +120,7 @@ func TestHWFaultDefersPinnedShrink(t *testing.T) {
 		t.Fatalf("deferral accounting missing: deferred=%d shrinkfails=%d",
 			k.MigrationDeferred, k.ShrinkFails)
 	}
-	if top.PFN != pfnBefore || !top.Pinned || !k.Live(top) {
+	if k.Info(top).PFN != pfnBefore || !k.Info(top).Pinned || !k.Live(top) {
 		t.Fatal("pinned page disturbed by a failed shrink")
 	}
 	if err := k.CheckInvariants(); err != nil {
@@ -132,7 +132,7 @@ func TestHWFaultDefersPinnedShrink(t *testing.T) {
 	if moved := k.ShrinkUnmovable(before); moved == 0 {
 		t.Fatal("shrink must succeed once the mover recovers")
 	}
-	if top.PFN >= k.Boundary() || !top.Pinned {
+	if k.Info(top).PFN >= k.Boundary() || !k.Info(top).Pinned {
 		t.Fatal("pinned page not relocated below the new boundary")
 	}
 	if k.HWMigrations == 0 {
@@ -158,7 +158,7 @@ func TestSWMigrateRetriesThenSucceeds(t *testing.T) {
 	if err := k.Pin(p); err != nil {
 		t.Fatalf("pin must survive one aborted migration attempt: %v", err)
 	}
-	if p.PFN >= k.Boundary() {
+	if k.Info(p).PFN >= k.Boundary() {
 		t.Fatal("pinned page not migrated into the unmovable region")
 	}
 	if k.MigrationRetries != 1 {
@@ -187,15 +187,15 @@ func TestSWMigrateExhaustsRetryBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pfn := p.PFN
+	pfn := k.Info(p).PFN
 	err = k.Pin(p)
 	if !errors.Is(err, ErrMigrationFailed) {
 		t.Fatalf("pin error = %v, want ErrMigrationFailed", err)
 	}
-	if p.PFN != pfn || p.Pinned || !k.Live(p) {
+	if k.Info(p).PFN != pfn || k.Info(p).Pinned || !k.Live(p) {
 		t.Fatal("failed pin migration must leave the page untouched")
 	}
-	if p.MT != mem.MigrateMovable {
+	if k.Info(p).MT != mem.MigrateMovable {
 		t.Fatal("failed pin migration must not restamp the migratetype")
 	}
 	if k.MigrationFailures == 0 {
@@ -220,7 +220,7 @@ func TestCarveFaultRequeuesCompactionTarget(t *testing.T) {
 
 	// Fragment: fill the zone with base pages, then free three of four so
 	// no free 2 MB block exists but every block is cheap to evacuate.
-	var pages []*Page
+	var pages []Page
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
@@ -231,7 +231,7 @@ func TestCarveFaultRequeuesCompactionTarget(t *testing.T) {
 	for i, p := range pages {
 		if i%4 != 0 {
 			k.Free(p)
-			pages[i] = nil
+			pages[i] = Page{}
 		}
 	}
 
@@ -256,8 +256,8 @@ func TestCarveFaultRequeuesCompactionTarget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("2 MB alloc must succeed after the fault clears: %v", err)
 	}
-	if huge.Order != mem.Order2M {
-		t.Fatalf("order = %d", huge.Order)
+	if k.Info(huge).Order != mem.Order2M {
+		t.Fatalf("order = %d", k.Info(huge).Order)
 	}
 	if k.CompactSuccess == 0 {
 		t.Fatal("recovery allocation must come from compaction")
@@ -278,11 +278,12 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	if err := k.CheckInvariants(); err != nil {
 		t.Fatalf("clean kernel reported: %v", err)
 	}
-	k.live.del(p.PFN)
+	pfn := k.PFN(p)
+	k.pt.heads[pfn] = 0
 	if err := k.CheckInvariants(); err == nil {
 		t.Fatal("validator missed a vanished handle")
 	}
-	k.live.set(p.PFN, p)
+	k.pt.heads[pfn] = p.slot
 	if err := k.CheckInvariants(); err != nil {
 		t.Fatalf("restored kernel reported: %v", err)
 	}
@@ -302,8 +303,8 @@ func TestRandomisedWorkloadUnderFaults(t *testing.T) {
 		k := New(cfg)
 
 		rng := stats.NewRNG(2024)
-		var live []*Page
-		var pinned []*Page
+		var live []Page
+		var pinned []Page
 		for step := 0; step < 12000; step++ {
 			switch r := rng.Float64(); {
 			case r < 0.45:

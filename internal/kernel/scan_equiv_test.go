@@ -42,7 +42,7 @@ func TestKernelScanEquivalenceUnderFaults(t *testing.T) {
 			k := New(cfg)
 			rng := stats.NewRNG(1234)
 
-			var live []*Page
+			var live []Page
 			var mappings []*Mapping
 			for step := 0; step < 4000; step++ {
 				switch r := rng.Float64(); {
@@ -62,7 +62,7 @@ func TestKernelScanEquivalenceUnderFaults(t *testing.T) {
 				case r < 0.55 && len(live) > 0:
 					i := rng.Intn(len(live))
 					p := live[i]
-					if p.Pinned {
+					if k.Info(p).Pinned {
 						k.Unpin(p)
 					}
 					if k.Live(p) {
@@ -74,7 +74,7 @@ func TestKernelScanEquivalenceUnderFaults(t *testing.T) {
 					live = live[:len(live)-1]
 				case r < 0.62 && len(live) > 0:
 					p := live[rng.Intn(len(live))]
-					if k.Live(p) && !p.Pinned {
+					if k.Live(p) && !k.Info(p).Pinned {
 						k.Pin(p)
 					}
 				case r < 0.70:

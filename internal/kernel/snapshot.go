@@ -38,8 +38,8 @@ import (
 //     the contiguity index (rebuilt cold and rescanned, compared against
 //     the serialized Scan witness), and the reclaimable FIFO's linkage
 //     (each handle's cacheIdx cross-checked against the FIFO slots).
-//   - Rebuilt fresh, not state: page-handle identities (the arena),
-//     memoized errors, scratch buffers, telemetry attachments (ring,
+//   - Rebuilt fresh, not state: page-handle values (page-table rows and
+//     generations), memoized errors, scratch buffers, telemetry attachments (ring,
 //     registry, sampler, sink), and the migration cost model. Callers
 //     re-attach telemetry after restore; handle holders rehydrate
 //     through PageAt.
@@ -177,14 +177,15 @@ func (k *Kernel) ExportState() *State {
 		st.Phys.NoteSetPositions(&bs)
 		st.Regions = append(st.Regions, bs)
 	}
-	for pfn := uint64(0); pfn < k.pm.NPages; pfn++ {
-		p := k.live.get(pfn)
-		if p == nil {
+	st.Live = make([]PageState, 0, k.pt.n)
+	for _, s := range k.pt.heads {
+		if s == 0 {
 			continue
 		}
+		p := &k.pt.rows[s]
 		st.Live = append(st.Live, PageState{
-			PFN: p.PFN, CacheIdx: p.cacheIdx, Order: p.Order,
-			MT: p.MT, Src: p.Src, Pinned: p.Pinned,
+			PFN: uint64(p.pfn), CacheIdx: p.cacheIdx, Order: p.order,
+			MT: p.mt, Src: p.src, Pinned: p.pinned,
 		})
 	}
 	for i, b := range buddies {
@@ -260,7 +261,7 @@ func Restore(cfg Config, st *State) (*Kernel, error) {
 		psi:              psi.NewPerRegion(halfLifeOr(cfg.PSIHalfLifeTicks)),
 		tick:             st.Tick,
 		rng:              stats.NewRNG(cfg.Seed),
-		live:             newLiveTable(pm.NPages),
+		pt:               newPageTable(pm.NPages),
 		migCost:          DefaultMigrationCostModel(),
 		reclaimable:      append([]uint32(nil), st.Reclaimable...),
 		reclaimHead:      st.ReclaimHead,
@@ -292,20 +293,19 @@ func Restore(cfg Config, st *State) (*Kernel, error) {
 		}
 	}
 
-	// Live handles: fresh identities, serialized contents. The frame
-	// table's agreement (order, pin flags, allocated-head status) is
-	// proven by CheckInvariants below.
+	// Live handles: fresh rows, serialized contents. The frame table's
+	// agreement (order, pin flags, allocated-head status) is proven by
+	// CheckInvariants below.
 	for _, ps := range st.Live {
-		p := &k.newPages(1)[0]
-		*p = Page{PFN: ps.PFN, cacheIdx: ps.CacheIdx, Order: ps.Order,
-			MT: ps.MT, Src: ps.Src, Pinned: ps.Pinned}
 		if ps.PFN >= pm.NPages {
 			return nil, fmt.Errorf("kernel: restore: live pfn %d out of range", ps.PFN)
 		}
-		if k.live.get(ps.PFN) != nil {
+		if k.pt.heads[ps.PFN] != 0 {
 			return nil, fmt.Errorf("kernel: restore: duplicate live pfn %d", ps.PFN)
 		}
-		k.live.set(ps.PFN, p)
+		p := k.pt.add(ps.PFN, int(ps.Order), ps.MT, ps.Src)
+		r := &k.pt.rows[p.slot]
+		r.cacheIdx, r.pinned = ps.CacheIdx, ps.Pinned
 	}
 
 	// Reclaimable FIFO: the serialized slots must agree with the linkage
@@ -317,8 +317,11 @@ func Restore(cfg Config, st *State) (*Kernel, error) {
 		if e == noCacheEntry {
 			continue
 		}
-		p := k.live.get(uint64(e))
-		if p == nil || p.cacheIdx != int32(i) {
+		if uint64(e) >= pm.NPages {
+			return nil, fmt.Errorf("kernel: restore: reclaimable slot %d (pfn %d) out of range", i, e)
+		}
+		s := k.pt.heads[e]
+		if s == 0 || k.pt.rows[s].cacheIdx != int32(i) {
 			return nil, fmt.Errorf("kernel: restore: reclaimable slot %d (pfn %d) has no agreeing handle", i, e)
 		}
 		linked++
@@ -373,20 +376,15 @@ func Restore(cfg Config, st *State) (*Kernel, error) {
 	return k, nil
 }
 
-// PageAt returns the live handle whose block starts at pfn (nil when
-// none). Restore callers use it to rehydrate handles they held before
-// the checkpoint; handle identity does not survive a restore, contents
-// do.
-func (k *Kernel) PageAt(pfn uint64) *Page { return k.live.get(pfn) }
-
 // Hash is the canonical state digest: FNV-1a 64 of the state's hashed
-// section (see walk). Two machines with equal hashes at the same tick
-// are equivalent for every serialized structure; the chain hash in the
-// snapshot envelope links these per-checkpoint digests into a
-// tamper-evident history.
+// section (see walk), streamed into a digest rather than built. Two
+// machines with equal hashes at the same tick are equivalent for every
+// serialized structure; the chain hash in the snapshot envelope links
+// these per-checkpoint digests into a tamper-evident history.
 func (st *State) Hash() uint64 {
-	hashed, _ := st.sections()
-	return seal.Sum64(hashed)
+	h, w := seal.HashWriter(), seal.HashWriter()
+	st.walk(seal.NewEncoder(&h), seal.NewEncoder(&w))
+	return h.Sum64()
 }
 
 // Encode appends the state's hashed section and then its witness

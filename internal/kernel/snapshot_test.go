@@ -11,7 +11,7 @@ import (
 
 // snapDriver churns a kernel deterministically through the public API,
 // tracking its pool as head PFNs so it can be cloned across a restore
-// (handle identity does not survive; PFNs do).
+// (handle values do not survive; PFNs do).
 type snapDriver struct {
 	k    *Kernel
 	rng  *stats.RNG
@@ -31,8 +31,8 @@ func (d *snapDriver) step(t *testing.T) {
 	// been reclaimed behind our back — skip dead handles).
 	for i := 0; i < len(d.pfns)/4 && len(d.pfns) > 0; i++ {
 		j := d.rng.Intn(len(d.pfns))
-		if p := d.k.PageAt(d.pfns[j]); p != nil {
-			if p.Pinned {
+		if p, ok := d.k.PageAt(d.pfns[j]); ok {
+			if d.k.Info(p).Pinned {
 				d.k.Unpin(p)
 			}
 			if err := d.k.Free(p); err != nil {
@@ -46,7 +46,7 @@ func (d *snapDriver) step(t *testing.T) {
 	orders := []int{0, 0, 0, 1, 2, mem.Order2M}
 	for i := 0; i < 48; i++ {
 		order := orders[d.rng.Intn(len(orders))]
-		var p *Page
+		var p Page
 		var err error
 		switch d.rng.Intn(4) {
 		case 0:
@@ -65,7 +65,7 @@ func (d *snapDriver) step(t *testing.T) {
 			p, err = d.k.Alloc(order, mem.MigrateMovable, mem.SrcUser)
 		}
 		if err == nil {
-			d.pfns = append(d.pfns, p.PFN)
+			d.pfns = append(d.pfns, d.k.PFN(p))
 		}
 	}
 	// Periodic contiguity demand keeps compaction's cross-tick state
@@ -184,6 +184,17 @@ func TestRestoreRejectsCorruptedState(t *testing.T) {
 	st.Phys.Meta[st.Live[0].PFN] ^= 1 // flagFree
 	if _, err := Restore(cfg, st); err == nil {
 		t.Fatal("restore accepted a corrupted frame table")
+	}
+	st.Phys.Meta[st.Live[0].PFN] ^= 1
+
+	// A reclaimable-FIFO entry past the last frame is refused, not
+	// looked up.
+	if len(st.Reclaimable) == 0 {
+		t.Fatal("no reclaimable entries to corrupt")
+	}
+	st.Reclaimable[len(st.Reclaimable)-1] = uint32(st.Phys.NPages) + 5
+	if _, err := Restore(cfg, st); err == nil {
+		t.Fatal("restore accepted a reclaimable entry past the last frame")
 	}
 }
 

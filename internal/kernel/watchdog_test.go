@@ -99,7 +99,7 @@ func TestWatchdogEscalatesCompaction(t *testing.T) {
 
 	// Fragment movable memory so compaction has real work: fill with
 	// base pages, free every other one.
-	var pages []*Page
+	var pages []Page
 	for {
 		p, err := k.Alloc(0, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {

@@ -48,15 +48,15 @@ type CacheStatus struct {
 
 // CampaignStatus is the board row for one campaign.
 type CampaignStatus struct {
-	ID          int     `json:"id"`
-	Name        string  `json:"name"`
-	Shards      int     `json:"shards"`
-	Finished    int     `json:"finished"`
-	Resumed     int     `json:"resumed"`
-	Quarantined int     `json:"quarantined"`
-	Crashes     int     `json:"crashes"`
-	DoneUnits   uint64  `json:"done_units"`
-	TotalUnits  uint64  `json:"total_units"`
+	ID          int    `json:"id"`
+	Name        string `json:"name"`
+	Shards      int    `json:"shards"`
+	Finished    int    `json:"finished"`
+	Resumed     int    `json:"resumed"`
+	Quarantined int    `json:"quarantined"`
+	Crashes     int    `json:"crashes"`
+	DoneUnits   uint64 `json:"done_units"`
+	TotalUnits  uint64 `json:"total_units"`
 	// Percent is unit progress in [0,100]; 100 requires every known
 	// unit done.
 	Percent  float64      `json:"percent"`

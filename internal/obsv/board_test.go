@@ -122,10 +122,10 @@ func TestBoardHTTPEndpoints(t *testing.T) {
 	}
 
 	for path, want := range map[string]int{
-		"/campaigns/9/shards":   404, // unknown id
-		"/campaigns/x/shards":   400, // unparseable id
-		"/campaigns/0/nope":     404, // wrong tail
-		"/campaigns/0":          404, // no tail
+		"/campaigns/9/shards": 404, // unknown id
+		"/campaigns/x/shards": 400, // unparseable id
+		"/campaigns/0/nope":   404, // wrong tail
+		"/campaigns/0":        404, // no tail
 	} {
 		rec = httptest.NewRecorder()
 		b.serveShards(rec, httptest.NewRequest("GET", path, nil))

@@ -42,6 +42,16 @@ func (w *Writer) Bytes(p []byte) {
 	w.buf = append(w.buf, p...)
 }
 
+// String appends s behind its u64 length, as Bytes would.
+func (w *Writer) String(s string) {
+	w.U64(uint64(len(s)))
+	if w.hash {
+		w.sum.WriteString(s)
+		return
+	}
+	w.buf = append(w.buf, s...)
+}
+
 // CString appends s and a NUL; s must not contain NUL.
 func (w *Writer) CString(s string) {
 	if w.hash {

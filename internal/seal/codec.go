@@ -74,8 +74,7 @@ func (c *Codec) String(p *string) {
 	if c.r != nil {
 		*p = string(c.r.Bytes())
 	} else {
-		c.w.U64(uint64(len(*p)))
-		c.w.buf = append(c.w.buf, *p...)
+		c.w.String(*p)
 	}
 }
 

@@ -4,17 +4,21 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"contiguitas/internal/fault"
+	"contiguitas/internal/vfs"
 )
 
 // The kill-at-every-phase recovery property: a campaign interrupted at
 // each durable-write boundary — and mid-computation — must, after a
 // "process restart" (fresh store handle, fresh scheduler, Recover),
 // finish with merged result bytes identical to an uninterrupted run.
-// The in-process kill hook models SIGKILL faithfully because every
-// store write completes its fsync+rename before the next phase starts:
-// what the hook sees on disk is exactly what a killed process leaves.
-// (True torn-write/process-death coverage is the CI service-soak job,
-// which SIGKILLs a real contigd.)
+// The in-process kill hook models SIGKILL: every store write completes
+// its fsync+rename before the next phase starts, and the first lifetime
+// runs on a vfs.DeadFS that the kill turns off, so nothing the dying
+// scheduler still attempts (a drain's checkpoints, an error path's
+// cleanup) reaches the disk. (True torn-write/process-death coverage is
+// the CI service-soak job, which SIGKILLs a real contigd.)
 func TestKillAtEveryPhaseRecoversIdentically(t *testing.T) {
 	sp := tinySpec()
 	want := referenceMerged(sp)
@@ -24,6 +28,9 @@ func TestKillAtEveryPhaseRecoversIdentically(t *testing.T) {
 		phase := phase
 		t.Run(phase, func(t *testing.T) {
 			root := t.TempDir()
+			dead := vfs.DeadFS{InjectFS: vfs.NewInjectFS(vfs.Active(), fault.New(1), vfs.InjectConfig{})}
+			restore := vfs.SetDefault(dead)
+			defer restore()
 			st, err := OpenDisk(root)
 			if err != nil {
 				t.Fatal(err)
@@ -38,6 +45,7 @@ func TestKillAtEveryPhaseRecoversIdentically(t *testing.T) {
 					if point != phase {
 						return false
 					}
+					dead.Kill()
 					select {
 					case killed <- struct{}{}:
 					default:
@@ -56,6 +64,7 @@ func TestKillAtEveryPhaseRecoversIdentically(t *testing.T) {
 				// server boundary and the process "dies".
 				waitForState(t, st, id, StateRunning)
 				time.Sleep(20 * time.Millisecond)
+				dead.Kill()
 			} else {
 				select {
 				case <-killed:
@@ -65,6 +74,7 @@ func TestKillAtEveryPhaseRecoversIdentically(t *testing.T) {
 			}
 			s1.Drain()
 			st.Close()
+			restore()
 
 			// Process lifetime 2: reopen, recover, and the campaign must
 			// complete with byte-identical results.

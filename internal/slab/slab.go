@@ -18,30 +18,35 @@ import (
 )
 
 // PageSource abstracts the page allocator a cache draws from; the
-// simulated kernel satisfies it directly.
+// simulated kernel satisfies it directly. PFN reports where a backing
+// page currently lives (the kernel may migrate it).
 type PageSource interface {
-	Alloc(order int, mt mem.MigrateType, src mem.Source) (*kernel.Page, error)
-	Free(p *kernel.Page) error
+	Alloc(order int, mt mem.MigrateType, src mem.Source) (kernel.Page, error)
+	Free(p kernel.Page) error
+	PFN(p kernel.Page) uint64
 }
 
-// slabPage is one backing page with its occupancy bitmap.
+// slabPage is one backing page's record. Its occupancy bitmap lives in
+// the cache's shared bitmap array, so the record holds no Go pointer.
 type slabPage struct {
-	page *kernel.Page
-	// used marks live object slots; one bit per slot.
-	used []uint64
-	live int
+	page kernel.Page
+	// gen moves on each time the record is released, so handles to
+	// objects of an earlier page in it are recognised as stale.
+	gen  uint32
+	live int32
 	// listIdx locates the page in the cache's partial list, or -1.
-	listIdx int
+	listIdx int32
 }
 
-// Obj is a handle to one allocated object.
+// Obj is a handle to one allocated object: its page record (1-based,
+// so the zero Obj is invalid), the record's generation, and the slot.
 type Obj struct {
-	sp   *slabPage
-	slot int
+	page, gen, slot uint32
 }
 
-// Valid reports whether the handle refers to a live allocation.
-func (o Obj) Valid() bool { return o.sp != nil }
+// Valid reports whether the handle names an object at all (a handle to
+// a freed object is still valid; Free reports it as a double free).
+func (o Obj) Valid() bool { return o.page != 0 }
 
 // Cache is one size class (a kmem_cache).
 type Cache struct {
@@ -51,10 +56,17 @@ type Cache struct {
 	src      PageSource
 	gfpOrder int
 
-	// partial holds pages with at least one free slot; fully occupied
-	// pages are off-list and identified by listIdx == -1, so no separate
-	// full set is needed.
-	partial []*slabPage
+	// pages holds every page record, live or released; used holds
+	// their occupancy bitmaps, words per page each (one bit per slot).
+	// freePages stacks released records for reuse. partial indexes the
+	// pages with at least one free slot; fully occupied pages are
+	// off-list and identified by listIdx == -1, so no separate full set
+	// is needed. None of it holds a Go pointer.
+	pages     []slabPage
+	used      []uint64
+	words     int
+	freePages []uint32
+	partial   []uint32
 
 	// Stats.
 	Objects    int
@@ -66,7 +78,7 @@ type Cache struct {
 
 	// restoreIdx is the transient PFN → page index a checkpoint restore
 	// builds (see snapshot.go); nil outside a restore window.
-	restoreIdx map[uint64]*slabPage
+	restoreIdx map[uint64]uint32
 }
 
 // NewCache builds a size class. Object sizes above half a page grow the
@@ -92,6 +104,7 @@ func NewCache(name string, objSize int, src PageSource) (*Cache, error) {
 		perPage:  perPage,
 		src:      src,
 		gfpOrder: order,
+		words:    (perPage + 63) / 64,
 	}, nil
 }
 
@@ -113,8 +126,9 @@ func (c *Cache) Alloc() (Obj, error) {
 			return Obj{}, err
 		}
 	}
-	sp := c.partial[len(c.partial)-1]
-	slot := sp.findFree()
+	i := c.partial[len(c.partial)-1]
+	used := c.bitmap(i)
+	slot := findFree(used)
 	if slot < 0 {
 		// Provably unreachable: a page is removed from the partial list
 		// the moment its last slot fills (Alloc below) and re-added the
@@ -122,13 +136,20 @@ func (c *Cache) Alloc() (Obj, error) {
 		// slot by construction.
 		panic("slab: partial page without a free slot")
 	}
-	sp.used[slot/64] |= 1 << uint(slot%64)
+	used[slot/64] |= 1 << uint(slot%64)
+	sp := &c.pages[i]
 	sp.live++
 	c.Objects++
-	if sp.live == c.perPage {
-		c.removePartial(sp)
+	if int(sp.live) == c.perPage {
+		c.removePartial(i)
 	}
-	return Obj{sp: sp, slot: slot}, nil
+	return Obj{page: i + 1, gen: sp.gen, slot: uint32(slot)}, nil
+}
+
+// bitmap returns page record i's occupancy words.
+func (c *Cache) bitmap(i uint32) []uint64 {
+	w := int(i) * c.words
+	return c.used[w : w+c.words : w+c.words]
 }
 
 // Free releases an object. When its page empties, the page returns to
@@ -136,30 +157,33 @@ func (c *Cache) Alloc() (Obj, error) {
 // Invalid handles and double frees return typed errors with the cache
 // untouched.
 func (c *Cache) Free(o Obj) error {
-	if !o.Valid() {
+	if !o.Valid() || int(o.page) > len(c.pages) || o.slot >= uint32(c.perPage) {
 		return fmt.Errorf("%w: cache %s", ErrInvalidHandle, c.name)
 	}
 	c.FreeCalls++
-	sp := o.sp
+	i := o.page - 1
+	sp := &c.pages[i]
+	used := c.bitmap(i)
 	mask := uint64(1) << uint(o.slot%64)
-	if sp.used[o.slot/64]&mask == 0 {
+	if sp.gen != o.gen || used[o.slot/64]&mask == 0 {
 		return fmt.Errorf("%w: cache %s slot %d", ErrDoubleFree, c.name, o.slot)
 	}
-	sp.used[o.slot/64] &^= mask
+	used[o.slot/64] &^= mask
 	sp.live--
 	c.Objects--
 	if sp.listIdx < 0 {
 		// The page was full; it has a free slot again.
-		c.addPartial(sp)
+		c.addPartial(i)
 	}
 	if sp.live == 0 {
-		c.removePartial(sp)
+		c.removePartial(i)
 		if err := c.src.Free(sp.page); err != nil {
 			// The kernel page was validated when grow obtained it; a
 			// failing free means corrupt bookkeeping, not a recoverable
 			// caller mistake.
 			panic("slab: invariant violation: " + err.Error())
 		}
+		c.release(i)
 		c.PagesHeld--
 		c.PagesFreed++
 	}
@@ -172,39 +196,59 @@ func (c *Cache) grow() error {
 	if err != nil {
 		return fmt.Errorf("slab %s: grow: %w", c.name, err)
 	}
-	sp := &slabPage{
-		page: p,
-		used: make([]uint64, (c.perPage+63)/64),
-	}
-	c.addPartial(sp)
+	c.addPartial(c.newPage(p))
 	c.PagesHeld++
 	c.PagesGrown++
 	return nil
 }
 
-func (c *Cache) addPartial(sp *slabPage) {
-	sp.listIdx = len(c.partial)
-	c.partial = append(c.partial, sp)
+// newPage files backing page p in a page record, reusing a released
+// one when there is one, and returns the record's index. The record is
+// empty and off the partial list.
+func (c *Cache) newPage(p kernel.Page) uint32 {
+	var i uint32
+	if last := len(c.freePages) - 1; last >= 0 {
+		i = c.freePages[last]
+		c.freePages = c.freePages[:last]
+	} else {
+		i = uint32(len(c.pages))
+		c.pages = append(c.pages, slabPage{})
+		c.used = append(c.used, make([]uint64, c.words)...)
+	}
+	sp := &c.pages[i]
+	sp.page, sp.live, sp.listIdx = p, 0, -1
+	return i
 }
 
-func (c *Cache) removePartial(sp *slabPage) {
-	i := sp.listIdx
+// release retires page record i, whose bitmap is clear: handles to it
+// go stale and the record is reused by a later grow.
+func (c *Cache) release(i uint32) {
+	c.pages[i].gen++
+	c.freePages = append(c.freePages, i)
+}
+
+func (c *Cache) addPartial(i uint32) {
+	c.pages[i].listIdx = int32(len(c.partial))
+	c.partial = append(c.partial, i)
+}
+
+func (c *Cache) removePartial(i uint32) {
+	at := c.pages[i].listIdx
 	last := len(c.partial) - 1
-	if i != last {
+	if int(at) != last {
 		moved := c.partial[last]
-		c.partial[i] = moved
-		moved.listIdx = i
+		c.partial[at] = moved
+		c.pages[moved].listIdx = at
 	}
 	c.partial = c.partial[:last]
-	sp.listIdx = -1
+	c.pages[i].listIdx = -1
 }
 
-// findFree returns the first free slot index, or -1.
-func (sp *slabPage) findFree() int {
-	for w, word := range sp.used {
+// findFree returns the first free slot index in a bitmap, or -1.
+func findFree(used []uint64) int {
+	for w, word := range used {
 		if inv := ^word; inv != 0 {
-			slot := w*64 + bits.TrailingZeros64(inv)
-			return slot
+			return w*64 + bits.TrailingZeros64(inv)
 		}
 	}
 	return -1
@@ -273,6 +317,17 @@ func (m *Manager) PagesHeld() int {
 		n += c.Frames()
 	}
 	return n
+}
+
+// ObjectsPerFrame is the objects a frame holds when packed, averaged
+// over classes drawn uniformly: the harmonic mean of the classes'
+// per-frame densities.
+func (m *Manager) ObjectsPerFrame() float64 {
+	var framesPerObj float64
+	for _, c := range m.caches {
+		framesPerObj += float64(int(1)<<c.gfpOrder) / float64(c.perPage)
+	}
+	return float64(len(m.caches)) / framesPerObj
 }
 
 // Objects sums live objects across classes.

@@ -9,13 +9,10 @@ import (
 
 // Checkpoint/restore for slab caches.
 //
-// A cache tracks only its partial pages; full pages are off-list and
-// reachable solely through the Obj handles its callers hold. ExportState
-// therefore takes the caller's live handles and discovers full pages
-// through them. Restore rebuilds the partial list in exact serialized
-// order (Alloc pops from the slice end, so order is behavior), recreates
-// full pages, and keeps a temporary PFN index so callers can rehydrate
-// their Obj handles with ObjAt before EndRestore drops it.
+// Restore rebuilds the partial list in exact serialized order (Alloc
+// pops from the slice end, so order is behavior), recreates full pages,
+// and keeps a temporary PFN index so callers can rehydrate their Obj
+// handles with ObjAt before EndRestore drops it.
 
 // SlabPageState is one serialized backing page.
 type SlabPageState struct {
@@ -45,11 +42,9 @@ type CacheState struct {
 	FreeCalls  uint64
 }
 
-// ExportState serializes the cache. liveObjs must include every handle
-// the caller still holds (duplicates and handles from other caches are
-// ignored); they are how full pages — invisible to the cache itself —
-// are found.
-func (c *Cache) ExportState(liveObjs []Obj) CacheState {
+// ExportState serializes the cache: its partial pages in list order,
+// then its full pages by PFN.
+func (c *Cache) ExportState() CacheState {
 	st := CacheState{
 		Name:       c.name,
 		Objects:    c.Objects,
@@ -59,49 +54,31 @@ func (c *Cache) ExportState(liveObjs []Obj) CacheState {
 		AllocCalls: c.AllocCalls,
 		FreeCalls:  c.FreeCalls,
 	}
-	seen := make(map[*slabPage]bool, len(c.partial))
-	for _, sp := range c.partial {
-		seen[sp] = true
-		st.Pages = append(st.Pages, exportPage(sp, true))
+	for _, i := range c.partial {
+		st.Pages = append(st.Pages, c.exportPage(i, true))
 	}
-	var full []*slabPage
-	for _, o := range liveObjs {
-		if o.sp == nil || seen[o.sp] || o.sp.listIdx >= 0 {
-			continue
+	var full []uint32
+	for i := range c.pages {
+		if int(c.pages[i].live) == c.perPage {
+			full = append(full, uint32(i))
 		}
-		// Only adopt pages that belong to this cache: a full page's
-		// capacity matches the cache's bitmap geometry and its handle
-		// appears once.
-		if !ownsPage(c, o.sp) {
-			continue
-		}
-		seen[o.sp] = true
-		full = append(full, o.sp)
 	}
-	sort.Slice(full, func(i, j int) bool { return full[i].page.PFN < full[j].page.PFN })
-	for _, sp := range full {
-		st.Pages = append(st.Pages, exportPage(sp, false))
+	sort.Slice(full, func(a, b int) bool {
+		return c.src.PFN(c.pages[full[a]].page) < c.src.PFN(c.pages[full[b]].page)
+	})
+	for _, i := range full {
+		st.Pages = append(st.Pages, c.exportPage(i, false))
 	}
 	return st
 }
 
-func exportPage(sp *slabPage, partial bool) SlabPageState {
+func (c *Cache) exportPage(i uint32, partial bool) SlabPageState {
 	return SlabPageState{
-		PFN:     sp.page.PFN,
-		Used:    append([]uint64(nil), sp.used...),
-		Live:    sp.live,
+		PFN:     c.src.PFN(c.pages[i].page),
+		Used:    append([]uint64(nil), c.bitmap(i)...),
+		Live:    int(c.pages[i].live),
 		Partial: partial,
 	}
-}
-
-// ownsPage reports whether sp plausibly belongs to c. Callers holding
-// objects from several caches pass them all to each ExportState; pages
-// are disambiguated by checking membership of sp in c via bitmap length
-// and live count — but since two caches can share geometry, the caller
-// should group handles per cache (workload.Runner does). This check is
-// a safety net, not the primary discriminator.
-func ownsPage(c *Cache, sp *slabPage) bool {
-	return len(sp.used) == (c.perPage+63)/64 && sp.live <= c.perPage
 }
 
 // restoreIdx maps PFN → restored page between ImportState and
@@ -113,21 +90,21 @@ func ownsPage(c *Cache, sp *slabPage) bool {
 // cache must be freshly constructed (same name/size/source class as the
 // exported one) and empty. resolve maps a serialized head PFN to the
 // restored kernel page handle backing it.
-func (c *Cache) ImportState(st CacheState, resolve func(pfn uint64) *kernel.Page) error {
-	if c.Objects != 0 || len(c.partial) != 0 || c.PagesHeld != 0 {
+func (c *Cache) ImportState(st CacheState, resolve func(pfn uint64) (kernel.Page, bool)) error {
+	if c.Objects != 0 || len(c.pages) != 0 || c.PagesHeld != 0 {
 		return fmt.Errorf("slab: ImportState into non-empty cache %s", c.name)
 	}
 	if st.Name != c.name {
 		return fmt.Errorf("slab: ImportState cache %s from state for %s", c.name, st.Name)
 	}
-	c.restoreIdx = make(map[uint64]*slabPage, len(st.Pages))
+	c.restoreIdx = make(map[uint64]uint32, len(st.Pages))
 	for _, ps := range st.Pages {
-		page := resolve(ps.PFN)
-		if page == nil {
+		page, ok := resolve(ps.PFN)
+		if !ok {
 			return fmt.Errorf("slab: restore %s: no live page at pfn %d", c.name, ps.PFN)
 		}
-		if len(ps.Used) != (c.perPage+63)/64 {
-			return fmt.Errorf("slab: restore %s: bitmap length %d, want %d", c.name, len(ps.Used), (c.perPage+63)/64)
+		if len(ps.Used) != c.words {
+			return fmt.Errorf("slab: restore %s: bitmap length %d, want %d", c.name, len(ps.Used), c.words)
 		}
 		live := 0
 		for _, w := range ps.Used {
@@ -143,16 +120,16 @@ func (c *Cache) ImportState(st CacheState, resolve func(pfn uint64) *kernel.Page
 			return fmt.Errorf("slab: restore %s pfn %d: partial flag %v disagrees with occupancy %d/%d",
 				c.name, ps.PFN, ps.Partial, live, c.perPage)
 		}
-		sp := &slabPage{
-			page:    page,
-			used:    append([]uint64(nil), ps.Used...),
-			live:    live,
-			listIdx: -1,
+		if _, dup := c.restoreIdx[ps.PFN]; dup {
+			return fmt.Errorf("slab: restore %s: pfn %d serialized twice", c.name, ps.PFN)
 		}
+		i := c.newPage(page)
+		copy(c.bitmap(i), ps.Used)
+		c.pages[i].live = int32(live)
 		if ps.Partial {
-			c.addPartial(sp)
+			c.addPartial(i)
 		}
-		c.restoreIdx[ps.PFN] = sp
+		c.restoreIdx[ps.PFN] = i
 	}
 	c.Objects = st.Objects
 	c.PagesHeld = st.PagesHeld
@@ -166,20 +143,20 @@ func (c *Cache) ImportState(st CacheState, resolve func(pfn uint64) *kernel.Page
 // ObjAt rehydrates an object handle from its serialized (page PFN,
 // slot) coordinates. Valid only between ImportState and EndRestore.
 func (c *Cache) ObjAt(pfn uint64, slot int) (Obj, error) {
-	sp := c.restoreIdx[pfn]
-	if sp == nil {
+	i, ok := c.restoreIdx[pfn]
+	if !ok {
 		return Obj{}, fmt.Errorf("slab: ObjAt %s: no restored page at pfn %d", c.name, pfn)
 	}
-	if slot < 0 || slot >= c.perPage || sp.used[slot/64]&(1<<uint(slot%64)) == 0 {
+	if slot < 0 || slot >= c.perPage || c.bitmap(i)[slot/64]&(1<<uint(slot%64)) == 0 {
 		return Obj{}, fmt.Errorf("slab: ObjAt %s pfn %d: slot %d not live", c.name, pfn, slot)
 	}
-	return Obj{sp: sp, slot: slot}, nil
+	return Obj{page: i + 1, gen: c.pages[i].gen, slot: uint32(slot)}, nil
 }
 
-// PageOf exposes an object's backing page head PFN and slot, the
+// PageOf exposes a live object's backing page head PFN and slot, the
 // serialized coordinates ObjAt reverses.
-func (o Obj) PageOf() (pfn uint64, slot int) {
-	return o.sp.page.PFN, o.slot
+func (c *Cache) PageOf(o Obj) (pfn uint64, slot int) {
+	return c.src.PFN(c.pages[o.page-1].page), int(o.slot)
 }
 
 // EndRestore drops the transient PFN index built by ImportState.

@@ -97,10 +97,10 @@ func mix(chain, stateHash uint64) uint64 { return seal.Sum64s(chain, stateHash) 
 // Nil layers contribute a fixed marker, so a faultless checkpoint and a
 // faulted one can never collide by omission.
 func HashMachine(m *Machine) uint64 {
-	var w seal.Writer
+	w := seal.HashWriter()
 	w.U64(m.Kernel.Hash())
 	walkLayers(seal.NewEncoder(&w), m)
-	return seal.Sum64(w.Body())
+	return w.Sum64()
 }
 
 // walkLayers is the schema of the runner and injector layers, each

@@ -162,19 +162,18 @@ type Recorder struct {
 	W      *Writer
 	k      *kernel.Kernel
 	nextID uint64
-	ids    map[*kernel.Page]uint64
-	// pruneAt is the size of ids that triggers the next prune (OnTick).
-	pruneAt int
-	err     error
+	// ids holds each live handle's event ID, indexed by its page-table
+	// slot. A slot is reused only through a fresh OnAlloc, which
+	// overwrites the entry, so handles the kernel lets go without an
+	// OnFree (reclaimed page cache) need no cleanup.
+	ids []uint64
+	err error
 }
-
-// minPruneAt is the smallest ids size worth a prune pass.
-const minPruneAt = 1024
 
 // Attach creates a Recorder writing to w and registers it as k's event
 // sink. Detach with k.SetEventSink(nil).
 func Attach(k *kernel.Kernel, w *Writer) *Recorder {
-	r := &Recorder{W: w, k: k, ids: make(map[*kernel.Page]uint64), pruneAt: minPruneAt}
+	r := &Recorder{W: w, k: k}
 	k.SetEventSink(r)
 	return r
 }
@@ -189,45 +188,40 @@ func (r *Recorder) emit(e Event) {
 }
 
 // OnAlloc implements kernel.EventSink.
-func (r *Recorder) OnAlloc(p *kernel.Page, pageCache bool) {
+func (r *Recorder) OnAlloc(p kernel.Page, pageCache bool) {
 	r.nextID++
-	r.ids[p] = r.nextID
+	s := p.Slot()
+	if s >= len(r.ids) {
+		r.ids = append(r.ids, make([]uint64, s+1-len(r.ids))...)
+	}
+	r.ids[s] = r.nextID
 	kind := KindAlloc
 	if pageCache {
 		kind = KindAllocCache
 	}
-	r.emit(Event{Kind: kind, ID: r.nextID, Order: uint8(p.Order), MT: p.MT, Src: p.Src})
+	info := r.k.Info(p)
+	r.emit(Event{Kind: kind, ID: r.nextID, Order: uint8(info.Order), MT: info.MT, Src: info.Src})
+}
+
+// id returns p's event ID (0 for a handle allocated before Attach).
+func (r *Recorder) id(p kernel.Page) uint64 {
+	if s := p.Slot(); s < len(r.ids) {
+		return r.ids[s]
+	}
+	return 0
 }
 
 // OnFree implements kernel.EventSink.
-func (r *Recorder) OnFree(p *kernel.Page) {
-	id := r.ids[p]
-	delete(r.ids, p)
-	r.emit(Event{Kind: KindFree, ID: id})
-}
+func (r *Recorder) OnFree(p kernel.Page) { r.emit(Event{Kind: KindFree, ID: r.id(p)}) }
 
 // OnPin implements kernel.EventSink.
-func (r *Recorder) OnPin(p *kernel.Page) { r.emit(Event{Kind: KindPin, ID: r.ids[p]}) }
+func (r *Recorder) OnPin(p kernel.Page) { r.emit(Event{Kind: KindPin, ID: r.id(p)}) }
 
 // OnUnpin implements kernel.EventSink.
-func (r *Recorder) OnUnpin(p *kernel.Page) { r.emit(Event{Kind: KindUnpin, ID: r.ids[p]}) }
+func (r *Recorder) OnUnpin(p kernel.Page) { r.emit(Event{Kind: KindUnpin, ID: r.id(p)}) }
 
-// OnTick implements kernel.EventSink. Once ids has doubled since the
-// last prune it also drops the ids of handles the kernel let go without
-// an OnFree — reclaim detaches page-cache pages silently. A handle is
-// live exactly while PageAt returns it at its PFN, and handles are never
-// reused, so the test is exact and no id a later event needs is lost.
-func (r *Recorder) OnTick() {
-	if len(r.ids) >= r.pruneAt {
-		for p := range r.ids {
-			if r.k.PageAt(p.PFN) != p {
-				delete(r.ids, p)
-			}
-		}
-		r.pruneAt = max(2*len(r.ids), minPruneAt)
-	}
-	r.emit(Event{Kind: KindTick})
-}
+// OnTick implements kernel.EventSink.
+func (r *Recorder) OnTick() { r.emit(Event{Kind: KindTick}) }
 
 // ReplayStats summarises a replay.
 type ReplayStats struct {
@@ -241,7 +235,7 @@ type ReplayStats struct {
 // referencing failed allocations are skipped.
 func Replay(k *kernel.Kernel, r *Reader) (ReplayStats, error) {
 	var st ReplayStats
-	live := make(map[uint64]*kernel.Page)
+	live := make(map[uint64]kernel.Page)
 	for {
 		e, err := r.Read()
 		if errors.Is(err, io.EOF) {
@@ -267,23 +261,21 @@ func Replay(k *kernel.Kernel, r *Reader) (ReplayStats, error) {
 			}
 			live[e.ID] = p
 		case KindFree:
-			if p := live[e.ID]; p != nil {
+			if p, ok := live[e.ID]; ok {
 				if k.Live(p) {
-					if p.Pinned {
-						k.Unpin(p)
-					}
+					k.Unpin(p)
 					k.Free(p)
 				}
 				delete(live, e.ID)
 			}
 		case KindPin:
-			if p := live[e.ID]; p != nil && k.Live(p) {
+			if p, ok := live[e.ID]; ok && k.Live(p) {
 				if err := k.Pin(p); err != nil {
 					st.AllocFailed++
 				}
 			}
 		case KindUnpin:
-			if p := live[e.ID]; p != nil && k.Live(p) {
+			if p, ok := live[e.ID]; ok {
 				k.Unpin(p)
 			}
 		case KindTick:

@@ -97,7 +97,7 @@ func TestRecordReplayEquivalence(t *testing.T) {
 	k1 := testKernel(kernel.ModeContiguitas)
 	rec := Attach(k1, w)
 	rng := stats.NewRNG(5)
-	var live []*kernel.Page
+	var live []kernel.Page
 	for step := 0; step < 3000; step++ {
 		switch {
 		case rng.Bool(0.5) || len(live) == 0:
@@ -120,9 +120,7 @@ func TestRecordReplayEquivalence(t *testing.T) {
 		default:
 			i := rng.Intn(len(live))
 			p := live[i]
-			if p.Pinned {
-				k1.Unpin(p)
-			}
+			k1.Unpin(p)
 			k1.Free(p)
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
@@ -243,8 +241,10 @@ func TestQuickEventRoundTrip(t *testing.T) {
 
 // TestRecorderForgetsReclaimedPages: reclaim drops page-cache handles
 // without an OnFree, and the recorder must not keep their ids for the
-// rest of the recording. The trace itself must not change: its length
-// and digest are pinned to what the recorder wrote before it pruned.
+// rest of the recording: its id table is indexed by page-table slot, so
+// it never outgrows one entry per frame. The trace itself must not
+// change: its length and digest are pinned to what the recorder wrote
+// when it kept ids in a map it pruned.
 func TestRecorderForgetsReclaimedPages(t *testing.T) {
 	cfg := kernel.DefaultConfig(kernel.ModeContiguitas)
 	cfg.MemBytes = 32 << 20
@@ -254,7 +254,7 @@ func TestRecorderForgetsReclaimedPages(t *testing.T) {
 	w, _ := NewWriter(&buf)
 	rec := Attach(k, w)
 	rng := stats.NewRNG(3)
-	var user []*kernel.Page
+	var user []kernel.Page
 	for tick := 0; tick < 50; tick++ {
 		for i := 0; i < 2000; i++ {
 			k.AllocPageCache(0, mem.SrcFilesystem)
@@ -279,17 +279,17 @@ func TestRecorderForgetsReclaimedPages(t *testing.T) {
 
 	live := 0
 	for pfn := uint64(0); pfn < k.PM().NPages; pfn++ {
-		if k.PageAt(pfn) != nil {
+		if _, ok := k.PageAt(pfn); ok {
 			live++
 		}
 	}
 	if k.ReclaimedPages < 10*uint64(live) {
 		t.Fatalf("only %d pages reclaimed for %d live handles: the run does not exercise the leak", k.ReclaimedPages, live)
 	}
-	// Between prunes ids grows to at most twice what the last prune
-	// kept (or minPruneAt).
-	if limit := 2*live + minPruneAt; len(rec.ids) > limit {
-		t.Fatalf("recorder holds %d ids for %d live handles (limit %d)", len(rec.ids), live, limit)
+	// Every live allocation holds a frame, so the slots in use never
+	// outnumber the frames (slot 0 is never handed out).
+	if limit := int(k.PM().NPages) + 1; len(rec.ids) > limit {
+		t.Fatalf("recorder holds %d ids for %d frames (limit %d)", len(rec.ids), k.PM().NPages, limit)
 	}
 	if n, d := buf.Len(), seal.Sum64(buf.Bytes()); n != 1302510 || d != 0x5ac17ac49385ee26 {
 		t.Fatalf("trace is %d bytes with digest %#016x, pinned 1302510 and 0x5ac17ac49385ee26", n, d)

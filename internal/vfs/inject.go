@@ -188,6 +188,40 @@ func (f *InjectFS) MkdirAll(p string, m fs.FileMode) error  { return f.inner.Mkd
 func (f *InjectFS) ReadDir(p string) ([]fs.DirEntry, error) { return f.inner.ReadDir(p) }
 func (f *InjectFS) Stat(p string) (fs.FileInfo, error)      { return f.inner.Stat(p) }
 
+// DeadFS is an InjectFS for crash models. A process that died at a
+// storage operation runs no cleanup after it, so once a write, fsync or
+// rename fault has fired, Remove fails too: a torn file that a writer
+// would delete on its error path stays on disk, as after a real crash.
+type DeadFS struct{ *InjectFS }
+
+// deathPoints are the faults that stand for the process dying.
+var deathPoints = []string{fault.PointFSWrite, fault.PointFSFsync, fault.PointFSRename}
+
+// Remove fails once the process is dead.
+func (d DeadFS) Remove(path string) error {
+	d.mu.Lock()
+	dead := false
+	for _, p := range deathPoints {
+		dead = dead || d.in.Fired(p) > 0
+	}
+	d.mu.Unlock()
+	if dead {
+		return errInjected("remove", path)
+	}
+	return d.InjectFS.Remove(path)
+}
+
+// Kill makes every write, fsync and rename fail from the next operation
+// on: the process dies now. It is safe to call while other goroutines
+// use the filesystem.
+func (d DeadFS) Kill() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, p := range deathPoints {
+		d.in.Arm(p, fault.Trigger{EveryN: 1, From: d.ops + 1})
+	}
+}
+
 // injFile intercepts the write-side crossings of a temp file.
 type injFile struct {
 	File

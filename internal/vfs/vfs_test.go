@@ -290,3 +290,100 @@ func TestRotHelperMatchesReadPath(t *testing.T) {
 		t.Fatal("Rot mutated its input")
 	}
 }
+
+// renameFirst is WriteDurable with its rename moved ahead of the write:
+// the target is replaced by an empty file that the write then fills.
+// On an error it removes the target it tore, which is only possible in
+// a process that survived the failure.
+func renameFirst(fsys FS, path string, data []byte) error {
+	dir := filepath.Dir(path)
+	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	if err := fsys.Rename(f.Name(), path); err != nil {
+		f.Close()
+		fsys.Remove(f.Name())
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		fsys.Remove(path)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		fsys.Remove(path)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return fsys.SyncDir(dir)
+}
+
+// tornAt kills write at every storage operation it makes, on inject or
+// on a DeadFS over it, and returns the crash points after which path
+// holds neither nothing nor the full payload.
+func tornAt(t *testing.T, dead bool, write func(FS, string, []byte) error) []uint64 {
+	t.Helper()
+	payload := []byte("the durable payload")
+	var torn []uint64
+	for k := uint64(1); k <= 4; k++ {
+		path := filepath.Join(t.TempDir(), "rec.bin")
+		in := fault.New(k)
+		for _, p := range []string{fault.PointFSWrite, fault.PointFSFsync, fault.PointFSRename} {
+			in.Arm(p, fault.Trigger{EveryN: 1, From: k})
+		}
+		inj := NewInjectFS(OS{}, in, InjectConfig{})
+		var fsys FS = inj
+		if dead {
+			fsys = DeadFS{inj}
+		}
+		write(fsys, path, payload)
+		got, err := OS{}.ReadFile(path)
+		if err == nil && !bytes.Equal(got, payload) {
+			torn = append(torn, k)
+		}
+	}
+	return torn
+}
+
+// TestDeadFSCatchesRenameBeforeWrite: enumerating every crash point of
+// a durable write over a DeadFS catches a writer that renames before it
+// writes, which a plain InjectFS misses because the writer's own
+// error-path cleanup deletes the torn file after the simulated death.
+// WriteDurable itself leaves the target absent or whole at every point.
+func TestDeadFSCatchesRenameBeforeWrite(t *testing.T) {
+	if torn := tornAt(t, true, WriteFileDurable); len(torn) > 0 {
+		t.Fatalf("WriteFileDurable tore its target at crash points %v", torn)
+	}
+	if torn := tornAt(t, false, renameFirst); len(torn) > 0 {
+		t.Fatalf("InjectFS alone caught rename-before-write at %v; the cleanup should hide it", torn)
+	}
+	if torn := tornAt(t, true, renameFirst); len(torn) == 0 {
+		t.Fatal("DeadFS missed a writer that renames before it writes")
+	}
+}
+
+// TestDeadFSKill: after Kill every write, fsync, rename and remove
+// fails, and nothing before it did.
+func TestDeadFSKill(t *testing.T) {
+	dir := t.TempDir()
+	d := DeadFS{NewInjectFS(OS{}, fault.New(1), InjectConfig{})}
+	path := filepath.Join(dir, "a")
+	if err := WriteFileDurable(d, path, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	d.Kill()
+	if err := WriteFileDurable(d, filepath.Join(dir, "b"), []byte("v2")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("write after Kill: %v, want ErrInjected", err)
+	}
+	if err := d.Remove(path); !errors.Is(err, ErrInjected) {
+		t.Fatalf("remove after Kill: %v, want ErrInjected", err)
+	}
+	got, err := OS{}.ReadFile(path)
+	if err != nil || string(got) != "v1" {
+		t.Fatalf("file written before Kill: %q, %v", got, err)
+	}
+}

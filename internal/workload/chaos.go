@@ -381,8 +381,8 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 // events without recording them.
 type eventCount uint64
 
-func (n *eventCount) OnAlloc(*kernel.Page, bool) { *n++ }
-func (n *eventCount) OnFree(*kernel.Page)        { *n++ }
-func (n *eventCount) OnPin(*kernel.Page)         { *n++ }
-func (n *eventCount) OnUnpin(*kernel.Page)       { *n++ }
-func (n *eventCount) OnTick()                    { *n++ }
+func (n *eventCount) OnAlloc(kernel.Page, bool) { *n++ }
+func (n *eventCount) OnFree(kernel.Page)        { *n++ }
+func (n *eventCount) OnPin(kernel.Page)         { *n++ }
+func (n *eventCount) OnUnpin(kernel.Page)       { *n++ }
+func (n *eventCount) OnTick()                   { *n++ }

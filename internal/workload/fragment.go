@@ -31,20 +31,20 @@ func DefaultFragmenter(seed uint64) Fragmenter {
 // Run executes the fragmentation pass. It returns the unmovable residue
 // handles; production kernels would keep such allocations alive
 // indefinitely, so callers normally retain (and never free) them.
-func (f Fragmenter) Run(k *kernel.Kernel) []*kernel.Page {
+func (f Fragmenter) Run(k *kernel.Kernel) []kernel.Page {
 	rng := stats.NewRNG(f.Seed)
 	pm := k.PM()
 
 	// Phase 1: fill the machine with short-lived movable pages, indexed
 	// by pageblock so holes can be punched precisely.
-	byBlock := make(map[uint64][]*kernel.Page)
-	var all []*kernel.Page
+	byBlock := make(map[uint64][]kernel.Page)
+	var all []kernel.Page
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
 			break
 		}
-		blk := pm.PageblockOf(p.PFN)
+		blk := pm.PageblockOf(k.PFN(p))
 		byBlock[blk] = append(byBlock[blk], p)
 		all = append(all, p)
 	}
@@ -54,19 +54,17 @@ func (f Fragmenter) Run(k *kernel.Kernel) []*kernel.Page {
 	// hands the freshly freed frame to the unmovable request (a
 	// polluting fallback steal on Linux; a confined allocation on
 	// Contiguitas).
-	var residue []*kernel.Page
-	freed := make(map[*kernel.Page]bool)
+	var residue []kernel.Page
 	for blk := uint64(0); blk < pm.NumPageblocks(); blk++ {
 		pages := byBlock[blk]
 		if len(pages) == 0 || !rng.Bool(f.PoisonFraction) {
 			continue
 		}
 		victim := pages[rng.Intn(len(pages))]
-		if freed[victim] {
+		if !k.Live(victim) {
 			continue
 		}
 		k.Free(victim)
-		freed[victim] = true
 		src := mem.SrcNetworking
 		if rng.Bool(0.25) {
 			src = mem.SrcSlab
@@ -80,12 +78,12 @@ func (f Fragmenter) Run(k *kernel.Kernel) []*kernel.Page {
 
 	// Phase 3: the process exits — its movable memory is freed in
 	// random order, leaving scattered free 4 KB holes plus whatever
-	// larger runs happen to coalesce.
+	// larger runs happen to coalesce. Handles freed in phase 2 are
+	// stale now, even where their rows were reused.
 	shuffle(rng, all)
 	for _, p := range all {
-		if !freed[p] {
+		if k.Live(p) {
 			k.Free(p)
-			freed[p] = true
 		}
 	}
 	return residue
@@ -105,7 +103,7 @@ func PartialFragmenter(k *kernel.Kernel, p Profile, warmupTicks uint64, seed uin
 	r.mappings = nil
 }
 
-func shuffle(rng *stats.RNG, ps []*kernel.Page) {
+func shuffle(rng *stats.RNG, ps []kernel.Page) {
 	for i := len(ps) - 1; i > 0; i-- {
 		j := rng.Intn(i + 1)
 		ps[i], ps[j] = ps[j], ps[i]

@@ -74,9 +74,7 @@ func (v *poolVictim) OOMKill(tick uint64) uint64 {
 	default:
 		freed = r.unmovHeld
 		for _, p := range r.unmov {
-			if p.Pinned {
-				r.K.Unpin(p)
-			}
+			r.K.Unpin(p)
 			r.K.Free(p)
 		}
 		r.unmov = r.unmov[:0]

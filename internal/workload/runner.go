@@ -21,11 +21,10 @@ type Runner struct {
 	rng *stats.RNG
 
 	mappings []*kernel.Mapping
-	unmov    []*kernel.Page
-	small    []*kernel.Page
-	// freeBatch is the reused, cleared-after-use queue of one churn
-	// pass's frees.
-	freeBatch []*kernel.Page
+	unmov    []kernel.Page
+	small    []kernel.Page
+	// freeBatch is the reused queue of one churn pass's frees.
+	freeBatch []kernel.Page
 	// unmovHeld and mappingHeld cache the frame counts of the unmovable
 	// pool and the user mappings (both are refilled in loops; recomputing
 	// the sums would be quadratic in pool size).
@@ -126,14 +125,15 @@ func (r *Runner) stepUnmovable() {
 	for i := 0; i < churn && len(r.unmov) > 0; i++ {
 		j := r.rng.Intn(len(r.unmov))
 		p := r.unmov[j]
-		if p.Pinned {
+		info := r.K.Info(p)
+		if info.Pinned {
 			// Free what is queued first, so the unpin lands between the
 			// same frees as it would one call at a time.
 			batch = r.flushFrees(batch)
 			r.K.Unpin(p)
 		}
 		batch = append(batch, p)
-		r.unmovHeld -= p.Pages()
+		r.unmovHeld -= info.Pages()
 		r.unmov[j] = r.unmov[len(r.unmov)-1]
 		r.unmov = r.unmov[:len(r.unmov)-1]
 	}
@@ -163,7 +163,7 @@ func (r *Runner) stepUnmovable() {
 				return
 			}
 			r.unmov = append(r.unmov, p)
-			r.unmovHeld += p.Pages()
+			r.unmovHeld += mem.OrderPages(order)
 			continue
 		}
 		p, err := r.K.Alloc(order, mem.MigrateUnmovable, src)
@@ -172,7 +172,7 @@ func (r *Runner) stepUnmovable() {
 			return
 		}
 		r.unmov = append(r.unmov, p)
-		r.unmovHeld += p.Pages()
+		r.unmovHeld += mem.OrderPages(order)
 	}
 }
 
@@ -193,10 +193,11 @@ func (r *Runner) stepSlab() {
 		return
 	}
 	if r.slabObjs == nil {
-		// Presize for roughly one object per target frame; the append
-		// doubling from nil was a visible slice-growth churn source in
-		// study heap profiles.
-		r.slabObjs = make([]slabObj, 0, uint64(float64(r.unmovableTarget())*r.slabFrac))
+		// Presize for the objects that fill the slab share of the peak
+		// (burst) target when packed: the append growth was a visible
+		// slice-growth churn source in study heap profiles.
+		frames := float64(r.targetPages(r.P.UnmovableFrac)) * (1 + r.P.UnmovBurst) * r.slabFrac
+		r.slabObjs = make([]slabObj, 0, int(frames*r.slabMgr.ObjectsPerFrame()))
 	}
 	churn := int(float64(len(r.slabObjs)) * r.P.UnmovableChurn)
 	for i := 0; i < churn && len(r.slabObjs) > 0; i++ {
@@ -252,11 +253,10 @@ func (r *Runner) churnSmall() {
 }
 
 // flushFrees frees the queued handles in order (Kernel.FreeBatch) and
-// returns the emptied queue, its slots cleared so it pins no handle.
-func (r *Runner) flushFrees(batch []*kernel.Page) []*kernel.Page {
+// returns the emptied queue.
+func (r *Runner) flushFrees(batch []kernel.Page) []kernel.Page {
 	if len(batch) > 0 {
 		r.K.FreeBatch(batch)
-		clear(batch)
 	}
 	return batch[:0]
 }
@@ -265,7 +265,7 @@ func (r *Runner) flushFrees(batch []*kernel.Page) []*kernel.Page {
 func (r *Runner) fillSmall() {
 	target := r.targetPages(r.P.SmallUserFrac)
 	if r.small == nil && target > 0 {
-		r.small = make([]*kernel.Page, 0, target)
+		r.small = make([]kernel.Page, 0, target)
 	}
 	for uint64(len(r.small)) < target && !r.suppressed(vicSmall) {
 		// The bulk path serves the pages single calls would serve
@@ -335,7 +335,8 @@ func (r *Runner) churnMappings() {
 	for r.churnCarry >= 1 && len(r.mappings) > 0 {
 		r.churnCarry--
 		i := r.rng.Intn(len(r.mappings))
-		r.mappingHeld -= pagesOf(r.mappings[i])
+		held, _ := r.mappings[i].Frames(0)
+		r.mappingHeld -= held
 		r.K.FreeMapping(r.mappings[i])
 		r.mappings[i] = r.mappings[len(r.mappings)-1]
 		r.mappings = r.mappings[:len(r.mappings)-1]
@@ -380,15 +381,6 @@ func (r *Runner) fillUser() {
 // preserves it (512 base pages collapse into one 512-page block).
 func (r *Runner) mappingPages() uint64 { return r.mappingHeld }
 
-// pagesOf sums the frames backing one mapping.
-func pagesOf(m *kernel.Mapping) uint64 {
-	var n uint64
-	for _, b := range m.Blocks {
-		n += b.Pages()
-	}
-	return n
-}
-
 // userPages returns all frames held as user memory (mappings plus the
 // small-page pool).
 func (r *Runner) userPages() uint64 {
@@ -410,12 +402,9 @@ func (r *Runner) Redeploy() {
 func (r *Runner) THPCoverage() float64 {
 	var total, covered uint64
 	for _, m := range r.mappings {
-		for _, b := range m.Blocks {
-			total += b.Pages()
-			if b.Order >= mem.Order2M {
-				covered += b.Pages()
-			}
-		}
+		t, c := m.Frames(mem.Order2M)
+		total += t
+		covered += c
 	}
 	if total == 0 {
 		return 0
@@ -454,9 +443,7 @@ func (r *Runner) TearDown() {
 	}
 	r.small = nil
 	for _, p := range r.unmov {
-		if p.Pinned {
-			r.K.Unpin(p)
-		}
+		r.K.Unpin(p)
 		r.K.Free(p)
 	}
 	r.unmov = nil

@@ -15,8 +15,8 @@ import (
 // the last element, so slice order IS future behavior), the slab cache
 // occupancy with the object-handle list, and the churn/tick
 // accumulators. The profile and the derived source-mix tables are
-// configuration, re-created by NewRunner. Handle identities do not
-// survive a restore; every pool is rehydrated through kernel.PageAt and
+// configuration, re-created by NewRunner. Handle values do not survive
+// a restore; every pool is rehydrated through kernel.PageAt and
 // slab.(*Cache).ObjAt from serialized head-PFN coordinates.
 
 // MappingState is one serialized user mapping: its size and the head
@@ -78,28 +78,22 @@ func (r *Runner) ExportState() *RunnerState {
 	for _, m := range r.mappings {
 		ms := MappingState{Bytes: m.Bytes}
 		for _, b := range m.Blocks {
-			ms.Blocks = append(ms.Blocks, b.PFN)
+			ms.Blocks = append(ms.Blocks, r.K.PFN(b))
 		}
 		st.Mappings = append(st.Mappings, ms)
 	}
 	for _, p := range r.unmov {
-		st.Unmov = append(st.Unmov, p.PFN)
+		st.Unmov = append(st.Unmov, r.K.PFN(p))
 	}
 	for _, p := range r.small {
-		st.Small = append(st.Small, p.PFN)
+		st.Small = append(st.Small, r.K.PFN(p))
 	}
 	if r.slabMgr != nil {
-		// Group live handles per cache so each ExportState sees exactly
-		// the full pages it owns.
-		byCache := make([][]slab.Obj, r.slabMgr.NumCaches())
-		for _, so := range r.slabObjs {
-			byCache[so.cache] = append(byCache[so.cache], so.obj)
-		}
 		for ci := 0; ci < r.slabMgr.NumCaches(); ci++ {
-			st.Slab = append(st.Slab, r.slabMgr.Cache(ci).ExportState(byCache[ci]))
+			st.Slab = append(st.Slab, r.slabMgr.Cache(ci).ExportState())
 		}
 		for _, so := range r.slabObjs {
-			pfn, slot := so.obj.PageOf()
+			pfn, slot := r.slabMgr.Cache(so.cache).PageOf(so.obj)
 			st.SlabObjs = append(st.SlabObjs, SlabObjState{Cache: so.cache, PFN: pfn, Slot: slot})
 		}
 	}
@@ -131,15 +125,15 @@ func RestoreRunner(k *kernel.Kernel, p Profile, seed uint64, st *RunnerState) (*
 		copy(r.oomBackoffUntil, st.OOMBackoffUntil)
 	}
 
-	page := func(pfn uint64, what string) (*kernel.Page, error) {
-		h := k.PageAt(pfn)
-		if h == nil {
-			return nil, fmt.Errorf("workload: restore: %s handle at pfn %d is not live", what, pfn)
+	page := func(pfn uint64, what string) (kernel.Page, error) {
+		h, ok := k.PageAt(pfn)
+		if !ok {
+			return h, fmt.Errorf("workload: restore: %s handle at pfn %d is not live", what, pfn)
 		}
 		return h, nil
 	}
 	for _, ms := range st.Mappings {
-		blocks := make([]*kernel.Page, 0, len(ms.Blocks))
+		blocks := make([]kernel.Page, 0, len(ms.Blocks))
 		for _, pfn := range ms.Blocks {
 			b, err := page(pfn, "mapping block")
 			if err != nil {
@@ -147,7 +141,7 @@ func RestoreRunner(k *kernel.Kernel, p Profile, seed uint64, st *RunnerState) (*
 			}
 			blocks = append(blocks, b)
 		}
-		r.mappings = append(r.mappings, kernel.RestoreMapping(ms.Bytes, blocks))
+		r.mappings = append(r.mappings, k.RestoreMapping(ms.Bytes, blocks))
 	}
 	for _, pfn := range st.Unmov {
 		h, err := page(pfn, "unmovable pool")
@@ -173,9 +167,7 @@ func RestoreRunner(k *kernel.Kernel, p Profile, seed uint64, st *RunnerState) (*
 				len(st.Slab), r.slabMgr.NumCaches())
 		}
 		for ci, cs := range st.Slab {
-			err := r.slabMgr.Cache(ci).ImportState(cs, func(pfn uint64) *kernel.Page {
-				return k.PageAt(pfn)
-			})
+			err := r.slabMgr.Cache(ci).ImportState(cs, k.PageAt)
 			if err != nil {
 				return nil, err
 			}

@@ -38,7 +38,7 @@ func TestRunnerSnapshotRebuildsMappingCounters(t *testing.T) {
 	}
 	mixed := 0
 	for i, m := range r2.mappings {
-		if err := m.CheckCounters(); err != nil {
+		if err := m.CheckCounters(k2); err != nil {
 			t.Fatalf("restored mapping %d: %v", i, err)
 		}
 		if n := m.BlockCount(0); n != r.mappings[i].BlockCount(0) {
@@ -60,7 +60,7 @@ func TestRunnerSnapshotRebuildsMappingCounters(t *testing.T) {
 		t.Fatalf("restored run diverged: %016x vs %016x", h1, h2)
 	}
 	for i, m := range r2.mappings {
-		if err := m.CheckCounters(); err != nil {
+		if err := m.CheckCounters(k2); err != nil {
 			t.Fatalf("mapping %d after continuing: %v", i, err)
 		}
 	}

@@ -140,8 +140,8 @@ func TestPinnedNetworkingConfined(t *testing.T) {
 	r := NewRunner(k, p, 13)
 	r.Run(40)
 	for _, pg := range r.unmov {
-		if pg.Pinned && pg.PFN >= k.Boundary() {
-			t.Fatalf("pinned page %d escaped the unmovable region", pg.PFN)
+		if info := k.Info(pg); info.Pinned && info.PFN >= k.Boundary() {
+			t.Fatalf("pinned page %d escaped the unmovable region", info.PFN)
 		}
 	}
 	if k.PinMigrations == 0 {
