@@ -147,18 +147,25 @@ func BenchmarkFleetCampaignWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetCampaignWarmDir is one warm-sweep cell on disk: 256
-// one-server shards of tiny short-lived machines, each served from a
-// CTGCACH entry the setup wrote to a resultcache.Dir. Unlike
-// BenchmarkFleetCampaignWarm (the in-process LRU), every shard pays the
-// cache-hit path a fleetscan -sweep over -cache-dir pays: key, file
-// read, frame verification and sample decode.
-func BenchmarkFleetCampaignWarmDir(b *testing.B) {
+// warmSweepCell is one warm-sweep-shaped cell: 256 one-server shards
+// of tiny short-lived machines, so per-shard cache costs dominate.
+func warmSweepCell() fleet.Config {
 	cfg := fleet.DefaultConfig()
 	cfg.Servers, cfg.Shards = 256, 256
 	cfg.MemBytes = 32 << 20
 	cfg.TicksMin, cfg.TicksMax = 1, 2
 	cfg.Seed = 7
+	return cfg
+}
+
+// BenchmarkFleetCampaignWarmDir is one warm-sweep cell on disk: each
+// of its 256 shards served from a CTGCACH entry the setup wrote to a
+// resultcache.Dir. Unlike BenchmarkFleetCampaignWarm (the in-process
+// LRU), every shard pays the cache-hit path a fleetscan -sweep over
+// -cache-dir pays: key, file read, frame verification and sample
+// decode.
+func BenchmarkFleetCampaignWarmDir(b *testing.B) {
+	cfg := warmSweepCell()
 	cache := resultcache.NewDir(b.TempDir(), fleet.CacheSchemaVersion)
 	if _, err := fleet.RunSupervised(context.Background(), fleet.SupervisedConfig{Fleet: cfg, Cache: cache}); err != nil {
 		b.Fatal(err)
@@ -176,9 +183,43 @@ func BenchmarkFleetCampaignWarmDir(b *testing.B) {
 	}
 }
 
+// BenchmarkFleetCampaignColdDir is the fill behind a warm sweep: the
+// warm-sweep cell simulated and written into an empty resultcache.Dir
+// on every iteration, so each shard pays one simulation and one
+// CTGCACH entry write (temp file and rename, no fsync).
+func BenchmarkFleetCampaignColdDir(b *testing.B) {
+	cfg := warmSweepCell()
+	root := b.TempDir()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir, err := os.MkdirTemp(root, "fill")
+		if err != nil {
+			b.Fatal(err)
+		}
+		cache := resultcache.NewDir(dir, fleet.CacheSchemaVersion)
+		b.StartTimer()
+		res, err := fleet.RunSupervised(context.Background(), fleet.SupervisedConfig{Fleet: cfg, Cache: cache})
+		if err != nil || !res.Report.Complete {
+			b.Fatalf("campaign: %v %v", err, res.Report)
+		}
+		if res.CacheMisses != uint64(cfg.Shards) {
+			b.Fatalf("cold fill missed %d/%d shards", res.CacheMisses, cfg.Shards)
+		}
+		b.StopTimer()
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
 // BenchmarkSealedRecords writes and then reads back one record of each
-// on-disk format through its public API: a durable write (temp file,
-// fsync, rename, directory fsync) and a verified read. The CTGSHRD and
+// on-disk format through its public API, then reads it back verified.
+// CTGSNAP, CTGSHRD and CTGCAMP take the durable write (temp file,
+// fsync, rename, directory fsync); CTGCACH takes the atomic one (temp
+// file, rename, no fsync), since a cache entry a power loss drops or
+// tears is a verified miss or reject and is recomputed. The CTGSHRD and
 // CTGCACH rows also encode and decode their fleet-sample payload (an
 // 8-server shard), as a checkpoint resume and a cache hit do.
 func BenchmarkSealedRecords(b *testing.B) {

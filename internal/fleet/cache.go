@@ -187,12 +187,65 @@ func (c *campaign) noteCacheReject(shard int, reason uint64) {
 	}
 }
 
-// populateCache stores a freshly computed shard and releases the key's
-// singleflight followers. A failed Put degrades future runs to
-// recompute, never this one — the result is already merged.
+// cacheQueue bounds the entries a campaign's workers may have computed
+// ahead of its cache writer.
+const cacheQueue = 64
+
+// cacheEntry is one computed shard on its way into the cache.
+type cacheEntry struct {
+	key     uint64
+	payload []byte
+}
+
+// populateCache hands a freshly computed shard to the campaign's cache
+// writer and returns, so the worker goes on to its next shard while the
+// entry is written. The first entry starts the writer: a warm campaign
+// never needs one. One writer overlapping the workers' simulation costs
+// less than each worker writing its own entries: on disk a Put is
+// mostly the creation of a new file, which costs kernel CPU and
+// serialises on the cache directory.
 func (c *campaign) populateCache(sr *shardRun) {
-	_ = c.cache.Put(sr.cacheKey, encodeSamples(sr.samples[:sr.units]))
-	shardFlight.Finish(sr.cacheKey, c)
+	e := cacheEntry{sr.cacheKey, encodeSamples(sr.samples[:sr.units])}
+	c.putMu.Lock()
+	defer c.putMu.Unlock()
+	switch {
+	case c.putsClosed:
+		// An attempt the supervisor abandoned, finishing after the
+		// campaign returned.
+		c.store(e)
+		return
+	case c.puts == nil:
+		puts := make(chan cacheEntry, cacheQueue)
+		c.puts, c.written = puts, make(chan struct{})
+		go func() {
+			for e := range puts {
+				c.store(e)
+			}
+			close(c.written)
+		}()
+	}
+	c.puts <- e
+}
+
+// stopCacheWriter returns once every entry handed to the writer is
+// stored, so the next campaign over the same cache hits on it.
+func (c *campaign) stopCacheWriter() {
+	c.putMu.Lock()
+	c.putsClosed = true
+	puts := c.puts
+	c.putMu.Unlock()
+	if puts != nil {
+		close(puts)
+		<-c.written
+	}
+}
+
+// store writes one entry and releases the key's singleflight followers.
+// A failed Put degrades future runs to recompute, never this one — the
+// result is already merged.
+func (c *campaign) store(e cacheEntry) {
+	_ = c.cache.Put(e.key, e.payload)
+	shardFlight.Finish(e.key, c)
 }
 
 // releaseFlight abandons any singleflight leadership the campaign still

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"contiguitas/internal/resultcache"
 	"contiguitas/internal/seal"
 	"contiguitas/internal/telemetry"
+	"contiguitas/internal/vfs"
 )
 
 // runCached executes one supervised campaign over cfg with the given
@@ -333,5 +336,118 @@ func TestRunSupervisedPreCancelledContext(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want errors.Is(context.Canceled)", err)
+	}
+}
+
+// TestCachePowerLoss fills the result cache for a two-cell sweep of
+// eight one-server shards each through vfs.PowerLossFS, then puts every
+// entry, one at a time, into every state a power loss after the fill
+// may leave it in: absent, empty, short, zero-tailed or complete. For
+// each state the next sweep must reproduce the clean fill's canonical
+// bytes, count an absent entry as a miss and a damaged one as a reject,
+// and heal the entry, so the sweep after it is all hits.
+func TestCachePowerLoss(t *testing.T) {
+	var cells []Config
+	for _, mib := range []uint64{32, 64} {
+		cfg := tinyConfig()
+		cfg.Servers, cfg.Shards = 8, 8
+		cfg.MemBytes = mib << 20
+		cfg.TicksMin, cfg.TicksMax = 2, 6
+		cells = append(cells, cfg)
+	}
+	entries := uint64(len(cells) * cells[0].Shards)
+	cache := resultcache.NewDir(t.TempDir(), CacheSchemaVersion)
+	type tally struct{ hits, misses, rejects uint64 }
+	sweep := func() ([]byte, tally) {
+		var canon []byte
+		var n tally
+		for _, cfg := range cells {
+			res := runCached(t, cfg, cache)
+			canon = append(canon, CanonicalBytes(res.Study)...)
+			n.hits += res.CacheHits
+			n.misses += res.CacheMisses
+			n.rejects += res.CacheRejects
+		}
+		return canon, n
+	}
+
+	p := vfs.NewPowerLossFS(vfs.Active())
+	restore := vfs.SetDefault(p)
+	want, n := sweep()
+	restore()
+	if n != (tally{misses: entries}) {
+		t.Fatalf("clean fill tallies %+v, want %d misses", n, entries)
+	}
+	if syncs := p.Count(vfs.OpSync) + p.Count(vfs.OpSyncDir); syncs != 0 || p.Count(vfs.OpRename) != int(entries) {
+		t.Fatalf("the fill made %d fsyncs and %d renames, want 0 and %d", syncs, p.Count(vfs.OpRename), entries)
+	}
+
+	seen := map[vfs.OutcomeKind]int{}
+	for _, e := range p.Crash(p.Ops()) {
+		if filepath.Ext(e.Path) != ".ctgcach" {
+			continue // a temp file: the cache never reads one
+		}
+		var complete []byte
+		for _, o := range e.Outcomes {
+			if o.Kind == vfs.Complete {
+				complete = o.Data
+			}
+		}
+		for _, o := range e.Outcomes {
+			if err := o.Show(vfs.OS{}, e.Path); err != nil {
+				t.Fatal(err)
+			}
+			got, n := sweep()
+			wantN := tally{hits: entries - 1, rejects: 1}
+			switch o.Kind {
+			case vfs.Absent:
+				wantN = tally{hits: entries - 1, misses: 1}
+			case vfs.Complete:
+				wantN = tally{hits: entries}
+			}
+			if n != wantN {
+				t.Fatalf("%s %s: sweep tallies %+v, want %+v", filepath.Base(e.Path), o.Kind, n, wantN)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s %s: sweep bytes differ from the clean fill", filepath.Base(e.Path), o.Kind)
+			}
+			if _, n := sweep(); n != (tally{hits: entries}) {
+				t.Fatalf("%s %s: the sweep after the heal tallies %+v, want all hits", filepath.Base(e.Path), o.Kind, n)
+			}
+			if data, err := os.ReadFile(e.Path); err != nil || !bytes.Equal(data, complete) {
+				t.Fatalf("%s %s: healed entry differs from the clean fill's (%v)", filepath.Base(e.Path), o.Kind, err)
+			}
+			seen[o.Kind]++
+		}
+	}
+	for _, kind := range []vfs.OutcomeKind{vfs.Absent, vfs.Empty, vfs.Prefix, vfs.ZeroTail, vfs.Complete} {
+		if seen[kind] < int(entries) {
+			t.Errorf("%d entries showed %s, want all %d", seen[kind], kind, entries)
+		}
+	}
+}
+
+// TestCacheWriterStoresEveryEntry: entries handed to the campaign's
+// cache writer are all stored once stopCacheWriter returns, and an
+// entry from an abandoned attempt that finishes after the campaign
+// returned is stored directly, never sent to the stopped writer.
+func TestCacheWriterStoresEveryEntry(t *testing.T) {
+	cache := resultcache.NewLRU(2*cacheQueue, CacheSchemaVersion)
+	c := &campaign{cache: cache}
+	put := func(key uint64) {
+		c.populateCache(&shardRun{c: c, cacheKey: key})
+	}
+	for key := uint64(0); key < cacheQueue+8; key++ {
+		put(key)
+	}
+	c.stopCacheWriter()
+	put(1000)
+	for _, key := range []uint64{0, cacheQueue + 7, 1000} {
+		if _, err := cache.Get(key); err != nil {
+			t.Fatalf("entry %d after the writer stopped: %v", key, err)
+		}
+	}
+	if cache.Len() != cacheQueue+9 {
+		t.Fatalf("%d entries stored, want %d", cache.Len(), cacheQueue+9)
 	}
 }

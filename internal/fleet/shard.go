@@ -251,9 +251,16 @@ type campaign struct {
 	injectors     []*fault.Injector
 
 	// Result cache (nil disables). cacheKeys holds one content address
-	// per shard.
-	cache     resultcache.Cache
-	cacheKeys []uint64
+	// per shard. puts feeds the campaign's cache writer, started by the
+	// first entry to store; written closes when the writer has stored
+	// every entry sent to it; putsClosed is set when the campaign stops
+	// the writer. putMu guards the three.
+	cache      resultcache.Cache
+	cacheKeys  []uint64
+	putMu      sync.Mutex
+	puts       chan cacheEntry
+	written    chan struct{}
+	putsClosed bool
 
 	mu sync.Mutex
 	// last is each shard's newest checkpoint (nil before its first):
@@ -362,6 +369,7 @@ func RunSupervised(ctx context.Context, scfg SupervisedConfig) (*CampaignResult,
 		res.CheckpointFaultsInjected += in.Fired(fault.PointFleetCheckpointWrite)
 	}
 	if c.cache != nil {
+		c.stopCacheWriter()
 		c.mu.Lock()
 		res.CacheHits, res.CacheMisses, res.CacheRejects = c.cacheHits, c.cacheMisses, c.cacheRejects
 		c.mu.Unlock()

@@ -6,10 +6,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"contiguitas/internal/vfs"
 )
 
 func TestDirRoundTrip(t *testing.T) {
@@ -346,5 +350,77 @@ func TestFlightWaitTimeout(t *testing.T) {
 	}
 	if time.Since(start) > time.Second {
 		t.Fatal("timeout wait blocked far past its bound")
+	}
+}
+
+// TestDirPowerLoss: a power loss at any point of a fill may leave any
+// entry absent, empty, short, zero-tailed, complete or (for an entry
+// the fill overwrote) as it was before; vfs.PowerLossFS enumerates
+// every such state at every crash point. Get must turn each into
+// exactly the stored payload, ErrMiss for an absent file, or a reject
+// for a damaged one: never a different payload.
+func TestDirPowerLoss(t *testing.T) {
+	dir := t.TempDir()
+	c := NewDir(dir, 1)
+	want := map[uint64][]byte{}
+	for key := uint64(1); key <= 3; key++ {
+		want[key] = bytes.Repeat([]byte{byte('a' + key)}, 40*int(key))
+	}
+	// Entry 3 starts corrupt, so the fill's Put of it is a heal.
+	if err := c.Put(3, want[3]); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(c.EntryPath(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0xFF
+	if err := os.WriteFile(c.EntryPath(3), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	p := vfs.NewPowerLossFS(vfs.Active())
+	restore := vfs.SetDefault(p)
+	for key := uint64(1); key <= 3; key++ {
+		if err := c.Put(key, want[key]); err != nil {
+			restore()
+			t.Fatal(err)
+		}
+	}
+	restore()
+	if n := p.Count(vfs.OpSync) + p.Count(vfs.OpSyncDir); n != 0 {
+		t.Fatalf("the fill made %d fsyncs, want 0", n)
+	}
+
+	probe := NewDir(t.TempDir(), 1)
+	seen := map[vfs.OutcomeKind]int{}
+	for k := 0; k <= p.Ops(); k++ {
+		for _, e := range p.Crash(k) {
+			key, err := strconv.ParseUint(strings.TrimSuffix(filepath.Base(e.Path), entrySuffix), 16, 64)
+			if err != nil {
+				continue // a temp file: Get never reads one
+			}
+			for _, o := range e.Outcomes {
+				if err := o.Show(vfs.OS{}, probe.EntryPath(key)); err != nil {
+					t.Fatal(err)
+				}
+				got, err := probe.Get(key)
+				switch {
+				case err == nil && bytes.Equal(got, want[key]):
+				case err == nil:
+					t.Fatalf("crash at op %d, entry %d %s: Get returned a wrong payload %q", k, key, o.Kind, got)
+				case o.Kind == vfs.Absent && !errors.Is(err, ErrMiss):
+					t.Fatalf("crash at op %d, entry %d absent: Get = %v, want ErrMiss", k, key, err)
+				case o.Kind != vfs.Absent && !IsReject(err):
+					t.Fatalf("crash at op %d, entry %d %s: Get = %v, want a reject", k, key, o.Kind, err)
+				}
+				seen[o.Kind]++
+			}
+		}
+	}
+	for _, kind := range []vfs.OutcomeKind{vfs.Absent, vfs.Empty, vfs.Prefix, vfs.ZeroTail, vfs.Complete} {
+		if seen[kind] == 0 {
+			t.Errorf("no crash state showed a %s entry", kind)
+		}
 	}
 }

@@ -1,5 +1,5 @@
 // Package vfs is the storage plane's seam: a small filesystem
-// abstraction every durable-write site in the repository goes through,
+// abstraction every write site in the repository goes through,
 // so the deterministic fault injector (internal/fault) can sit under
 // the real I/O exactly the way it already sits under the simulated
 // hardware. The design follows errorfs-style wrappers (Pebble, CockroachDB):
@@ -7,7 +7,9 @@
 // decorator that consults armed fault points on every write, fsync,
 // rename, and read — including an ENOSPC mode and deterministic bit-rot
 // on reads, the two storage failures digest-verified formats must
-// survive without panicking or silently trusting rotted bytes.
+// survive without panicking or silently trusting rotted bytes — and a
+// PowerLossFS that logs a run and builds every disk state a power loss
+// may leave behind (powerloss.go).
 //
 // The package-level default FS (Active/SetDefault) exists because the
 // durable-write discipline is invoked from deep inside call chains
@@ -121,12 +123,46 @@ func SetDefault(f FS) (restore func()) {
 }
 
 // WriteDurable streams fill into path with the full crash-durability
-// discipline on fsys: create the parent directory, write a
-// same-directory temp file, fsync it, rename it over path, fsync the
-// parent directory. A failure at any step removes the temp file and
-// leaves the previous complete version of path (or nothing) in place —
-// never a torn target.
+// discipline on fsys: the atomic temp-file-plus-rename write, with the
+// temp file fsynced before the rename and the parent directory fsynced
+// after it. Once it returns nil, path holds the new bytes across a
+// power loss.
 func WriteDurable(fsys FS, path string, fill func(io.Writer) error) error {
+	return writeRenamed(fsys, path, true, fill)
+}
+
+// WriteFileDurable writes data to path with the durable-write
+// discipline on fsys.
+func WriteFileDurable(fsys FS, path string, data []byte) error {
+	return writeRenamed(fsys, path, true, writeAll(data))
+}
+
+// WriteFileAtomic writes data to path atomically but not durably: a
+// same-directory temp file renamed over path, with no fsync. Readers
+// see the previous complete version of path or the new one, never a
+// torn file, while the system stays up. After a power loss path may be
+// absent, keep its previous version, or hold the new name over an
+// empty, short or zero-filled file (PowerLossFS enumerates these), so
+// only a writer whose reader verifies every byte and recomputes what it
+// refuses may use it: the result cache.
+func WriteFileAtomic(fsys FS, path string, data []byte) error {
+	return writeRenamed(fsys, path, false, writeAll(data))
+}
+
+func writeAll(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
+}
+
+// writeRenamed is the one temp-file-plus-rename routine: create the
+// parent directory, stream fill into a same-directory temp file, rename
+// it over path. durable adds the two fsyncs: the temp file's before the
+// rename, the directory's after it. A failure at any step removes the
+// temp file and leaves the previous complete version of path (or
+// nothing) in place — never a torn target.
+func writeRenamed(fsys FS, path string, durable bool, fill func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	if dir != "." && dir != "" {
 		if err := fsys.MkdirAll(dir, 0o755); err != nil {
@@ -138,32 +174,22 @@ func WriteDurable(fsys FS, path string, fill func(io.Writer) error) error {
 		return err
 	}
 	tmp := f.Name()
-	if err := fill(f); err != nil {
-		f.Close()
+	err = fill(f)
+	if err == nil && durable {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
 		fsys.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
+	if durable {
+		return fsys.SyncDir(dir)
 	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return fsys.SyncDir(dir)
-}
-
-// WriteFileDurable writes data to path with the durable-write
-// discipline on fsys.
-func WriteFileDurable(fsys FS, path string, data []byte) error {
-	return WriteDurable(fsys, path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
+	return nil
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Allocation ledger: the bytes and allocations per operation of the
 # benchmarks on the simulator's allocation-heavy paths (the cold contigd
-# cell, the two warm campaigns, and a write-then-read of every sealed
+# cell, the two warm campaigns, the cold fill of a warm-sweep cell, the
+# bulk and single 4 KB buddy runs, and a write-then-read of every sealed
 # record format), kept in results/alloc_ledger.txt. Time stays out of
 # it: allocation counts are a property of the code, while a timing is
 # one of the host as much.
@@ -13,7 +14,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ledger=results/alloc_ledger.txt
-pattern='^(BenchmarkColdCell|BenchmarkFleetCampaignWarm|BenchmarkFleetCampaignWarmDir|BenchmarkSealedRecords)$'
+pattern='^(BenchmarkColdCell|BenchmarkFleetCampaignWarm|BenchmarkFleetCampaignWarmDir|BenchmarkFleetCampaignColdDir|BenchmarkBuddyAllocFree4KBulk|BenchmarkSealedRecords)$'
 mode=check
 if [ "${1:-}" = "-write" ]; then
     mode=write
@@ -55,9 +56,9 @@ if mode == "write":
         out.write("# scripts/alloc-ledger.sh -write (go test -benchmem -benchtime 1s).\n")
         out.write("# The script fails when a row grows by more than 2%.\n")
         out.write(f"# toolchain: {toolchain}\n")
-        out.write(f"# {'benchmark':<36} {'B/op':>12} {'allocs/op':>10}\n")
+        out.write(f"# {'benchmark':<46} {'B/op':>12} {'allocs/op':>10}\n")
         for name, (b, a) in run.items():
-            out.write(f"{name:<38} {b:>12} {a:>10}\n")
+            out.write(f"{name:<48} {b:>12} {a:>10}\n")
     print(f"wrote {ledger}")
     sys.exit(0)
 
