@@ -40,9 +40,7 @@ import (
 	"time"
 
 	"contiguitas/internal/cli"
-	"contiguitas/internal/fleet"
 	"contiguitas/internal/obsv"
-	"contiguitas/internal/resultcache"
 	"contiguitas/internal/service"
 	"contiguitas/internal/vfs"
 )
@@ -59,7 +57,6 @@ func main() {
 	probeInterval := flag.Duration("probe-interval", 0, "degraded-mode store probe cadence (0 picks the default)")
 	scrub := flag.Bool("scrub", false, "run an integrity scrub over -state-dir before serving")
 	scrubEvery := flag.Duration("scrub-every", 0, "repeat the integrity scrub on this cadence while serving (0 = startup-only)")
-	scrubCache := flag.String("scrub-cache", "", "result-cache directory to include in integrity scrubs")
 	chaosFS := flag.String("chaos-fs", "", "arm the fault-injecting filesystem, e.g. \"seed=7,write=0.05,rot\" (soak testing only)")
 	cli.Parse(flag.CommandLine, os.Args[1:])
 
@@ -104,9 +101,6 @@ func main() {
 	})
 
 	scrubCfg := service.ScrubConfig{Disk: disk, Sched: sched}
-	if *scrubCache != "" {
-		scrubCfg.Cache = resultcache.NewDir(*scrubCache, fleet.CacheSchemaVersion)
-	}
 	if *scrub || *scrubEvery > 0 {
 		// Scrub before recovery: a rotted record is quarantined (lost, not
 		// trusted) and a rotted cell is requeued before any worker can

@@ -19,7 +19,6 @@ package fleet
 import (
 	"errors"
 	"math"
-	"time"
 
 	"contiguitas/internal/resultcache"
 	"contiguitas/internal/seal"
@@ -35,18 +34,6 @@ import (
 // old entries as misses, while in the envelope it makes staleness a
 // detected, counted rejection.
 const CacheSchemaVersion = 1
-
-// defaultCacheWait bounds a singleflight follower's wait for the
-// leader's Put. The flight is an optimization, never a correctness
-// gate: a follower that outwaits a wedged leader simulates the shard
-// itself.
-const defaultCacheWait = 10 * time.Second
-
-// shardFlight dedups concurrent identical-key shard computations across
-// every campaign in the process, so two sweeps racing over the same grid
-// simulate each configuration once. Leadership is owned per campaign and
-// released at the latest when its RunSupervised returns.
-var shardFlight = resultcache.NewFlight()
 
 // resolveShards returns the effective shard count for cfg: Config.Shards
 // when positive, the DefaultShards partition otherwise, never more than
@@ -92,65 +79,32 @@ const (
 )
 
 // tryCache serves sr wholly from the result cache when a trustworthy
-// entry exists, returning true iff the shard is complete. On a miss it
-// takes (or briefly waits on) the key's singleflight leadership and arms
-// sr to populate the cache at completion.
+// entry exists, returning true iff the shard is complete. On a miss or
+// a rejected entry it arms sr to populate the cache at completion, so
+// the recompute's Put fills or heals the entry.
 func (c *campaign) tryCache(sr *shardRun) bool {
-	key := c.cacheKeys[sr.shard]
-	if c.loadCached(sr, key, true) {
-		return true
-	}
-	// Miss or rejected entry: elect one computation per key across the
-	// process. A follower waits bounded and then computes anyway —
-	// duplicate work beats any chance of cross-campaign deadlock — and a
-	// crashed leader's retry re-joins as leader (ownership is the
-	// campaign, not the attempt).
-	if leader, wait := shardFlight.Join(key, c); !leader {
-		if wait(defaultCacheWait) && c.loadCached(sr, key, false) {
-			return true
-		}
-	}
-	sr.cacheKey, sr.cachePut = key, true
-	return false
-}
-
-// loadCached attempts one cache read into sr. count selects whether the
-// campaign tallies move: the post-singleflight re-read is an internal
-// detail (the shard's outcome stays "miss"; the flight merely saved the
-// duplicate work), so only the first read per open counts.
-func (c *campaign) loadCached(sr *shardRun, key uint64, count bool) bool {
-	payload, err := c.cache.Get(key)
-	if err == nil {
-		if decodeSamplesInto(sr.samples[:sr.units], payload) != nil {
-			// The envelope verified but the payload is not a shard of the
-			// expected shape — still a lie, still recomputed.
-			if count {
-				c.noteCacheReject(sr.shard, cacheRejectCorrupt)
-			}
-			return false
-		}
+	payload, err := c.cache.Get(c.cacheKeys[sr.shard])
+	switch {
+	case err == nil && decodeSamplesInto(sr.samples[:sr.units], payload) == nil:
 		sr.done = sr.units
 		sr.fromCache = true
-		if count {
-			c.noteCacheOutcome(sr.shard, cacheHit)
-		}
+		c.noteCacheOutcome(sr.shard, cacheHit)
 		return true
-	}
-	if !count {
-		return false
-	}
-	switch {
+	case err == nil:
+		// The envelope verified but the payload is not a shard of the
+		// expected shape — still a lie, still recomputed.
+		c.noteCacheReject(sr.shard, cacheRejectCorrupt)
 	case errors.Is(err, resultcache.ErrStaleSchema):
 		c.noteCacheReject(sr.shard, cacheRejectSchema)
 	case resultcache.IsReject(err):
 		c.noteCacheReject(sr.shard, cacheRejectCorrupt)
-	case errors.Is(err, resultcache.ErrMiss):
-		c.noteCacheOutcome(sr.shard, cacheMiss)
 	default:
-		// Operational error (unreadable cache directory): the cache is
-		// best-effort, so degrade to a miss rather than failing the shard.
+		// A miss, or an operational error (unreadable cache directory):
+		// the cache is best-effort, so both are a miss rather than a
+		// failed shard.
 		c.noteCacheOutcome(sr.shard, cacheMiss)
 	}
+	sr.cachePut = true
 	return false
 }
 
@@ -205,7 +159,7 @@ type cacheEntry struct {
 // mostly the creation of a new file, which costs kernel CPU and
 // serialises on the cache directory.
 func (c *campaign) populateCache(sr *shardRun) {
-	e := cacheEntry{sr.cacheKey, encodeSamples(sr.samples[:sr.units])}
+	e := cacheEntry{c.cacheKeys[sr.shard], encodeSamples(sr.samples[:sr.units])}
 	c.putMu.Lock()
 	defer c.putMu.Unlock()
 	switch {
@@ -240,19 +194,8 @@ func (c *campaign) stopCacheWriter() {
 	}
 }
 
-// store writes one entry and releases the key's singleflight followers.
-// A failed Put degrades future runs to recompute, never this one — the
-// result is already merged.
+// store writes one entry. A failed Put degrades future runs to
+// recompute, never this one — the result is already merged.
 func (c *campaign) store(e cacheEntry) {
 	_ = c.cache.Put(e.key, e.payload)
-	shardFlight.Finish(e.key, c)
-}
-
-// releaseFlight abandons any singleflight leadership the campaign still
-// holds (crashed-then-quarantined shards, cancellation). Idempotent and
-// owner-scoped, so sweeping every key is safe.
-func (c *campaign) releaseFlight() {
-	for _, key := range c.cacheKeys {
-		shardFlight.Finish(key, c)
-	}
 }

@@ -258,33 +258,54 @@ func TestCacheTracepoints(t *testing.T) {
 }
 
 // TestCacheConcurrentCampaigns: many campaigns over the same
-// configuration share one cache and one process-wide singleflight; all
-// must complete with identical samples and no deadlock. (Exact Put
-// counts are timing-dependent; correctness is not.)
+// configuration race on one cache, with no coordination between them;
+// all must complete with identical samples. Concurrent Puts of a key
+// are last-writer-wins and every writer stores the same bytes, so a
+// campaign run after the race hits on every shard and rejects none.
+// (Which campaign computes which shard is timing-dependent; the
+// samples are not.)
 func TestCacheConcurrentCampaigns(t *testing.T) {
 	cfg := tinyConfig()
-	cache := resultcache.NewLRU(64, CacheSchemaVersion)
 	want := Run(cfg).Samples
-	const campaigns = 6
-	results := make([][]Sample, campaigns)
-	var wg sync.WaitGroup
-	for i := 0; i < campaigns; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := RunSupervised(context.Background(), SupervisedConfig{Fleet: cfg, Cache: cache})
-			if err != nil {
-				t.Error(err)
-				return
+	for _, tc := range []struct {
+		name  string
+		cache func(t *testing.T) resultcache.Cache
+	}{
+		{"lru", func(*testing.T) resultcache.Cache { return resultcache.NewLRU(64, CacheSchemaVersion) }},
+		{"dir", func(t *testing.T) resultcache.Cache { return resultcache.NewDir(t.TempDir(), CacheSchemaVersion) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := tc.cache(t)
+			const campaigns = 6
+			results := make([][]Sample, campaigns)
+			var wg sync.WaitGroup
+			for i := 0; i < campaigns; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					res, err := RunSupervised(context.Background(), SupervisedConfig{Fleet: cfg, Cache: cache})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					results[i] = res.Study.Samples
+				}(i)
 			}
-			results[i] = res.Study.Samples
-		}(i)
-	}
-	wg.Wait()
-	for i, got := range results {
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("campaign %d samples differ from uncached reference", i)
-		}
+			wg.Wait()
+			for i, got := range results {
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("campaign %d samples differ from uncached reference", i)
+				}
+			}
+			after := runCached(t, cfg, cache)
+			if after.CacheHits != uint64(cfg.Shards) || after.CacheRejects != 0 {
+				t.Fatalf("run after the race: hits=%d rejects=%d, want hits=%d rejects=0",
+					after.CacheHits, after.CacheRejects, cfg.Shards)
+			}
+			if !reflect.DeepEqual(after.Study.Samples, want) {
+				t.Fatal("run after the race diverged from uncached reference")
+			}
+		})
 	}
 }
 
@@ -433,9 +454,12 @@ func TestCachePowerLoss(t *testing.T) {
 // returned is stored directly, never sent to the stopped writer.
 func TestCacheWriterStoresEveryEntry(t *testing.T) {
 	cache := resultcache.NewLRU(2*cacheQueue, CacheSchemaVersion)
-	c := &campaign{cache: cache}
+	c := &campaign{cache: cache, cacheKeys: make([]uint64, 1001)}
+	for i := range c.cacheKeys {
+		c.cacheKeys[i] = uint64(i)
+	}
 	put := func(key uint64) {
-		c.populateCache(&shardRun{c: c, cacheKey: key})
+		c.populateCache(&shardRun{c: c, shard: int(key)})
 	}
 	for key := uint64(0); key < cacheQueue+8; key++ {
 		put(key)

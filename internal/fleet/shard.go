@@ -319,9 +319,6 @@ func RunSupervised(ctx context.Context, scfg SupervisedConfig) (*CampaignResult,
 		c.cacheState = make([]cacheOutcome, shards)
 		c.cacheRejected = make([]bool, shards)
 		c.cacheRejectReason = make([]uint64, shards)
-		// Whatever happens below, never exit still leading a singleflight
-		// key — followers in other campaigns would wait out their timeout.
-		defer c.releaseFlight()
 	}
 
 	if scfg.Dir != "" {
@@ -456,9 +453,7 @@ func restore(ck *snapshot.ShardCheckpoint, units uint64) ([]Sample, error) {
 // consulted first (a trusted whole-shard entry finishes the shard before
 // its first Step — no plans, no checkpoint restore); otherwise plans are
 // redrawn from the shard's seed (cheap, deterministic) and progress is
-// restored from the shard's last checkpoint. Open runs on a worker
-// goroutine before the heartbeat watchdog arms, so the bounded
-// singleflight wait inside tryCache is safe here.
+// restored from the shard's last checkpoint.
 func (c *campaign) open(shard, attempt int) (supervise.Shard, error) {
 	sp := c.spans[shard]
 	sr := &shardRun{c: c, shard: shard, units: sp.n, inj: c.injectors[shard]}
@@ -521,10 +516,9 @@ type shardRun struct {
 	scratch    mem.ContiguityStats
 	inj        *fault.Injector
 	// fromCache marks a shard served wholly from the result cache;
-	// cachePut arms population (and singleflight release) at completion.
+	// cachePut arms population at completion.
 	fromCache bool
 	cachePut  bool
-	cacheKey  uint64
 }
 
 // Step simulates the next server. The injected crash fires after the
@@ -553,12 +547,12 @@ func (sr *shardRun) Step() (bool, error) {
 	return false, nil
 }
 
-// finish merges the completed shard and, when this attempt owns the
-// shard's cache key, populates the result cache and releases its
-// singleflight followers. A cache-hit shard (fromCache, cachePut unset)
-// merges without re-writing the entry it was served from; a shard that
-// resumed to completion from a checkpoint still populates — its samples
-// are the same pure function of the inputs.
+// finish merges the completed shard and, when the cache missed or
+// rejected the shard's entry, populates the result cache. A cache-hit
+// shard (fromCache, cachePut unset) merges without re-writing the entry
+// it was served from; a shard that resumed to completion from a
+// checkpoint still populates — its samples are the same pure function
+// of the inputs.
 func (sr *shardRun) finish() {
 	sr.publish()
 	if p := sr.c.cfg.Progress; p != nil {

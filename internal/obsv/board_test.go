@@ -70,9 +70,11 @@ func TestUnitsBeforeCampaign(t *testing.T) {
 	}
 }
 
-func TestMarkEndedWithoutUnits(t *testing.T) {
+// TestEndedWithoutUnits: a campaign that ends before reporting any
+// units reads 100%, not 0%.
+func TestEndedWithoutUnits(t *testing.T) {
 	c := NewBoard().Register("ref")
-	c.MarkEnded(true)
+	c.ObserveEnd(&supervise.Report{Complete: true})
 	st := c.Status()
 	if !st.Ended || !st.Complete || st.Percent != 100 {
 		t.Fatalf("status %+v", st)

@@ -24,10 +24,10 @@
 //     miss (recompute, then Put to overwrite the bad entry) and account
 //     for it separately (the fleet's cache_rejects counter).
 //
-// Concurrency. Both backends are safe for concurrent use. Flight adds
-// singleflight deduplication on top: concurrent computations of the same
-// key elect one leader, and followers wait for the leader's Put instead
-// of simulating the same inputs again.
+// Concurrency. Both backends are safe for concurrent use. The campaign
+// that reads an entry owns it: it verifies it, fills it on a miss and
+// heals a rejected entry by overwriting it. Concurrent writers of one
+// key are last-writer-wins, and every writer stores the same bytes.
 package resultcache
 
 import (
@@ -36,10 +36,8 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"contiguitas/internal/seal"
 	"contiguitas/internal/vfs"
@@ -90,7 +88,6 @@ var entryFormat = seal.Format{Magic: "CTGCACH", Version: 3, Err: ErrCorrupt}
 // processes — atomic renames make concurrent Puts last-writer-wins,
 // never torn.
 type Dir struct {
-	dir    string
 	prefix string // filepath.Join(dir, name) minus name
 	schema uint32
 }
@@ -104,8 +101,7 @@ const entrySuffix = ".ctgcach"
 func NewDir(dir string, schema uint32) *Dir {
 	// Joining a plain name appends it to the cleaned dir, so the prefix
 	// of one join serves every entry.
-	prefix := strings.TrimSuffix(filepath.Join(dir, "x"), "x")
-	return &Dir{dir: dir, prefix: prefix, schema: schema}
+	return &Dir{prefix: strings.TrimSuffix(filepath.Join(dir, "x"), "x"), schema: schema}
 }
 
 // EntryPath returns the file path an entry for key lives at:
@@ -123,23 +119,6 @@ func (d *Dir) EntryPath(key uint64) string {
 	b.Write(hex[:])
 	b.WriteString(entrySuffix)
 	return b.String()
-}
-
-// Keys lists the key of every entry file in the directory, in file-name
-// order; other files are ignored.
-func (d *Dir) Keys() ([]uint64, error) {
-	ents, err := vfs.Active().ReadDir(d.dir)
-	if err != nil {
-		return nil, err
-	}
-	var keys []uint64
-	for _, e := range ents {
-		hex, ok := strings.CutSuffix(e.Name(), entrySuffix)
-		if key, err := strconv.ParseUint(hex, 16, 64); ok && err == nil && len(hex) == 16 {
-			keys = append(keys, key)
-		}
-	}
-	return keys, nil
 }
 
 // Decode verifies sealed entry bytes for key and returns the payload:
@@ -190,11 +169,11 @@ func (d *Dir) Put(key uint64, payload []byte) error {
 	return vfs.WriteFileAtomic(vfs.Active(), d.EntryPath(key), entryFormat.Seal(w.Body()))
 }
 
-// LRU is the in-process backend: a bounded map evicting the
-// least-recently-used entry, for sweeps that revisit configurations
-// within one process. Entries cannot rot in memory, so Get can only
-// miss or hit — the schema version is recorded per entry anyway to keep
-// the two backends interchangeable in tests.
+// LRU is the in-memory backend: a bounded map evicting the
+// least-recently-used entry, used by tests and by the
+// BenchmarkFleetCampaignWarm ledger row. Entries cannot rot in memory,
+// so Get can only miss or hit — the schema version is recorded per
+// entry anyway to keep the two backends interchangeable in tests.
 type LRU struct {
 	mu     sync.Mutex
 	cap    int
@@ -265,76 +244,4 @@ func (c *LRU) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.byKey)
-}
-
-// Flight deduplicates concurrent computations of one key: the first
-// Join for a key becomes the leader and computes; later Joins become
-// followers and wait for the leader's Finish, then re-Get the value the
-// leader cached.
-//
-// Flight is an optimization, never a correctness gate: followers wait
-// with a bounded timeout and fall back to computing themselves, so a
-// crashed or wedged leader can delay followers but can never deadlock
-// them. Leadership is owner-scoped (owner is any comparable value, e.g.
-// a campaign pointer): a leader's retry attempt re-Joins as leader
-// instead of deadlocking on itself, and Finish only releases entries the
-// caller actually leads.
-type Flight struct {
-	mu    sync.Mutex
-	calls map[uint64]*flightCall
-}
-
-type flightCall struct {
-	owner any
-	done  chan struct{}
-}
-
-// NewFlight returns an empty dedup group.
-func NewFlight() *Flight {
-	return &Flight{calls: make(map[uint64]*flightCall)}
-}
-
-// Join registers interest in key. leader=true means the caller (or a
-// previous attempt of the same owner) owns the computation and must call
-// Finish on every exit path. leader=false returns a wait function that
-// blocks until the leader finishes or the timeout expires; its return
-// reports whether the leader actually finished.
-func (f *Flight) Join(key uint64, owner any) (leader bool, wait func(timeout time.Duration) bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	c, ok := f.calls[key]
-	if !ok {
-		f.calls[key] = &flightCall{owner: owner, done: make(chan struct{})}
-		return true, nil
-	}
-	if c.owner == owner {
-		return true, nil
-	}
-	done := c.done
-	return false, func(timeout time.Duration) bool {
-		if timeout <= 0 {
-			<-done
-			return true
-		}
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		select {
-		case <-done:
-			return true
-		case <-t.C:
-			return false
-		}
-	}
-}
-
-// Finish releases the followers of key. Idempotent, and a no-op unless
-// owner is the current leader — so a blanket campaign-end sweep over
-// every key an owner may lead is always safe.
-func (f *Flight) Finish(key uint64, owner any) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.calls[key]; ok && c.owner == owner {
-		close(c.done)
-		delete(f.calls, key)
-	}
 }

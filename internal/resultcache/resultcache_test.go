@@ -9,9 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"contiguitas/internal/vfs"
 )
@@ -158,30 +156,6 @@ func TestDirRejectsSwappedKey(t *testing.T) {
 	}
 }
 
-// TestDirKeys: Keys lists exactly the entry files, by key, and ignores
-// anything else in the directory.
-func TestDirKeys(t *testing.T) {
-	dir := t.TempDir()
-	c := NewDir(dir, 1)
-	for _, k := range []uint64{0xfe, 3, 1 << 63} {
-		if err := c.Put(k, []byte("p")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, junk := range []string{"notes.txt", "abc.ctgcach", "zzzzzzzzzzzzzzzz.ctgcach"} {
-		if err := os.WriteFile(filepath.Join(dir, junk), nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys, err := c.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(keys) != fmt.Sprint([]uint64{3, 0xfe, 1 << 63}) {
-		t.Fatalf("Keys = %x", keys)
-	}
-}
-
 // TestDirEntryPath holds EntryPath to the path it has always named,
 // filepath.Join(dir, "%016x.ctgcach"), for dirs that join cleans.
 func TestDirEntryPath(t *testing.T) {
@@ -258,99 +232,6 @@ func TestLRUConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestFlightSingleComputation: many goroutines race to compute one key;
-// exactly one becomes the leader, everyone else waits and then reads the
-// leader's Put.
-func TestFlightSingleComputation(t *testing.T) {
-	f := NewFlight()
-	c := NewLRU(8, 1)
-	const goroutines = 16
-	var computations atomic.Uint64
-	var wg sync.WaitGroup
-	results := make([][]byte, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			owner := fmt.Sprintf("owner-%d", g)
-			for {
-				if payload, err := c.Get(1); err == nil {
-					results[g] = payload
-					return
-				}
-				leader, wait := f.Join(1, owner)
-				if leader {
-					computations.Add(1)
-					time.Sleep(10 * time.Millisecond) // widen the race window
-					if err := c.Put(1, []byte("computed")); err != nil {
-						t.Error(err)
-					}
-					f.Finish(1, owner)
-					results[g] = []byte("computed")
-					return
-				}
-				wait(0) // no timeout: the leader is guaranteed to Finish
-			}
-		}(g)
-	}
-	wg.Wait()
-	if n := computations.Load(); n != 1 {
-		t.Fatalf("%d computations, want exactly 1", n)
-	}
-	for g, r := range results {
-		if string(r) != "computed" {
-			t.Fatalf("goroutine %d got %q", g, r)
-		}
-	}
-}
-
-// TestFlightLeaderRetryAndOwnerScoping: a leader's retry re-Joins as
-// leader (no self-deadlock), a different owner stays a follower, and
-// Finish by a non-leader is a no-op.
-func TestFlightLeaderRetryAndOwnerScoping(t *testing.T) {
-	f := NewFlight()
-	if leader, _ := f.Join(7, "a"); !leader {
-		t.Fatal("first Join must lead")
-	}
-	if leader, _ := f.Join(7, "a"); !leader {
-		t.Fatal("same-owner re-Join must still lead")
-	}
-	leader, wait := f.Join(7, "b")
-	if leader {
-		t.Fatal("second owner must follow")
-	}
-	f.Finish(7, "b") // non-leader: no-op
-	if finished := wait(time.Millisecond); finished {
-		t.Fatal("non-leader Finish released the followers")
-	}
-	f.Finish(7, "a")
-	if finished := wait(time.Second); !finished {
-		t.Fatal("leader Finish did not release the follower")
-	}
-	f.Finish(7, "a") // idempotent
-	// Key is free again: a new owner leads immediately.
-	if leader, _ := f.Join(7, "c"); !leader {
-		t.Fatal("released key must elect a fresh leader")
-	}
-}
-
-// TestFlightWaitTimeout: a follower's bounded wait returns false when
-// the leader never finishes — the no-deadlock guarantee.
-func TestFlightWaitTimeout(t *testing.T) {
-	f := NewFlight()
-	if leader, _ := f.Join(3, "wedged"); !leader {
-		t.Fatal("setup: first Join must lead")
-	}
-	_, wait := f.Join(3, "victim")
-	start := time.Now()
-	if wait(5 * time.Millisecond) {
-		t.Fatal("wait reported finished under a wedged leader")
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("timeout wait blocked far past its bound")
-	}
 }
 
 // TestDirPowerLoss: a power loss at any point of a fill may leave any

@@ -242,18 +242,17 @@ func (d *Disk) Probe() error {
 	return nil
 }
 
-// Quarantine moves the file at src into the quarantine directory under
-// rel — its path relative to the store root, or cache/<name> for a
-// result-cache entry. The move is a rename — the corrupt bytes are
-// preserved for post-mortem, and the original path stops existing so
-// recovery and the scheduler see a plain missing file instead of a
-// corrupt one.
-func (d *Disk) Quarantine(src, rel string) error {
+// Quarantine moves the file at rel, a path relative to the store root,
+// into the quarantine directory under the same relative path. The move
+// is a rename — the corrupt bytes are preserved for post-mortem, and
+// the original path stops existing so recovery and the scheduler see a
+// plain missing file instead of a corrupt one.
+func (d *Disk) Quarantine(rel string) error {
 	dst := filepath.Join(d.root, QuarantineDir, rel)
 	if err := vfs.Active().MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return err
 	}
-	return vfs.Active().Rename(src, dst)
+	return vfs.Active().Rename(filepath.Join(d.root, rel), dst)
 }
 
 func (d *Disk) StateDir(id string) string { return d.dir(id) }

@@ -573,7 +573,7 @@ func (s *Scheduler) runCampaign(id string) {
 			// when the cell completed: rot or tamper at rest. Never merge
 			// them — drop the entry and recompute the cell.
 			s.stCellsHealed.Add(1)
-			s.emit(telemetry.EvScrubCorrupt, 1, uint64(i), seal.Sum64(data))
+			s.emit(telemetry.EvScrubCorrupt, scrubKindCell, uint64(i), seal.Sum64(data))
 			if err := s.cfg.Store.DropCell(id, i); err != nil {
 				s.failStorage(c, fmt.Sprintf("drop corrupt cell %d: %v", i, err))
 				return

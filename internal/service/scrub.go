@@ -1,7 +1,7 @@
 // The integrity scrubber: a background pass over everything the disk
-// store holds at rest — sealed CTGCAMP records, journaled cell results,
-// merged result files, and (optionally) a content-addressed result
-// cache — re-verifying every digest the write path recorded.
+// store holds at rest — sealed CTGCAMP records, journaled cell results
+// and merged result files — re-verifying every digest the write path
+// recorded.
 //
 // Verification on the read path catches corruption when someone asks;
 // the scrubber catches it while nobody is asking, which is when media
@@ -18,8 +18,7 @@
 //     whose cell or merged result was quarantined is re-queued, and the
 //     scheduler recomputes exactly the missing pieces (surviving cells
 //     are reused after passing their digest check), converging on
-//     byte-identical results; a quarantined cache entry simply becomes
-//     a miss and the next computation overwrites it.
+//     byte-identical results.
 //
 // A quarantined *record* cannot be healed — the record was the root of
 // trust for its campaign — so it is reported as lost, which is still
@@ -31,17 +30,16 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"contiguitas/internal/resultcache"
 	"contiguitas/internal/seal"
 	"contiguitas/internal/telemetry"
 	"contiguitas/internal/vfs"
 )
 
-// Scrub kinds, the first argument of EvScrubCorrupt.
+// Scrub kinds, the first argument of EvScrubCorrupt. Kind 2 (a result
+// cache entry) is retired, not reused.
 const (
 	scrubKindRecord = 0
 	scrubKindCell   = 1
-	scrubKindCache  = 2
 	scrubKindResult = 3
 )
 
@@ -49,9 +47,6 @@ const (
 type ScrubConfig struct {
 	// Disk is the store to scrub (required — Memory cannot rot).
 	Disk *Disk
-	// Cache, when set, is a result-cache directory to scrub alongside
-	// the store.
-	Cache *resultcache.Dir
 	// Sched, when set, receives heal requeues, counter updates, and
 	// tracepoints.
 	Sched *Scheduler
@@ -59,8 +54,7 @@ type ScrubConfig struct {
 
 // Finding is one corrupt artifact the scrubber refused.
 type Finding struct {
-	// Rel is the path relative to the scrubbed root (store root or
-	// cache dir).
+	// Rel is the path relative to the store root.
 	Rel string
 	// Err is the typed verification failure, wrapped in
 	// ErrScrubQuarantine.
@@ -106,9 +100,6 @@ func Scrub(cfg ScrubConfig) (*ScrubReport, error) {
 			s.scrubCampaign(e.Name())
 		}
 	}
-	if cfg.Cache != nil {
-		s.scrubCache()
-	}
 	if cfg.Sched != nil {
 		cfg.Sched.NoteScrub(rep)
 	}
@@ -128,11 +119,11 @@ func (s *scrubber) emit(kind, cell, digest uint64) {
 	}
 }
 
-// quarantine moves the file at src aside to rel under the quarantine
-// directory and records the finding.
-func (s *scrubber) quarantine(src, rel string, kind, cell, digest uint64, cause error) {
+// quarantine moves the file at rel aside into the quarantine directory
+// and records the finding.
+func (s *scrubber) quarantine(rel string, kind, cell, digest uint64, cause error) {
 	ferr := fmt.Errorf("%w: %s: %v", ErrScrubQuarantine, rel, cause)
-	if err := s.cfg.Disk.Quarantine(src, rel); err != nil {
+	if err := s.cfg.Disk.Quarantine(rel); err != nil {
 		ferr = fmt.Errorf("%w (quarantine move failed: %v)", ferr, err)
 	}
 	s.rep.Quarantined = append(s.rep.Quarantined, Finding{Rel: rel, Err: ferr})
@@ -153,7 +144,7 @@ func (s *scrubber) scrubCampaign(id string) {
 	if err != nil {
 		// The record is the root of trust; without it the campaign
 		// cannot be healed, only preserved and reported.
-		s.quarantine(filepath.Join(d.root, recRel), recRel, scrubKindRecord, 0, 0, err)
+		s.quarantine(recRel, scrubKindRecord, 0, 0, err)
 		s.rep.Lost = append(s.rep.Lost, id)
 		return
 	}
@@ -170,7 +161,7 @@ func (s *scrubber) scrubCampaign(id string) {
 		s.rep.Scanned++
 		if got := fmt.Sprintf("%016x", seal.Sum64(data)); got != dig {
 			rel := filepath.Join("campaigns", id, fmt.Sprintf("cell-%03d.bin", i))
-			s.quarantine(filepath.Join(d.root, rel), rel, scrubKindCell, uint64(i), seal.Sum64(data),
+			s.quarantine(rel, scrubKindCell, uint64(i), seal.Sum64(data),
 				fmt.Errorf("cell digest %s, recorded %s", got, dig))
 			heal = true
 		}
@@ -182,7 +173,7 @@ func (s *scrubber) scrubCampaign(id string) {
 			s.rep.Scanned++
 			if got := fmt.Sprintf("%016x", seal.Sum64(data)); got != c.ResultDigest {
 				rel := filepath.Join("campaigns", id, resultFile)
-				s.quarantine(filepath.Join(d.root, rel), rel, scrubKindResult, 0, seal.Sum64(data),
+				s.quarantine(rel, scrubKindResult, 0, seal.Sum64(data),
 					fmt.Errorf("result digest %s, recorded %s", got, c.ResultDigest))
 				heal = true
 			}
@@ -201,24 +192,6 @@ func (s *scrubber) scrubCampaign(id string) {
 			if s.cfg.Sched != nil {
 				s.cfg.Sched.Requeue(id)
 			}
-		}
-	}
-}
-
-// scrubCache verifies every CTGCACH entry in the cache directory; a
-// rejected entry is quarantined into the *store's* quarantine tree
-// (under cache/) so all evidence lands in one place. The healed state
-// is simply a miss: the next computation of that key overwrites it.
-func (s *scrubber) scrubCache() {
-	keys, err := s.cfg.Cache.Keys()
-	if err != nil {
-		return
-	}
-	for _, key := range keys {
-		s.rep.Scanned++
-		if _, err := s.cfg.Cache.Get(key); resultcache.IsReject(err) {
-			path := s.cfg.Cache.EntryPath(key)
-			s.quarantine(path, filepath.Join("cache", filepath.Base(path)), scrubKindCache, key, 0, err)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"contiguitas/internal/resultcache"
 	"contiguitas/internal/vfs"
 )
 
@@ -172,39 +171,6 @@ func TestScrubCorruptRecordIsLostNotTrusted(t *testing.T) {
 	// After the scrub the store is readable again.
 	if _, err := st.List(); err != nil {
 		t.Fatalf("List after scrub: %v", err)
-	}
-}
-
-// TestScrubCacheEntry: a rotted CTGCACH entry is quarantined; the next
-// Get is a plain miss, so recompute heals it.
-func TestScrubCacheEntry(t *testing.T) {
-	root := t.TempDir()
-	st, err := OpenDisk(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cacheDir := filepath.Join(root, "cache")
-	cache := resultcache.NewDir(cacheDir, 1)
-	if err := cache.Put(0xabc, []byte("payload-a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := cache.Put(0xdef, []byte("payload-b")); err != nil {
-		t.Fatal(err)
-	}
-	rotFile(t, cache.EntryPath(0xabc))
-
-	rep, err := Scrub(ScrubConfig{Disk: st, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Quarantined) != 1 {
-		t.Fatalf("quarantined %d entries, want 1: %+v", len(rep.Quarantined), rep)
-	}
-	if _, err := cache.Get(0xabc); !errors.Is(err, resultcache.ErrMiss) {
-		t.Fatalf("rotted entry after scrub: %v, want ErrMiss", err)
-	}
-	if got, err := cache.Get(0xdef); err != nil || string(got) != "payload-b" {
-		t.Fatalf("intact entry disturbed: %q, %v", got, err)
 	}
 }
 

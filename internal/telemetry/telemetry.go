@@ -128,9 +128,10 @@ const (
 	// tampered, 1 = stale schema) — a cache entry existed but failed
 	// verification and was recomputed instead of trusted.
 	EvCacheReject
-	// EvScrubCorrupt: a, b, c = kind (0 = record, 1 = cell, 2 = cache
-	// entry), cell-or-key, digest-low — the integrity scrubber found a
-	// stored artifact that failed verification and quarantined it.
+	// EvScrubCorrupt: a, b, c = kind (0 = record, 1 = cell, 3 = result;
+	// 2, once a result-cache entry, is retired), cell, digest-low — the
+	// integrity scrubber or the merge-time digest check found a stored
+	// artifact that failed verification.
 	EvScrubCorrupt
 	// EvStoreDegraded: a, b, c = consecutive-failures, 0, 0 — the store's
 	// write path failed past the retry budget and the daemon entered
