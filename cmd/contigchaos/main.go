@@ -95,6 +95,9 @@ func main() {
 		// DefaultChaosOptions already carries the pressured Web profile.
 		opts.Profile = p
 	}
+	if err := workload.ChaosKernelConfig(opts).Validate(); err != nil {
+		cli.Usagef("contigchaos: -mem %d: %v", *memMB, err)
+	}
 
 	if *killResume {
 		runKillResume(opts, tr.CheckpointEvery, *killAt, tr.CheckpointOut)

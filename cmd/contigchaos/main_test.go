@@ -25,7 +25,8 @@ func TestMain(m *testing.M) {
 // TestKillResumeRefusesIgnoredFlags: -kill-resume runs its own soaks
 // from tick 0 and traces none of them, so -resume, -trace, -trace-out
 // and -metrics-out are usage errors there rather than silently
-// ignored. The same small experiment without them passes.
+// ignored, as is a machine size kernel.New cannot boot. The same small
+// experiment without them passes.
 func TestKillResumeRefusesIgnoredFlags(t *testing.T) {
 	dir := t.TempDir()
 	small := []string{"-mem", "64", "-ticks", "60", "-recovery", "10", "-kill-resume",
@@ -40,6 +41,7 @@ func TestKillResumeRefusesIgnoredFlags(t *testing.T) {
 		{[]string{"-trace"}, cli.CodeUsage, "-trace cannot be combined with -kill-resume"},
 		{[]string{"-trace-out", filepath.Join(dir, "x.json")}, cli.CodeUsage, "-trace-out cannot be combined with -kill-resume"},
 		{[]string{"-metrics-out", filepath.Join(dir, "m.jsonl")}, cli.CodeUsage, "-metrics-out cannot be combined with -kill-resume"},
+		{[]string{"-mem", "3"}, cli.CodeUsage, "-mem 3: memory size of 3072 KiB is not a whole number of 2 MiB pageblocks"},
 	} {
 		args := append(append([]string(nil), small...), tc.extra...)
 		cmd := exec.Command(os.Args[0], args...)

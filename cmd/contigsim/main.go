@@ -86,6 +86,11 @@ func main() {
 
 	cfg := contiguitas.DefaultExpConfig()
 	cfg.MemBytes = *memGB << 30
+	// The experiments boot both designs; Contiguitas' machine is the
+	// stricter of the two.
+	if err := (core.MachineConfig{Design: core.DesignContiguitas, MemBytes: cfg.MemBytes}).KernelConfig().Validate(); err != nil {
+		cli.Usagef("contigsim: -mem %d: %v", *memGB, err)
+	}
 	cfg.WarmupTicks = *ticks
 	cfg.Seed = *seed
 

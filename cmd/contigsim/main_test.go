@@ -30,8 +30,9 @@ func TestMain(m *testing.M) {
 
 // TestExitCodes holds contigsim's -resume to the shared codes: a
 // snapshot that fails its integrity check is a verification failure, a
-// missing one a runtime error, and a checkpoint flag without -trace a
-// usage error. Every case is refused before any tick is simulated.
+// missing one a runtime error, and a checkpoint flag without -trace or
+// a machine size kernel.New cannot boot a usage error. Every case is
+// refused before any tick is simulated.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	tampered := filepath.Join(dir, "tampered.snap")
@@ -59,6 +60,8 @@ func TestExitCodes(t *testing.T) {
 		{append([]string{"-trace", "-resume", filepath.Join(dir, "missing.snap")}, noOut...), cli.CodeRuntime, "no such file"},
 		{[]string{"-exp", "tab1", "-resume", tampered}, cli.CodeUsage, "-resume needs -trace"},
 		{[]string{"-exp", "tab1", "-checkpoint-every", "5"}, cli.CodeUsage, "-checkpoint-every needs -trace"},
+		{[]string{"-exp", "fig10", "-mem", "0"}, cli.CodeUsage, "-mem 0: zero memory size"},
+		{append([]string{"-trace", "-mem", "0"}, noOut...), cli.CodeUsage, "-mem 0: zero memory size"},
 	} {
 		cmd := exec.Command(os.Args[0], tc.args...)
 		cmd.Env = append(os.Environ(), "CONTIGSIM_TEST_MAIN=1")

@@ -28,6 +28,9 @@ func traceRun(run *cli.Run, mode kernel.Mode, memBytes, ticks, seed uint64) erro
 	cfg.MaxUnmovableBytes = memBytes / 2
 	cfg.HWMover = kernel.NewAnalyticMover()
 	cfg.Seed = seed
+	if err := cfg.Validate(); err != nil {
+		cli.Usagef("contigsim: -mem %d: %v", memBytes>>30, err)
+	}
 
 	// The chaos soak's overcommitted Web profile: enough pressure that
 	// reclaim, compaction, and the migration ladder all see traffic.

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -38,12 +39,21 @@ func main() {
 	defer stop()
 
 	switch {
+	case *record != "" && *replay != "":
+		cli.Usagef("contigtrace: -record and -replay cannot be combined")
 	case *record != "":
-		p, err := workload.ProfileByName(strings.ToLower(*profile))
+		// A recording kernel exports no telemetry: an ignored
+		// -trace-out reads as a trace that was written.
+		if tr.TraceOut != "" || tr.MetricsOut != "" {
+			cli.Usagef("contigtrace: -trace-out and -metrics-out need -replay")
+		}
+		name := strings.ToLower(*profile)
+		p, err := workload.ProfileByName(name)
 		if err != nil {
 			cli.Usagef("contigtrace: %v", err)
 		}
-		if err := doRecord(*record, p, *memMB<<20, *ticks, *seed); err != nil {
+		k := newKernel(core.DesignContiguitas, *memMB)
+		if err := doRecord(k, *record, name, p, *ticks, *seed); err != nil {
 			cli.Runtimef("contigtrace: %v", err)
 		}
 	case *replay != "":
@@ -51,8 +61,18 @@ func main() {
 		if err != nil {
 			cli.Usagef("contigtrace: %v", err)
 		}
+		k := newKernel(d, *memMB)
+		// The trace is verified whole before the kernel sees any of it,
+		// with the rule -resume applies to a snapshot.
+		t, err := trace.ReadFile(*replay)
+		switch {
+		case errors.Is(err, trace.ErrCorrupt):
+			cli.Verifyf("contigtrace: %v", err)
+		case err != nil:
+			cli.Runtimef("contigtrace: %v", err)
+		}
 		instrument := tr.TraceOut != "" || tr.MetricsOut != "" || handle != nil
-		if err := doReplay(tr.Start("contigtrace", handle), instrument, *replay, d, *design, *memMB<<20); err != nil {
+		if err := doReplay(tr.Start("contigtrace", handle), instrument, t, k, *design); err != nil {
 			cli.Runtimef("contigtrace: %v", err)
 		}
 	default:
@@ -61,53 +81,36 @@ func main() {
 	}
 }
 
-func newKernel(d core.Design, memBytes uint64) *kernel.Kernel {
+// newKernel boots a d machine of memMB MiB, exiting CodeUsage when the
+// kernel cannot boot one that size.
+func newKernel(d core.Design, memMB uint64) *kernel.Kernel {
 	mc := core.DefaultMachineConfig(d)
-	mc.MemBytes = memBytes
+	mc.MemBytes = memMB << 20
+	if err := mc.KernelConfig().Validate(); err != nil {
+		cli.Usagef("contigtrace: -mem %d on %s: %v", memMB, d, err)
+	}
 	return core.NewMachine(mc).K
 }
 
-// doRecord attaches a trace recorder to a kernel's event sink and runs
-// the real workload generator against it, so the captured trace is the
-// authentic allocation stream of the profile.
-func doRecord(path string, p workload.Profile, memBytes, ticks, seed uint64) error {
-	k := newKernel(core.DesignContiguitas, memBytes)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w, err := trace.NewWriter(f)
-	if err != nil {
-		return err
-	}
-	rec := trace.Attach(k, w)
-	r := workload.NewRunner(k, p, seed)
-	r.Run(ticks)
-	if rec.Err() != nil {
-		return rec.Err()
-	}
-	if err := w.Flush(); err != nil {
+// doRecord taps k's tracepoints with a trace recorder and runs the real
+// workload generator against it, so the captured trace is the authentic
+// allocation stream of the profile.
+func doRecord(k *kernel.Kernel, path, name string, p workload.Profile, ticks, seed uint64) error {
+	rec := trace.Attach(k)
+	workload.NewRunner(k, p, seed).Run(ticks)
+	t := rec.Trace()
+	t.Profile, t.Seed = name, seed
+	if err := t.WriteFile(path); err != nil {
 		return err
 	}
 	fmt.Printf("recorded %d events over %d ticks of %s to %s\n",
-		w.Events(), ticks, p.Name, path)
+		len(t.Events), ticks, p.Name, path)
 	return nil
 }
 
-// doReplay replays the trace at path on a fresh d machine; name is the
-// design as the user spelled it, for the summary line.
-func doReplay(run *cli.Run, instrument bool, path string, d core.Design, name string, memBytes uint64) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := trace.NewReader(f)
-	if err != nil {
-		return err
-	}
-	k := newKernel(d, memBytes)
+// doReplay replays t on the fresh machine k; name is the design as the
+// user spelled it, for the summary line.
+func doReplay(run *cli.Run, instrument bool, t *trace.Trace, k *kernel.Kernel, name string) error {
 	// Instrument the replayed kernel on request: the same recorded
 	// allocation stream then yields a per-design timeline and metric
 	// series, making cross-design comparisons visual. -serve forces the
@@ -115,16 +118,13 @@ func doReplay(run *cli.Run, instrument bool, path string, d core.Design, name st
 	if instrument {
 		run.Instrument(k, 1<<15, 1<<12)
 	}
-	st, err := trace.Replay(k, r)
-	if err != nil {
-		return err
-	}
-	if err := run.Finish(st.Ticks); err != nil {
+	failed := trace.Replay(k, t)
+	if err := run.Finish(t.Ticks); err != nil {
 		return err
 	}
 	scan := k.PM().Scan(mem.ScanOrders)
 	fmt.Printf("replayed %d events (%d ticks, %d failed allocations) on %s\n",
-		st.Events, st.Ticks, st.AllocFailed, name)
+		len(t.Events), t.Ticks, failed, name)
 	fmt.Printf("unmovable 2MB blocks: %.1f%% of memory\n",
 		scan.UnmovableBlockFraction(mem.Order2M)*100)
 	fmt.Printf("free 2MB contiguity:  %.1f%% of free memory\n",

@@ -6,7 +6,8 @@
 //	1 (CodeUsage)   bad invocation: unknown flag, bad flag value,
 //	                unexpected positional argument
 //	2 (CodeVerify)  a verification or invariant failure: tampered
-//	                snapshot, diverged replay hash, failed soak gate —
+//	                snapshot or trace, diverged replay hash, failed
+//	                soak gate —
 //	                the command ran, and what it checked is wrong
 //	3 (CodeRuntime) an operational error: unreadable file, failed
 //	                write, profiler setup

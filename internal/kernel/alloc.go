@@ -104,17 +104,13 @@ func (k *Kernel) Alloc(order int, mt mem.MigrateType, src mem.Source) (Page, err
 	return k.finishAlloc(pfn, order, mt, src, k.inCacheAlloc), nil
 }
 
-// finishAlloc accounts a served allocation and files its handle. A
-// page-cache allocation is reported to the sink by registerCache, once
-// it is on the reclaimable FIFO.
+// finishAlloc accounts a served allocation, files its handle and
+// traces it.
 func (k *Kernel) finishAlloc(pfn uint64, order int, mt mem.MigrateType, src mem.Source, pageCache bool) Page {
 	k.AllocOK++
-	if k.tp.Enabled() {
-		k.tp.Emit(k.tick, telemetry.EvAlloc, pfn, uint64(order), uint64(mt))
-	}
 	p := k.pt.add(pfn, order, mt, src)
-	if k.sink != nil && !pageCache {
-		k.sink.OnAlloc(p, false)
+	if k.tp.Enabled() {
+		k.tp.Emit(k.tick, telemetry.EvAlloc, pfn, p.ID(), Class(order, mt, src, pageCache))
 	}
 	return p
 }
@@ -149,10 +145,7 @@ func (k *Kernel) releaseHandle(p Page) (uint64, error) {
 		return 0, fmt.Errorf("%w: Free of pfn %d; Unpin first", ErrPagePinned, pfn)
 	}
 	if k.tp.Enabled() {
-		k.tp.Emit(k.tick, telemetry.EvFree, pfn, uint64(r.order), uint64(r.mt))
-	}
-	if k.sink != nil {
-		k.sink.OnFree(p)
+		k.tp.Emit(k.tick, telemetry.EvFree, pfn, p.ID(), Class(int(r.order), r.mt, r.src, r.cacheIdx >= 0))
 	}
 	if r.cacheIdx >= 0 {
 		// Lazily detach from the reclaimable FIFO.
@@ -203,15 +196,12 @@ func (k *Kernel) AllocPageCache(order int, src mem.Source) (Page, error) {
 }
 
 // registerCache appends a fresh page-cache allocation to the
-// reclaimable FIFO and reports it to the sink.
+// reclaimable FIFO.
 func (k *Kernel) registerCache(p Page) {
 	r := &k.pt.rows[p.slot]
 	r.cacheIdx = int32(len(k.reclaimable))
 	k.reclaimable = append(k.reclaimable, r.pfn)
 	k.reclaimablePages += r.pages()
-	if k.sink != nil {
-		k.sink.OnAlloc(p, true)
-	}
 }
 
 // Live reports whether the handle still owns memory (page-cache handles
@@ -279,8 +269,8 @@ func (k *Kernel) Pin(p Page) error {
 	}
 	r.pinned = true
 	k.pm.SetPinned(uint64(r.pfn), true)
-	if k.sink != nil {
-		k.sink.OnPin(p)
+	if k.tp.Enabled() {
+		k.tp.Emit(k.tick, telemetry.EvPin, uint64(r.pfn), p.ID(), 0)
 	}
 	return nil
 }
@@ -295,7 +285,7 @@ func (k *Kernel) Unpin(p Page) {
 	}
 	r.pinned = false
 	k.pm.SetPinned(uint64(r.pfn), false)
-	if k.sink != nil {
-		k.sink.OnUnpin(p)
+	if k.tp.Enabled() {
+		k.tp.Emit(k.tick, telemetry.EvUnpin, uint64(r.pfn), p.ID(), 0)
 	}
 }

@@ -8,12 +8,11 @@ import (
 )
 
 // Bulk 4 KB paths. Each leaves exactly the frames, free lists,
-// counters, PSI sums, tracepoints and sink callbacks that the same
-// sequence of single Alloc/AllocPageCache/Free calls leaves
-// (TestBulkMatchesSingleCalls). Sinks see every callback in the same
-// order with the same handles; only the allocator state a sink could
-// read mid-batch may already include later pages of the batch (no sink
-// reads it).
+// counters, PSI sums and tracepoints that the same sequence of single
+// Alloc/AllocPageCache/Free calls leaves (TestBulkMatchesSingleCalls).
+// A ring tap sees every record in the same order with the same
+// handles; only the allocator state a tap could read mid-batch may
+// already include later pages of the batch (no tap reads it).
 
 // bulkChunk bounds the PFN scratch of one bulk allocation step and
 // freeBatchMax the per-region free queue; longer runs go in several

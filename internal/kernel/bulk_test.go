@@ -11,46 +11,12 @@ import (
 	"contiguitas/internal/telemetry"
 )
 
-// sinkEvent is one EventSink callback as the differential test records
-// it.
-type sinkEvent struct {
-	kind   byte
-	pfn    uint64
-	order  int
-	mt     mem.MigrateType
-	src    mem.Source
-	pinned bool
-}
-
-// recordingSink keeps every callback in order.
-type recordingSink struct {
-	k   *Kernel
-	evs []sinkEvent
-}
-
-func (s *recordingSink) add(kind byte, p Page) {
-	i := s.k.Info(p)
-	s.evs = append(s.evs, sinkEvent{kind, i.PFN, i.Order, i.MT, i.Src, i.Pinned})
-}
-func (s *recordingSink) OnAlloc(p Page, cache bool) {
-	if cache {
-		s.add('c', p)
-	} else {
-		s.add('a', p)
-	}
-}
-func (s *recordingSink) OnFree(p Page)  { s.add('f', p) }
-func (s *recordingSink) OnPin(p Page)   { s.add('p', p) }
-func (s *recordingSink) OnUnpin(p Page) { s.add('u', p) }
-func (s *recordingSink) OnTick()        { s.evs = append(s.evs, sinkEvent{kind: 't'}) }
-
 // diffTwin is one side of the differential test: a kernel with its
-// own fault injector, tracepoint stream, sink, and handle pools.
+// own fault injector, tracepoint stream, and handle pools.
 type diffTwin struct {
 	k        *Kernel
 	faults   *fault.Injector
 	trace    []telemetry.Record
-	sink     recordingSink
 	pages    []Page
 	mappings []*Mapping
 }
@@ -80,8 +46,6 @@ func newDiffTwin(mode Mode, noBias, reclaimFault, single bool) *diffTwin {
 	ring := telemetry.NewRing(64)
 	ring.SetSink(func(r telemetry.Record) { tw.trace = append(tw.trace, r) })
 	tw.k.SetTracer(ring)
-	tw.sink.k = tw.k
-	tw.k.SetEventSink(&tw.sink)
 	return tw
 }
 
@@ -90,12 +54,12 @@ func newDiffTwin(mode Mode, noBias, reclaimFault, single bool) *diffTwin {
 // AllocPageCacheBulk4K and FreeBatch, the single twin as the same
 // single Alloc/AllocPageCache/Free calls, with SetSingleCalls
 // unbatching the kernel's own loops (AllocUser, FreeMapping, Promote,
-// reclaim). Both run with tracing, a sink, armed faults and a pressure
+// reclaim). Both run with tracing, armed faults and a pressure
 // ladder whose shed gate trips, under every free-list policy. After
 // every tick they must agree on the PFNs handed out, the full exported
 // state (frame table with the flIdx witness, free lists, FIFO, PSI,
-// counters, pressure state), the tracepoint and sink streams, and the
-// fault-injector accounting.
+// counters, pressure state), the tracepoint streams — which carry
+// every handle, pin and unpin — and the fault-injector accounting.
 func TestBulkMatchesSingleCalls(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -294,11 +258,7 @@ func requireSameTwins(t *testing.T, tick int, bulk, single *diffTwin) {
 	if !reflect.DeepEqual(bulk.trace, single.trace) {
 		t.Fatalf("tick %d: tracepoint streams differ (%d vs %d records)", tick, len(bulk.trace), len(single.trace))
 	}
-	if !reflect.DeepEqual(bulk.sink.evs, single.sink.evs) {
-		t.Fatalf("tick %d: sink streams differ (%d vs %d events)", tick, len(bulk.sink.evs), len(single.sink.evs))
-	}
 	bulk.trace, single.trace = bulk.trace[:0], single.trace[:0]
-	bulk.sink.evs, single.sink.evs = bulk.sink.evs[:0], single.sink.evs[:0]
 	if !reflect.DeepEqual(bulk.faults.Snapshot(), single.faults.Snapshot()) {
 		t.Fatalf("tick %d: fault accounting differs", tick)
 	}

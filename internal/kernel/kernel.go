@@ -18,6 +18,7 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 
 	"contiguitas/internal/fault"
@@ -47,23 +48,6 @@ func (m Mode) String() string {
 	}
 	return "contiguitas"
 }
-
-// EventSink observes the kernel's public allocation API: every
-// successful Alloc/AllocPageCache/Free/Pin/Unpin and every tick
-// boundary. Internal kernel activity (compaction moves, resizing
-// evacuations) is deliberately not reported — a replayed trace must
-// trigger that machinery in the replaying kernel, not duplicate it.
-// The trace package's Recorder is the canonical implementation.
-type EventSink interface {
-	OnAlloc(p Page, pageCache bool)
-	OnFree(p Page)
-	OnPin(p Page)
-	OnUnpin(p Page)
-	OnTick()
-}
-
-// SetEventSink attaches (or, with nil, detaches) an event sink.
-func (k *Kernel) SetEventSink(s EventSink) { k.sink = s }
 
 // Mover relocates a block of physical memory while it remains in use —
 // the contract of Contiguitas-HW (§3.3). Implementations report the
@@ -319,7 +303,7 @@ type Kernel struct {
 	// a fresh error per failure dominated their allocation profiles.
 	noMemErr [mem.MaxOrder + 1][mem.NumMigrateTypes]error
 
-	sink         EventSink
+	// inCacheAlloc is set while Alloc serves an AllocPageCache call.
 	inCacheAlloc bool
 
 	// Pressure-survival machinery (nil/zero unless Config.Pressure is
@@ -354,15 +338,37 @@ type Kernel struct {
 	Counters
 }
 
-// New boots a simulated machine.
-func New(cfg Config) *Kernel {
-	if cfg.MemBytes == 0 {
-		panic("kernel: zero memory size")
-	}
-	if cfg.WatermarkHigh < cfg.WatermarkLow {
+// Validate reports why New would refuse cfg. Its messages name the
+// setting, not the package, so callers can prefix their own flag.
+func (cfg Config) Validate() error {
+	pb := mem.OrderBytes(mem.PageblockOrder)
+	unmov := alignPageblock(mem.BytesToPages(cfg.InitialUnmovableBytes))
+	switch {
+	case cfg.MemBytes == 0:
+		return errors.New("zero memory size")
+	case cfg.MemBytes%pb != 0:
+		return fmt.Errorf("memory size of %d KiB is not a whole number of 2 MiB pageblocks", cfg.MemBytes>>10)
+	case cfg.WatermarkHigh < cfg.WatermarkLow:
 		// kswapd reclaims high - free pages once free drops below low;
 		// with high below low that difference wraps around.
-		panic("kernel: WatermarkHigh below WatermarkLow")
+		return fmt.Errorf("high watermark %g below low watermark %g", cfg.WatermarkHigh, cfg.WatermarkLow)
+	case cfg.Mode != ModeLinux && cfg.Mode != ModeContiguitas:
+		return fmt.Errorf("unknown mode %d", cfg.Mode)
+	case cfg.Mode == ModeContiguitas && unmov == 0:
+		return fmt.Errorf("needs an unmovable region of at least one 2 MiB pageblock; the initial one is %d KiB",
+			cfg.InitialUnmovableBytes>>10)
+	case cfg.Mode == ModeContiguitas && unmov >= cfg.MemBytes/mem.PageSize:
+		return fmt.Errorf("initial unmovable region of %d MiB leaves no movable region in %d MiB",
+			cfg.InitialUnmovableBytes>>20, cfg.MemBytes>>20)
+	}
+	return nil
+}
+
+// New boots a simulated machine. It panics on a config Validate
+// refuses.
+func New(cfg Config) *Kernel {
+	if err := cfg.Validate(); err != nil {
+		panic("kernel: " + err.Error())
 	}
 	pm := mem.NewPhysMem(cfg.MemBytes)
 	k := &Kernel{
@@ -377,11 +383,7 @@ func New(cfg Config) *Kernel {
 	case ModeLinux:
 		k.zone = mem.NewBuddy(pm, 0, pm.NPages, mem.PolicyLIFO, !cfg.NoFallbackStealing, mem.MigrateMovable)
 	case ModeContiguitas:
-		b := mem.BytesToPages(cfg.InitialUnmovableBytes)
-		b = alignPageblock(b)
-		if b == 0 || b >= pm.NPages {
-			panic("kernel: invalid initial unmovable size")
-		}
+		b := alignPageblock(mem.BytesToPages(cfg.InitialUnmovableBytes))
 		k.boundary = b
 		unmovPolicy, movPolicy := mem.PolicyLowestPFN, mem.PolicyHighestPFN
 		if cfg.NoPlacementBias {
@@ -389,8 +391,6 @@ func New(cfg Config) *Kernel {
 		}
 		k.unmov = mem.NewBuddy(pm, 0, b, unmovPolicy, false, mem.MigrateUnmovable)
 		k.mov = mem.NewBuddy(pm, b, pm.NPages, movPolicy, false, mem.MigrateMovable)
-	default:
-		panic("kernel: unknown mode")
 	}
 	if cfg.Faults != nil {
 		cfg.Faults.SetClock(func() uint64 { return k.tick })

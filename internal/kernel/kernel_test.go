@@ -2,11 +2,13 @@ package kernel
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"contiguitas/internal/mem"
 	"contiguitas/internal/resize"
 	"contiguitas/internal/stats"
+	"contiguitas/internal/telemetry"
 )
 
 const (
@@ -1022,43 +1024,58 @@ func TestCompactReclaimableCompaction(t *testing.T) {
 	}
 }
 
-func TestEventSinkFiresAllEvents(t *testing.T) {
+// TestTracepointsReportPublicEvents: every successful public call fires
+// one tracepoint naming the block by its handle and frame, an alloc's
+// class tells page cache apart, and a detached ring sees nothing.
+func TestTracepointsReportPublicEvents(t *testing.T) {
 	k := New(testConfig(ModeContiguitas, 64*mb))
-	sink := &countingSink{}
-	k.SetEventSink(sink)
+	var recs []telemetry.Record
+	ring := telemetry.NewRing(0)
+	ring.SetSink(func(r telemetry.Record) { recs = append(recs, r) })
+	k.SetTracer(ring)
 	p, _ := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcNetworking)
 	c, _ := k.AllocPageCache(mem.Order4K, mem.SrcFilesystem)
 	k.Pin(p)
+	k.Pin(p) // already pinned: no event
 	k.Unpin(p)
+	k.Unpin(p) // not pinned: no event
 	k.EndTick()
 	k.Free(p)
 	k.Free(c)
-	if sink.allocs != 1 || sink.cacheAllocs != 1 || sink.frees != 2 ||
-		sink.pins != 1 || sink.unpins != 1 || sink.ticks != 1 {
-		t.Fatalf("sink counts: %+v", *sink)
+	k.Free(c) // stale: refused, no event
+	count := map[telemetry.EventID]int{}
+	for _, r := range recs {
+		count[r.ID]++
+		switch r.ID {
+		case telemetry.EvAlloc, telemetry.EvFree, telemetry.EvPin, telemetry.EvUnpin:
+			if r.B != p.ID() && r.B != c.ID() {
+				t.Fatalf("%v names handle %#x, want %#x or %#x", r.ID, r.B, p.ID(), c.ID())
+			}
+		}
+		if r.ID == telemetry.EvAlloc {
+			order, mt, src, cache := SplitClass(r.C)
+			want := r.B == c.ID()
+			if order != mem.Order4K || mt != mem.MigrateMovable || cache != want || (src == mem.SrcFilesystem) != want {
+				t.Fatalf("alloc class %#x: order %d mt %v src %v page cache %v", r.C, order, mt, src, cache)
+			}
+		}
 	}
-	k.SetEventSink(nil)
+	if count[telemetry.EvAlloc] != 2 || count[telemetry.EvFree] != 2 ||
+		count[telemetry.EvPin] != 1 || count[telemetry.EvUnpin] != 1 {
+		t.Fatalf("tracepoint counts: %v", count)
+	}
+	if recs[len(recs)-1].Tick != 1 {
+		t.Fatal("events after EndTick must carry the next tick")
+	}
+	k.SetTracer(nil)
+	n := len(recs)
+	q, _ := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
+	k.Free(q)
 	k.EndTick()
-	if sink.ticks != 1 {
-		t.Fatal("detached sink must not fire")
+	if len(recs) != n {
+		t.Fatal("a detached ring must see nothing")
 	}
 }
-
-type countingSink struct {
-	allocs, cacheAllocs, frees, pins, unpins, ticks int
-}
-
-func (s *countingSink) OnAlloc(p Page, cache bool) {
-	if cache {
-		s.cacheAllocs++
-	} else {
-		s.allocs++
-	}
-}
-func (s *countingSink) OnFree(p Page)  { s.frees++ }
-func (s *countingSink) OnPin(p Page)   { s.pins++ }
-func (s *countingSink) OnUnpin(p Page) { s.unpins++ }
-func (s *countingSink) OnTick()        { s.ticks++ }
 
 func TestExpandFailsWhenMovableFull(t *testing.T) {
 	cfg := testConfig(ModeContiguitas, 64*mb)
@@ -1082,5 +1099,54 @@ func TestExpandFailsWhenMovableFull(t *testing.T) {
 	}
 	for _, p := range pages {
 		k.Free(p)
+	}
+}
+
+// TestConfigValidate: each machine a command's flags can ask for that
+// New cannot boot is refused by Validate with a reason, and New panics
+// on exactly those.
+func TestConfigValidate(t *testing.T) {
+	contig := func(memBytes, unmov uint64) Config {
+		cfg := testConfig(ModeContiguitas, memBytes)
+		cfg.InitialUnmovableBytes = unmov
+		return cfg
+	}
+	watermarks := testConfig(ModeLinux, 64*mb)
+	watermarks.WatermarkLow, watermarks.WatermarkHigh = 0.1, 0.05
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string // empty: valid
+	}{
+		{"zero size", testConfig(ModeLinux, 0), "zero memory size"},
+		{"1 MiB", testConfig(ModeLinux, 1*mb), "not a whole number of 2 MiB pageblocks"},
+		{"3 MiB", contig(3*mb, 1*mb), "not a whole number of 2 MiB pageblocks"},
+		{"watermarks", watermarks, "below low watermark"},
+		{"unknown mode", testConfig(Mode(7), 64*mb), "unknown mode 7"},
+		{"16 MiB at a 1/16 share", contig(16*mb, 1*mb), "needs an unmovable region of at least one 2 MiB pageblock"},
+		{"region under a pageblock", contig(64*mb, 2*mb-mem.PageSize), "needs an unmovable region"},
+		{"region is all of memory", contig(64*mb, 64*mb), "leaves no movable region"},
+		{"one pageblock", contig(32*mb, 2*mb), ""},
+		{"linux 2 MiB", testConfig(ModeLinux, 2*mb), ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cfg.Validate()
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("valid config refused: %v", err)
+				}
+				New(tc.cfg)
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want %q", err, tc.want)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("New booted a config Validate refuses")
+				}
+			}()
+			New(tc.cfg)
+		})
 	}
 }

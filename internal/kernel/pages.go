@@ -24,11 +24,26 @@ type Page struct {
 	gen  uint32
 }
 
-// Slot returns the handle's row index: dense, small, and reused once
-// the block is freed. Side tables that shadow live handles (the trace
-// recorder's event IDs) index by it; it is not a stable name and is
-// never serialized.
-func (p Page) Slot() int { return int(p.slot) }
+// ID packs the handle into one word, row index high and generation
+// low. A free moves the row's generation on, so no two allocations of
+// one kernel share an ID: tracepoints name blocks by it.
+func (p Page) ID() uint64 { return uint64(p.slot)<<32 | uint64(p.gen) }
+
+// Class packs the facts an EvAlloc or EvFree tracepoint carries about
+// its block into one word, one byte each from the lowest: order,
+// migratetype, source and the page-cache flag.
+func Class(order int, mt mem.MigrateType, src mem.Source, pageCache bool) uint64 {
+	c := uint64(order) | uint64(mt)<<8 | uint64(src)<<16
+	if pageCache {
+		c |= 1 << 24
+	}
+	return c
+}
+
+// SplitClass unpacks a Class word.
+func SplitClass(c uint64) (order int, mt mem.MigrateType, src mem.Source, pageCache bool) {
+	return int(uint8(c)), mem.MigrateType(c >> 8), mem.Source(c >> 16), c>>24&1 == 1
+}
 
 // PageInfo describes a live block.
 type PageInfo struct {

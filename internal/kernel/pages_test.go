@@ -50,8 +50,8 @@ func TestStaleHandleRefused(t *testing.T) {
 	}
 	requireStale(t, k, old, "freed")
 	same := alloc(mem.MigrateMovable)
-	if same.Slot() != old.Slot() || k.PFN(same) != pfn {
-		t.Fatalf("setup: reallocation took row %d pfn %d, want row %d pfn %d", same.Slot(), k.PFN(same), old.Slot(), pfn)
+	if same.slot != old.slot || k.PFN(same) != pfn {
+		t.Fatalf("setup: reallocation took row %d pfn %d, want row %d pfn %d", same.slot, k.PFN(same), old.slot, pfn)
 	}
 	requireStale(t, k, old, "row and frames reused")
 	if !k.Live(same) {
@@ -61,8 +61,8 @@ func TestStaleHandleRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := alloc(mem.MigrateUnmovable)
-	if other.Slot() != old.Slot() || k.PFN(other) == pfn {
-		t.Fatalf("setup: reallocation took row %d pfn %d, want row %d elsewhere than pfn %d", other.Slot(), k.PFN(other), old.Slot(), pfn)
+	if other.slot != old.slot || k.PFN(other) == pfn {
+		t.Fatalf("setup: reallocation took row %d pfn %d, want row %d elsewhere than pfn %d", other.slot, k.PFN(other), old.slot, pfn)
 	}
 	requireStale(t, k, old, "row reused elsewhere")
 	requireStale(t, k, same, "row reused elsewhere")

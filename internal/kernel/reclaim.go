@@ -134,9 +134,6 @@ func (k *Kernel) EndTick() {
 	}
 	k.compactUsed = 0
 	k.tick++
-	if k.sink != nil {
-		k.sink.OnTick()
-	}
 }
 
 // RunTicks advances n idle ticks (no workload activity).

@@ -39,10 +39,10 @@ import (
 //     the serialized Scan witness), and the reclaimable FIFO's linkage
 //     (each handle's cacheIdx cross-checked against the FIFO slots).
 //   - Rebuilt fresh, not state: page-handle values (page-table rows and
-//     generations), memoized errors, scratch buffers, telemetry attachments (ring,
-//     registry, sampler, sink), and the migration cost model. Callers
-//     re-attach telemetry after restore; handle holders rehydrate
-//     through PageAt.
+//     generations), memoized errors, scratch buffers, telemetry
+//     attachments (ring and its taps, registry, sampler), and the
+//     migration cost model. Callers re-attach telemetry after restore;
+//     handle holders rehydrate through PageAt.
 //
 // directCompact is not serialized: it is true only inside an explicit
 // AllocHugeTLB call, never across the EndTick boundary a checkpoint is
@@ -209,7 +209,7 @@ func (k *Kernel) ExportState() *State {
 // the same machine the state was exported from (size, mode, seed, HW
 // mover presence); ablation flags and cost parameters are taken from
 // cfg as configuration. Telemetry is not restored — re-attach the ring,
-// sampler, and sink afterwards. The injected fault state travels
+// its taps and the sampler afterwards. The injected fault state travels
 // separately (fault.InjectorState); pass the rebuilt injector in
 // cfg.Faults and Restore re-binds its clock to the new kernel.
 //

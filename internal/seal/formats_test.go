@@ -19,10 +19,11 @@ import (
 	"contiguitas/internal/seal"
 	"contiguitas/internal/service"
 	"contiguitas/internal/snapshot"
+	"contiguitas/internal/trace"
 	"contiguitas/internal/workload"
 )
 
-// sealedFormat is one of the four on-disk formats, seen through its
+// sealedFormat is one of the five on-disk formats, seen through its
 // public write and read API.
 type sealedFormat struct {
 	name string
@@ -58,7 +59,7 @@ func isAny(err error, sentinels ...error) bool {
 	return false
 }
 
-// sealedFormats returns the four formats with a small valid file each.
+// sealedFormats returns the five formats with a small valid file each.
 func sealedFormats(tb testing.TB) []sealedFormat {
 	scratch := filepath.Join(tb.TempDir(), "record")
 	writeRead := func(write func(path string) error) []byte { return readBack(scratch, write) }
@@ -90,6 +91,12 @@ func sealedFormats(tb testing.TB) []sealedFormat {
 	if err != nil {
 		tb.Fatal(err)
 	}
+
+	recording := &trace.Trace{Profile: "web", MemBytes: 4 << 20, Seed: 1, Ticks: 1, Events: []trace.Event{
+		{Kind: trace.KindAlloc, ID: 1<<32 | 1, PFN: 3, MT: mem.MigrateUnmovable, Src: mem.SrcSlab},
+		{Kind: trace.KindTick},
+		{Kind: trace.KindFree, ID: 1<<32 | 1, PFN: 3, MT: mem.MigrateUnmovable, Src: mem.SrcSlab},
+	}}
 
 	return []sealedFormat{
 		{
@@ -145,13 +152,26 @@ func sealedFormats(tb testing.TB) []sealedFormat {
 			},
 			family: func(err error) bool { return errors.Is(err, service.ErrCorruptRecord) },
 		},
+		{
+			name: "CTGTRAC",
+			file: writeRead(recording.WriteFile),
+			decode: func(data []byte) ([]byte, error) {
+				t, err := trace.Decode(data)
+				if err != nil {
+					return nil, err
+				}
+				return writeRead(t.WriteFile), nil
+			},
+			family: func(err error) bool { return errors.Is(err, trace.ErrCorrupt) },
+		},
 	}
 }
 
-// TestSealedRecordsRejectEveryEdit holds all four formats to the frame
-// contract: every single-bit flip, one appended byte and one truncated
-// byte is refused with the format's own sentinel, and the untouched
-// file decodes and re-encodes to itself.
+// TestSealedRecordsRejectEveryEdit holds all five formats to the frame
+// contract: every single-bit flip, another record's magic, one appended
+// byte, one truncated byte and a file cut in half are refused with the
+// format's own sentinel, and the untouched file decodes and re-encodes
+// to itself.
 func TestSealedRecordsRejectEveryEdit(t *testing.T) {
 	for _, f := range sealedFormats(t) {
 		t.Run(f.name, func(t *testing.T) {
@@ -178,8 +198,10 @@ func TestSealedRecordsRejectEveryEdit(t *testing.T) {
 					t.Fatalf("flip of bit %d of %d: got %v, want the format's sentinel", bit, 8*len(data), err)
 				}
 			}
+			refused("bad magic", append([]byte("CTGXXXX"), f.file[7:]...))
 			refused("appended byte", append(bytes.Clone(f.file), 0))
 			refused("truncated byte", f.file[:len(f.file)-1])
+			refused("half", f.file[:len(f.file)/2])
 			refused("empty file", nil)
 		})
 	}
@@ -192,7 +214,7 @@ func (sf sealedFormat) reseal(body []byte) []byte {
 	return seal.Format{Magic: string(header[:7]), Version: binary.LittleEndian.Uint32(header[7:])}.Seal(body)
 }
 
-// FuzzSealedRecords throws arbitrary bytes at all four decoders. Each
+// FuzzSealedRecords throws arbitrary bytes at all five decoders. Each
 // must refuse with its own sentinel or accept, never panic; an accepted
 // record must re-encode to the same bytes. With reseal unset the input
 // is a whole file, and the frame check refuses nearly every edit before

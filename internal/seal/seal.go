@@ -1,5 +1,5 @@
 // Package seal is the one record frame every on-disk format in this
-// repository uses (CTGSNAP, CTGSHRD, CTGCACH, CTGCAMP):
+// repository uses (CTGSNAP, CTGSHRD, CTGCACH, CTGCAMP, CTGTRAC):
 //
 //	magic (7 bytes) | version (u32 LE) | body | digest (u64 LE)
 //

@@ -195,17 +195,10 @@ func (sp Spec) Validate() error {
 	}
 	for _, d := range sp.Designs {
 		design, _ := core.ParseDesign(d)
-		if design == core.DesignLinux {
-			continue
-		}
 		for _, m := range sp.MemsMiB {
-			// A Contiguitas machine boots its unmovable region at the
-			// default share core gives it; that must hold at least one
-			// pageblock, or kernel.New refuses the machine.
-			kc := core.MachineConfig{Design: design, MemBytes: m << 20}.KernelConfig()
-			if kc.InitialUnmovableBytes < mem.OrderBytes(mem.PageblockOrder) {
-				return bad("design %s needs an unmovable region of at least one 2 MiB pageblock; mem %d MiB gives %d KiB",
-					d, m, kc.InitialUnmovableBytes>>10)
+			// Each cell boots the kernel config core builds for it.
+			if err := (core.MachineConfig{Design: design, MemBytes: m << 20}).KernelConfig().Validate(); err != nil {
+				return bad("design %s %v", d, err)
 			}
 		}
 	}

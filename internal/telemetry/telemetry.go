@@ -25,11 +25,13 @@ package telemetry
 type EventID uint8
 
 const (
-	// EvAlloc: a, b, c = pfn, order, migratetype.
+	// EvAlloc: a, b, c = pfn, handle, class (kernel.Page.ID and
+	// kernel.Class) — a served allocation.
 	EvAlloc EventID = iota
 	// EvAllocFail: a, b, c = order, migratetype, region.
 	EvAllocFail
-	// EvFree: a, b, c = pfn, order, migratetype.
+	// EvFree: a, b, c = pfn, handle, class — a holder's Free (reclaim
+	// drops page cache without one).
 	EvFree
 	// EvFallbackSteal: a, b, c = pfn, converting-delta, polluting-delta.
 	EvFallbackSteal
@@ -140,6 +142,11 @@ const (
 	// EvStoreHealed: a, b, c = probes-failed, 0, 0 — the store's probe
 	// succeeded and the daemon left degraded mode.
 	EvStoreHealed
+	// EvPin: a, b, c = pfn, handle, 0 — a live block was pinned (after
+	// any pin migration, so pfn is where it stays).
+	EvPin
+	// EvUnpin: a, b, c = pfn, handle, 0 — a pinned block was unpinned.
+	EvUnpin
 
 	// NumEvents bounds the ID space.
 	NumEvents
@@ -206,9 +213,9 @@ type EventMeta struct {
 // names are stable: the text timeline and the JSON exporters are
 // greppable contracts.
 var Meta = [NumEvents]EventMeta{
-	EvAlloc:            {Name: "alloc", Track: TrackAlloc, Args: [3]string{"pfn", "order", "mt"}, DurArg: -1},
+	EvAlloc:            {Name: "alloc", Track: TrackAlloc, Args: [3]string{"pfn", "handle", "class"}, DurArg: -1},
 	EvAllocFail:        {Name: "alloc-fail", Track: TrackAlloc, Args: [3]string{"order", "mt", "region"}, DurArg: -1},
-	EvFree:             {Name: "free", Track: TrackAlloc, Args: [3]string{"pfn", "order", "mt"}, DurArg: -1},
+	EvFree:             {Name: "free", Track: TrackAlloc, Args: [3]string{"pfn", "handle", "class"}, DurArg: -1},
 	EvFallbackSteal:    {Name: "fallback-steal", Track: TrackAlloc, Args: [3]string{"pfn", "converting", "polluting"}, DurArg: -1},
 	EvDirectReclaim:    {Name: "direct-reclaim", Track: TrackReclaim, Args: [3]string{"region", "want", "freed"}, DurArg: -1},
 	EvKswapd:           {Name: "kswapd", Track: TrackReclaim, Args: [3]string{"region", "want", "freed"}, DurArg: -1},
@@ -248,6 +255,8 @@ var Meta = [NumEvents]EventMeta{
 	EvScrubCorrupt:     {Name: "scrub-corrupt", Track: TrackStorage, Args: [3]string{"kind", "cell", "digest"}, DurArg: -1},
 	EvStoreDegraded:    {Name: "store-degraded", Track: TrackStorage, Args: [3]string{"failures", "", ""}, DurArg: -1},
 	EvStoreHealed:      {Name: "store-healed", Track: TrackStorage, Args: [3]string{"probes_failed", "", ""}, DurArg: -1},
+	EvPin:              {Name: "pin", Track: TrackAlloc, Args: [3]string{"pfn", "handle", ""}, DurArg: -1},
+	EvUnpin:            {Name: "unpin", Track: TrackAlloc, Args: [3]string{"pfn", "handle", ""}, DurArg: -1},
 }
 
 // String returns the event's stable name.
@@ -320,6 +329,10 @@ func (r *Ring) Emit(tick uint64, id EventID, a, b, c uint64) {
 // SetSink follows the Ring's single-writer contract: call it from the
 // goroutine that emits, before concurrent readers exist (attach time).
 func (r *Ring) SetSink(sink func(Record)) { r.sink = sink }
+
+// Sink returns the attached tap (nil when none), so a new tap can
+// forward to the one it replaces.
+func (r *Ring) Sink() func(Record) { return r.sink }
 
 // Cap returns the buffer capacity in records.
 func (r *Ring) Cap() int { return len(r.recs) }

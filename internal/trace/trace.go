@@ -1,23 +1,24 @@
-// Package trace records and replays allocation traces: the sequence of
-// allocation, free, pin and tick events a workload issues against the
-// simulated kernel. Traces make experiments portable — a fleet-sampled
-// allocation pattern can be captured once and replayed bit-identically
-// against both memory-management designs — and serve as the golden
-// inputs for regression tests.
+// Package trace records and replays allocation traces: the allocation,
+// free, pin and unpin events a workload issues against the simulated
+// kernel, with its tick boundaries. A trace captured once replays
+// bit-identically against both memory-management designs, and serves
+// as a golden input for regression tests.
 //
-// The format is a compact binary stream (little-endian, fixed-width
-// records) with a versioned header.
+// A Recorder taps the kernel's one event stream, its tracepoint ring
+// (Tap). A trace file is a sealed CTGTRAC record (internal/seal) whose
+// body carries the recording's profile, memory size, seed, tick count
+// and event count, then the events as fixed-width records.
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"contiguitas/internal/kernel"
 	"contiguitas/internal/mem"
+	"contiguitas/internal/seal"
+	"contiguitas/internal/telemetry"
 )
 
 // Kind discriminates events.
@@ -57,206 +58,192 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Event is one trace record.
+// Event is one trace record. ID is the recording kernel's packed page
+// handle (kernel.Page.ID), unique for that kernel's lifetime, and PFN
+// the block's head frame there; a tick carries neither. Allocs and
+// frees carry the block's order, migratetype and source.
 type Event struct {
-	Kind  Kind
 	ID    uint64
+	PFN   uint64
+	Kind  Kind
 	Order uint8
 	MT    mem.MigrateType
 	Src   mem.Source
 }
 
-const (
-	magic   = uint32(0xC0471AB5)
-	version = uint16(1)
-	// recordSize is the on-disk size of one event.
-	recordSize = 1 + 8 + 1 + 1 + 1
-)
-
-// Writer streams events to an io.Writer.
-type Writer struct {
-	w      *bufio.Writer
-	events uint64
+// Trace is one recording: the workload profile, machine size and seed
+// it was taken with, its tick count, and its events in order.
+type Trace struct {
+	Profile  string
+	MemBytes uint64
+	Seed     uint64
+	Ticks    uint64
+	Events   []Event
 }
 
-// NewWriter writes the header and returns a Writer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	var hdr [6]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint16(hdr[4:], version)
-	if _, err := bw.Write(hdr[:]); err != nil {
+// ErrCorrupt is wrapped by every refusal of a trace file.
+var ErrCorrupt = errors.New("trace: corrupt trace file")
+
+var format = seal.Format{Magic: "CTGTRAC", Version: 1, Err: ErrCorrupt}
+
+// recordSize is the encoded size of one event: kind, order,
+// migratetype and source bytes, then the ID and PFN words.
+const recordSize = 4 + 8 + 8
+
+func (t *Trace) body() []byte {
+	var w seal.Writer
+	w.String(t.Profile)
+	w.U64(t.MemBytes, t.Seed, t.Ticks, uint64(len(t.Events)))
+	recs := make([]byte, 0, recordSize*len(t.Events))
+	for _, e := range t.Events {
+		recs = append(recs, byte(e.Kind), e.Order, byte(e.MT), byte(e.Src))
+		recs = binary.LittleEndian.AppendUint64(recs, e.ID)
+		recs = binary.LittleEndian.AppendUint64(recs, e.PFN)
+	}
+	w.Bytes(recs)
+	return w.Body()
+}
+
+// WriteFile seals t to path.
+func (t *Trace) WriteFile(path string) error { return format.WriteFile(path, t.body()) }
+
+// ReadFile reads and decodes the trace at path. A missing or unreadable
+// file's error comes back unwrapped; every other refusal wraps
+// ErrCorrupt.
+func ReadFile(path string) (*Trace, error) { return seal.ReadFile(path, Decode) }
+
+// Decode verifies a sealed trace and decodes it, refusing an event no
+// recording writes and any count the events do not bear out.
+func Decode(data []byte) (*Trace, error) {
+	r, err := format.Reader(data)
+	if err != nil {
 		return nil, err
 	}
-	return &Writer{w: bw}, nil
-}
-
-// Write appends one event.
-func (w *Writer) Write(e Event) error {
-	var rec [recordSize]byte
-	rec[0] = byte(e.Kind)
-	binary.LittleEndian.PutUint64(rec[1:], e.ID)
-	rec[9] = e.Order
-	rec[10] = byte(e.MT)
-	rec[11] = byte(e.Src)
-	if _, err := w.w.Write(rec[:]); err != nil {
-		return err
+	t := &Trace{Profile: string(r.Bytes())}
+	t.MemBytes, t.Seed, t.Ticks = r.U64(), r.U64(), r.U64()
+	n := r.U64()
+	recs := r.Bytes()
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
-	w.events++
-	return nil
-}
-
-// Events returns the number written so far.
-func (w *Writer) Events() uint64 { return w.events }
-
-// Flush drains the buffer.
-func (w *Writer) Flush() error { return w.w.Flush() }
-
-// ErrBadHeader reports a stream that is not a trace.
-var ErrBadHeader = errors.New("trace: bad header")
-
-// Reader streams events from an io.Reader.
-type Reader struct {
-	r *bufio.Reader
-}
-
-// NewReader validates the header and returns a Reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	var hdr [6]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadHeader, err)
+	if len(recs)%recordSize != 0 || uint64(len(recs)/recordSize) != n {
+		return nil, fmt.Errorf("%w: %d events recorded, %d bytes of events", ErrCorrupt, n, len(recs))
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != magic {
-		return nil, ErrBadHeader
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:]); v != version {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadHeader, v)
-	}
-	return &Reader{r: br}, nil
-}
-
-// Read returns the next event or io.EOF.
-func (r *Reader) Read() (Event, error) {
-	var rec [recordSize]byte
-	if _, err := io.ReadFull(r.r, rec[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return Event{}, fmt.Errorf("trace: truncated record: %w", err)
+	t.Events = make([]Event, n)
+	var ticks uint64
+	for i := range t.Events {
+		p := recs[i*recordSize : (i+1)*recordSize]
+		e := Event{
+			Kind: Kind(p[0]), Order: p[1], MT: mem.MigrateType(p[2]), Src: mem.Source(p[3]),
+			ID: binary.LittleEndian.Uint64(p[4:]), PFN: binary.LittleEndian.Uint64(p[12:]),
 		}
-		return Event{}, err
+		if e.Kind > KindTick || e.Order > mem.MaxOrder || e.MT >= mem.NumMigrateTypes || e.Src >= mem.NumSources {
+			return nil, fmt.Errorf("%w: event %d: kind %d order %d mt %d src %d", ErrCorrupt, i, e.Kind, e.Order, e.MT, e.Src)
+		}
+		if e.Kind == KindTick {
+			ticks++
+		}
+		t.Events[i] = e
 	}
-	return Event{
-		Kind:  Kind(rec[0]),
-		ID:    binary.LittleEndian.Uint64(rec[1:]),
-		Order: rec[9],
-		MT:    mem.MigrateType(rec[10]),
-		Src:   mem.Source(rec[11]),
-	}, nil
+	if ticks != t.Ticks {
+		return nil, fmt.Errorf("%w: %d tick events, %d ticks recorded", ErrCorrupt, ticks, t.Ticks)
+	}
+	return t, nil
 }
 
-// Recorder is a kernel.EventSink that mirrors every public kernel
-// operation into a trace. Attach it with Attach; from then on any
-// driver of the kernel — including the workload runner — is recorded
-// transparently.
+// Tap passes each public kernel event — every successful Alloc,
+// AllocPageCache, Free, Pin and Unpin, as the kernel's tracepoints
+// report it — to fn with the tick it happened on. It attaches a minimal
+// ring when k has none and forwards every record to the tap the ring
+// had. Internal kernel activity (compaction moves, resizing
+// evacuations, reclaim) is not public: a replayed trace must trigger
+// that machinery in the replaying kernel, not duplicate it.
+func Tap(k *kernel.Kernel, fn func(e Event, tick uint64)) {
+	ring := k.Tracer()
+	if ring == nil {
+		ring = telemetry.NewRing(0)
+		k.SetTracer(ring)
+	}
+	next := ring.Sink()
+	ring.SetSink(func(rec telemetry.Record) {
+		kind := KindTick // not public
+		switch rec.ID {
+		case telemetry.EvAlloc:
+			kind = KindAlloc
+		case telemetry.EvFree:
+			kind = KindFree
+		case telemetry.EvPin:
+			kind = KindPin
+		case telemetry.EvUnpin:
+			kind = KindUnpin
+		}
+		if kind != KindTick {
+			// Pin and unpin records carry a zero class.
+			order, mt, src, pageCache := kernel.SplitClass(rec.C)
+			if kind == KindAlloc && pageCache {
+				kind = KindAllocCache
+			}
+			fn(Event{Kind: kind, ID: rec.B, PFN: rec.A, Order: uint8(order), MT: mt, Src: src}, rec.Tick)
+		}
+		if next != nil {
+			next(rec)
+		}
+	})
+}
+
+// Recorder records a kernel's public events from the moment it is
+// attached. Any driver of the kernel — including the workload runner —
+// is recorded transparently.
 type Recorder struct {
-	W      *Writer
-	k      *kernel.Kernel
-	nextID uint64
-	// ids holds each live handle's event ID, indexed by its page-table
-	// slot. A slot is reused only through a fresh OnAlloc, which
-	// overwrites the entry, so handles the kernel lets go without an
-	// OnFree (reclaimed page cache) need no cleanup.
-	ids []uint64
-	err error
+	k *kernel.Kernel
+	// tick is the tick the recorded events have reached.
+	tick uint64
+	t    Trace
 }
 
-// Attach creates a Recorder writing to w and registers it as k's event
-// sink. Detach with k.SetEventSink(nil).
-func Attach(k *kernel.Kernel, w *Writer) *Recorder {
-	r := &Recorder{W: w, k: k}
-	k.SetEventSink(r)
+// Attach starts recording k.
+func Attach(k *kernel.Kernel) *Recorder {
+	r := &Recorder{k: k, tick: k.Tick(), t: Trace{MemBytes: k.Config().MemBytes}}
+	Tap(k, func(e Event, tick uint64) {
+		r.ticksTo(tick)
+		r.t.Events = append(r.t.Events, e)
+	})
 	return r
 }
 
-// Err returns the first write error, if any.
-func (r *Recorder) Err() error { return r.err }
-
-func (r *Recorder) emit(e Event) {
-	if r.err == nil {
-		r.err = r.W.Write(e)
+// ticksTo records the tick boundaries up to tick.
+func (r *Recorder) ticksTo(tick uint64) {
+	for ; r.tick < tick; r.tick++ {
+		r.t.Events = append(r.t.Events, Event{Kind: KindTick})
+		r.t.Ticks++
 	}
 }
 
-// OnAlloc implements kernel.EventSink.
-func (r *Recorder) OnAlloc(p kernel.Page, pageCache bool) {
-	r.nextID++
-	s := p.Slot()
-	if s >= len(r.ids) {
-		r.ids = append(r.ids, make([]uint64, s+1-len(r.ids))...)
-	}
-	r.ids[s] = r.nextID
-	kind := KindAlloc
-	if pageCache {
-		kind = KindAllocCache
-	}
-	info := r.k.Info(p)
-	r.emit(Event{Kind: kind, ID: r.nextID, Order: uint8(info.Order), MT: info.MT, Src: info.Src})
+// Trace returns the recording up to the kernel's current tick. Profile
+// and Seed are the caller's to fill in.
+func (r *Recorder) Trace() *Trace {
+	r.ticksTo(r.k.Tick())
+	return &r.t
 }
 
-// id returns p's event ID (0 for a handle allocated before Attach).
-func (r *Recorder) id(p kernel.Page) uint64 {
-	if s := p.Slot(); s < len(r.ids) {
-		return r.ids[s]
-	}
-	return 0
-}
-
-// OnFree implements kernel.EventSink.
-func (r *Recorder) OnFree(p kernel.Page) { r.emit(Event{Kind: KindFree, ID: r.id(p)}) }
-
-// OnPin implements kernel.EventSink.
-func (r *Recorder) OnPin(p kernel.Page) { r.emit(Event{Kind: KindPin, ID: r.id(p)}) }
-
-// OnUnpin implements kernel.EventSink.
-func (r *Recorder) OnUnpin(p kernel.Page) { r.emit(Event{Kind: KindUnpin, ID: r.id(p)}) }
-
-// OnTick implements kernel.EventSink.
-func (r *Recorder) OnTick() { r.emit(Event{Kind: KindTick}) }
-
-// ReplayStats summarises a replay.
-type ReplayStats struct {
-	Events      uint64
-	AllocFailed uint64
-	Ticks       uint64
-}
-
-// Replay feeds a trace into a kernel. Allocation failures are tolerated
-// (the receiving design may have different capacity behaviour); events
-// referencing failed allocations are skipped.
-func Replay(k *kernel.Kernel, r *Reader) (ReplayStats, error) {
-	var st ReplayStats
+// Replay feeds a trace into a kernel and returns how many allocations
+// and pins failed. Failures are tolerated (the receiving design may
+// have different capacity behaviour); events referencing failed
+// allocations are skipped.
+func Replay(k *kernel.Kernel, t *Trace) (failed uint64) {
 	live := make(map[uint64]kernel.Page)
-	for {
-		e, err := r.Read()
-		if errors.Is(err, io.EOF) {
-			return st, nil
-		}
-		if err != nil {
-			return st, err
-		}
-		st.Events++
+	for _, e := range t.Events {
 		switch e.Kind {
-		case KindAlloc:
-			p, err := k.Alloc(int(e.Order), e.MT, e.Src)
-			if err != nil {
-				st.AllocFailed++
-				continue
+		case KindAlloc, KindAllocCache:
+			var p kernel.Page
+			var err error
+			if e.Kind == KindAlloc {
+				p, err = k.Alloc(int(e.Order), e.MT, e.Src)
+			} else {
+				p, err = k.AllocPageCache(int(e.Order), e.Src)
 			}
-			live[e.ID] = p
-		case KindAllocCache:
-			p, err := k.AllocPageCache(int(e.Order), e.Src)
 			if err != nil {
-				st.AllocFailed++
+				failed++
 				continue
 			}
 			live[e.ID] = p
@@ -271,7 +258,7 @@ func Replay(k *kernel.Kernel, r *Reader) (ReplayStats, error) {
 		case KindPin:
 			if p, ok := live[e.ID]; ok && k.Live(p) {
 				if err := k.Pin(p); err != nil {
-					st.AllocFailed++
+					failed++
 				}
 			}
 		case KindUnpin:
@@ -280,9 +267,7 @@ func Replay(k *kernel.Kernel, r *Reader) (ReplayStats, error) {
 			}
 		case KindTick:
 			k.EndTick()
-			st.Ticks++
-		default:
-			return st, fmt.Errorf("trace: unknown event kind %d", e.Kind)
 		}
 	}
+	return failed
 }

@@ -9,6 +9,7 @@ import (
 	"contiguitas/internal/mem"
 	"contiguitas/internal/pressure"
 	"contiguitas/internal/telemetry"
+	"contiguitas/internal/trace"
 )
 
 // ChaosOptions configures a chaos soak: a service profile driven against
@@ -263,9 +264,12 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 		opts.OnKernel(k)
 	}
 
-	// Count every public kernel event, the ones a recorded trace holds.
-	var events eventCount
-	k.SetEventSink(&events)
+	// Count every event a recorded trace would hold: the public
+	// records on the kernel's tracepoint tap, plus the ticks elapsed.
+	var public uint64
+	trace.Tap(k, func(trace.Event, uint64) { public++ })
+	tick0 := k.Tick()
+	events := func() uint64 { return public + k.Tick() - tick0 }
 
 	var r *Runner
 	if opts.Resume != nil {
@@ -294,7 +298,7 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 		if opts.Checkpoint != nil {
 			opts.Checkpoint(ChaosCheckpoint{
 				Tick:       tick,
-				Events:     uint64(events),
+				Events:     events(),
 				Robustness: telemetry.SnapshotRobustness(k.Metrics()),
 				Violation:  verr,
 			})
@@ -340,7 +344,7 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 		if opts.KillAtTick > 0 && tick >= opts.KillAtTick {
 			rep.Killed = true
 			rep.Ticks = tick
-			rep.Events = uint64(events)
+			rep.Events = events()
 			return rep, nil
 		}
 	}
@@ -365,7 +369,7 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 	rep.FreeContig2MAfter = scan.FreeContigFraction(mem.Order2M)
 
 	rep.Ticks = opts.Ticks + opts.RecoveryTicks
-	rep.Events = uint64(events)
+	rep.Events = events()
 	rep.Faults = inj.Snapshot()
 	rep.TotalInjected = inj.TotalFired()
 	rep.Robustness = telemetry.SnapshotRobustness(k.Metrics())
@@ -376,13 +380,3 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 	rep.OOMHistory = k.OOMHistory()
 	return rep, nil
 }
-
-// eventCount is a kernel.EventSink that counts the kernel's public
-// events without recording them.
-type eventCount uint64
-
-func (n *eventCount) OnAlloc(kernel.Page, bool) { *n++ }
-func (n *eventCount) OnFree(kernel.Page)        { *n++ }
-func (n *eventCount) OnPin(kernel.Page)         { *n++ }
-func (n *eventCount) OnUnpin(kernel.Page)       { *n++ }
-func (n *eventCount) OnTick()                   { *n++ }

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"contiguitas/internal/fault"
@@ -11,8 +13,10 @@ import (
 
 // traceRun drives a fixed workload against a Contiguitas kernel and
 // returns the recorded trace bytes plus the kernel for counter checks.
-// With faulty set, the mover and the software migrator misfire; the
-// machine is sized so no allocation outcome depends on it.
+// The frames the events name are left out: placement is internal, and
+// faults may move it. With faulty set, the mover and the software
+// migrator misfire; the machine is sized so no allocation outcome
+// depends on it.
 func traceRun(t *testing.T, seed uint64, faulty bool) ([]byte, *kernel.Kernel) {
 	t.Helper()
 	cfg := kernel.DefaultConfig(kernel.ModeContiguitas)
@@ -30,12 +34,7 @@ func traceRun(t *testing.T, seed uint64, faulty bool) ([]byte, *kernel.Kernel) {
 	cfg.Faults = inj
 	k := kernel.New(cfg)
 
-	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := trace.Attach(k, tw)
+	rec := trace.Attach(k)
 
 	// A light profile: ample headroom on both sides of the boundary, so
 	// every allocation succeeds whether or not migrations misfire.
@@ -47,12 +46,6 @@ func traceRun(t *testing.T, seed uint64, faulty bool) ([]byte, *kernel.Kernel) {
 	r := NewRunner(k, p, seed)
 	r.Run(150)
 
-	if rec.Err() != nil {
-		t.Fatal(rec.Err())
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	// The byte-identity guarantee holds only while allocation outcomes
 	// are fault-independent; a failed allocation would invalidate the
 	// premise, not the property.
@@ -63,7 +56,19 @@ func traceRun(t *testing.T, seed uint64, faulty bool) ([]byte, *kernel.Kernel) {
 	if err := k.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), k
+	tr := rec.Trace()
+	for i := range tr.Events {
+		tr.Events[i].PFN = 0
+	}
+	path := filepath.Join(t.TempDir(), "t.ctgtrac")
+	if err := tr.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, k
 }
 
 // TestTraceDeterministicUnderFaults is the determinism regression: the
